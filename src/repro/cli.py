@@ -1264,7 +1264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--batch-window-ms", dest="batch_window_ms", type=float,
         default=2.0, metavar="MS",
-        help="micro-batching latency budget",
+        help="longest wait for admitted requests to join a batch",
     )
     p_serve.add_argument(
         "--deadline-s", dest="deadline_s", type=float, default=10.0,

@@ -10,8 +10,10 @@ deployment story, dependency-free (stdlib ``http.server`` + threads):
   canonical request hash the result cache keys on;
 - :mod:`~repro.serve.service` — admission control with load shedding,
   per-request deadlines, the micro-batching coalescer (bitwise
-  identical to offline scalar evaluation), the compiled-tier circuit
-  breaker, the wedged-worker watchdog, and graceful drain;
+  identical to offline scalar evaluation on 2-IP SoCs, within 1e-12
+  relative with the same bottleneck and binding set on wider ones),
+  the compiled-tier circuit breaker, the wedged-worker watchdog, and
+  graceful drain;
 - :mod:`~repro.serve.server` — the thin HTTP adapter
   (``gables serve``), with ``/healthz``, ``/readyz``, and
   SIGTERM-triggered drain;

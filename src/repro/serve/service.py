@@ -14,11 +14,16 @@ failure mode:
   in time returns ``SERVE_DEADLINE_EXCEEDED`` (504) while the work of
   every other in-flight request is unaffected.
 - **micro-batching** — concurrent scalar ``eval`` requests are
-  coalesced (up to ``batch_max`` within ``batch_window_s``) into one
+  coalesced (up to ``batch_max``) into one
   :func:`repro.core.batch.evaluate_batch` call per SoC under
   ``on_error="record"`` semantics, so one poisoned request degrades to
-  a structured per-request error and its batch neighbors come back
-  **bitwise identical** to an offline scalar ``evaluate``.
+  a structured per-request error and its batch neighbors match an
+  offline scalar ``evaluate``: **bitwise** on 2-IP SoCs, and within
+  1e-12 relative with the same bottleneck and binding set on wider
+  ones (the batch sums memory bytes in numpy order, the scalar path
+  with ``math.fsum``).  A batch waits only for requests already
+  admitted and still on their way to the queue, and for them at most
+  ``batch_window_s``; a lone request dispatches at once.
 - **result cache** — responses are cached on the canonical
   spec/workload hash; with a ``cache_path`` the cache is an
   append-only JSONL file recovered on restart through the shared
@@ -100,7 +105,8 @@ class ServiceConfig:
     """Tunable robustness budgets of one service instance.
 
     The defaults are sized for a small shared box: shed beyond 64
-    in-flight requests, coalesce for at most 2 ms, give every request
+    in-flight requests, hold a batch open at most 2 ms for admitted
+    requests still on their way to the queue, give every request
     10 s unless it asks for less (never more than 60 s), recycle a
     worker stuck longer than 2 s.
     """
@@ -336,6 +342,7 @@ class EvaluationService:
         self._cv = threading.Condition()
         self._queue: deque = deque()
         self._inflight = 0
+        self._arriving_evals = 0
         self._draining = False
         self._stopping = False
         self._closed = False
@@ -376,6 +383,42 @@ class EvaluationService:
                 self._inflight -= 1
                 self._cv.notify_all()
 
+    @contextmanager
+    def _arriving(self):
+        """Count one admitted ``/eval`` until it is queued or leaves.
+
+        Yields ``enqueue(job)``, which queues the job and lowers the
+        count under one hold of ``_cv``.  Leaving the block without
+        queuing (cache hit, validation error, deadline, drain) lowers
+        it instead.  The coalescer holds a batch open only while this
+        count is above zero: it waits for requests already admitted,
+        never for ones that may or may not come.
+        """
+        with self._cv:
+            self._arriving_evals += 1
+        queued = False
+
+        def enqueue(job: _EvalJob) -> None:
+            nonlocal queued
+            with self._cv:
+                if self._stopping:
+                    raise ServeError(
+                        "server is draining and admits no new requests",
+                        code="SERVE_SHUTTING_DOWN",
+                    )
+                self._queue.append(job)
+                self._arriving_evals -= 1
+                queued = True
+                self._cv.notify_all()
+
+        try:
+            yield enqueue
+        finally:
+            if not queued:
+                with self._cv:
+                    self._arriving_evals -= 1
+                    self._cv.notify_all()
+
     def _request_deadline(self, requested) -> float:
         budget = (
             self.config.default_deadline_s if requested is None
@@ -397,7 +440,7 @@ class EvaluationService:
         """Scalar evaluation: validate, coalesce, isolate, respond."""
         _REQUESTS.inc()
         _REQ_EVAL.inc()
-        with self._admitted():
+        with self._admitted(), self._arriving() as enqueue:
             request = parse_eval_request(document)
             self._check_fault_allowed(request.fault)
             deadline = self._request_deadline(request.deadline_s)
@@ -413,14 +456,7 @@ class EvaluationService:
                     return {**cached, "meta": meta}
             soc_key = canonical_request_key(encode_soc(request.soc))
             job = _EvalJob(request, deadline, soc_key)
-            with self._cv:
-                if self._stopping:
-                    raise ServeError(
-                        "server is draining and admits no new requests",
-                        code="SERVE_SHUTTING_DOWN",
-                    )
-                self._queue.append(job)
-                self._cv.notify_all()
+            enqueue(job)
             remaining = deadline - self._clock()
             if not job.event.wait(max(0.0, remaining)):
                 if job.finish(error=_deadline_error("eval request")):
@@ -643,7 +679,13 @@ class EvaluationService:
                         self._busy_since = None
 
     def _next_batch(self, gen: int):
-        """Block for work, then coalesce within the latency budget."""
+        """Block for work, then gather the requests already on their way.
+
+        The batch dispatches as soon as no admitted ``/eval`` is still
+        between admission and the queue (see :meth:`_arriving`), after
+        ``batch_window_s`` at the latest, or when it holds
+        ``batch_max`` jobs.  A lone request is never held back.
+        """
         with self._cv:
             while True:
                 if gen != self._worker_gen:
@@ -660,7 +702,8 @@ class EvaluationService:
                     jobs.append(self._queue.popleft())
                     continue
                 remaining = horizon - self._clock()
-                if remaining <= 0 or self._stopping:
+                if (not self._arriving_evals or remaining <= 0
+                        or self._stopping):
                     break
                 self._cv.wait(remaining)
                 if gen != self._worker_gen:
@@ -756,8 +799,10 @@ class EvaluationService:
 
         ``on_error="record"`` keeps a bad row from touching its
         neighbors: valid rows are bitwise identical to an all-valid
-        batch (pinned by the resilience suite), which in turn is
-        bitwise identical to the scalar evaluator.
+        batch (pinned by the resilience suite), which matches the
+        scalar evaluator bitwise on 2-IP SoCs and within 1e-12
+        relative, with the same bottleneck and binding set, on wider
+        ones.
         """
         soc = jobs[0].request.soc
         fractions = np.array(

@@ -5,13 +5,20 @@ transport-free :class:`~repro.serve.EvaluationService` fault paths,
 then the HTTP surface, and finally the acceptance chaos load test —
 eight concurrent clients against a live server under the
 ``chaos-default`` fault plan, where every clean request must succeed
-**bitwise identical** to offline :func:`repro.core.gables.evaluate`
 and every injected fault must come back as a structured ``SERVE_*`` /
 ``WORKLOAD_*`` JSON error, plus a subprocess SIGTERM drain test.
+
+The served ``/eval`` contract: a response is **bitwise identical** to
+offline :func:`repro.core.gables.evaluate` on 2-IP SoCs (the Fig. 6
+scenarios most tests here use), and within 1e-12 relative with the
+same bottleneck and binding set on wider SoCs, where the coalesced
+batch sums memory bytes in numpy order and the scalar path uses
+``math.fsum``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -20,9 +27,10 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from repro.core import FIGURE_6_SEQUENCE
+from repro.core import FIGURE_6_SEQUENCE, IPBlock, SoCSpec, Workload
 from repro.core.gables import evaluate
 from repro.errors import (
     EvaluationError,
@@ -47,7 +55,9 @@ from repro.serve import (
     run_load,
     slo_records,
 )
+from repro.serve import service as service_module
 from repro.serve.loadgen import record_slo
+from repro.units import GIGA
 
 SCENARIO = FIGURE_6_SEQUENCE[1]
 
@@ -63,6 +73,73 @@ def eval_document(scenario=SCENARIO, **extra) -> dict:
 
 def offline_result(scenario=SCENARIO) -> dict:
     return encode_result(evaluate(scenario.soc(), scenario.workload()))
+
+
+def within_contract(got, want) -> bool:
+    """The wide-SoC ``/eval`` contract: same structure and strings
+    (bottleneck, binding set, names), numbers within 1e-12 relative."""
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(within_contract(got[k], want[k]) for k in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(within_contract(g, w) for g, w in zip(got, want)))
+    if isinstance(want, float) and isinstance(got, float):
+        return got == want or abs(got - want) <= 1e-12 * abs(want)
+    return got == want
+
+
+class Call(threading.Thread):
+    """Run one call on its own thread and keep its outcome."""
+
+    def __init__(self, function, *args) -> None:
+        super().__init__(daemon=True)
+        self._call = (function, args)
+        self.value = None
+        self.error = None
+        self.start()
+
+    def run(self) -> None:
+        function, args = self._call
+        try:
+            self.value = function(*args)
+        except Exception as err:  # re-raised by result()
+            self.error = err
+
+    def result(self, timeout_s: float = 10.0):
+        self.join(timeout_s)
+        assert not self.is_alive(), "call did not finish"
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+def wait_until(predicate, timeout_s: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+@pytest.fixture()
+def held_batch(monkeypatch):
+    """Hold the first coalesced batch inside ``evaluate_batch``.
+
+    Yields ``(entered, release)``: ``entered`` is set once the worker
+    is busy with the held batch, setting ``release`` lets it finish.
+    """
+    entered, release = threading.Event(), threading.Event()
+    evaluate_batch = service_module.evaluate_batch
+
+    def held(*args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            release.wait(10.0)
+        return evaluate_batch(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "evaluate_batch", held)
+    yield entered, release
+    release.set()
 
 
 @pytest.fixture()
@@ -287,6 +364,166 @@ class TestServiceEval:
             assert excinfo.value.code == "SERVE_BAD_REQUEST"
         finally:
             plain.drain(timeout_s=2.0)
+
+
+def wide_soc(seed: int, ips: int, rows: int) -> tuple:
+    """A seeded SoC with ``ips`` IPs and ``rows`` Dirichlet workloads."""
+    rng = np.random.default_rng(seed)
+    accelerations = [1.0] + rng.uniform(0.2, 40.0, ips - 1).tolist()
+    soc = SoCSpec(
+        peak_perf=float(rng.uniform(5.0, 50.0)) * GIGA,
+        memory_bandwidth=float(rng.uniform(10.0, 60.0)) * GIGA,
+        ips=tuple(
+            IPBlock(f"IP{i}", accelerations[i],
+                    float(rng.uniform(2.0, 40.0)) * GIGA)
+            for i in range(ips)
+        ),
+        name="wide",
+    )
+    workloads = [
+        Workload(
+            fractions=tuple(rng.dirichlet(np.ones(ips)).tolist()),
+            intensities=tuple(rng.uniform(0.1, 64.0, ips).tolist()),
+        )
+        for _ in range(rows)
+    ]
+    return soc, workloads
+
+
+class TestCoalescer:
+    """A batch waits only for ``/eval``s already admitted, and for at
+    most ``batch_window_s``: a lone request dispatches at once, while
+    requests that pile up behind a busy worker still share a batch."""
+
+    @pytest.fixture()
+    def slow_window(self):
+        # Interpreted: a first compiled call may build the native
+        # kernel, which would blur the timing of a lone request.
+        instance = EvaluationService(ServiceConfig(
+            batch_window_s=5.0, engine="interpreted", watchdog_hang_s=30.0,
+        ))
+        yield instance
+        instance.drain(timeout_s=5.0)
+
+    def test_lone_request_is_not_held_for_the_window(self, slow_window):
+        start = time.monotonic()
+        payload = slow_window.handle_eval(eval_document())
+        assert time.monotonic() - start < 1.0
+        assert payload["result"] == offline_result()
+
+    def test_requests_queued_behind_a_busy_worker_share_one_batch(
+            self, slow_window, held_batch):
+        entered, release = held_batch
+        occupant = Call(
+            slow_window.handle_eval,
+            eval_document(dataclasses.replace(SCENARIO, f=0.5)),
+        )
+        assert entered.wait(10.0)
+        before = slow_window.health()["metrics"]
+        calls = [
+            Call(slow_window.handle_eval, eval_document(scenario))
+            for scenario in FIGURE_6_SEQUENCE
+        ]
+        wait_until(
+            lambda: slow_window.load_stats()["queued"] == len(calls)
+        )
+        release.set()
+        occupant.result()
+        for scenario, call in zip(FIGURE_6_SEQUENCE, calls):
+            assert call.result()["result"] == offline_result(scenario)
+        after = slow_window.health()["metrics"]
+        assert after["batches"] - before["batches"] == 1
+        assert (after["batched_requests"] - before["batched_requests"]
+                == len(calls))
+
+    def test_requests_that_leave_early_do_not_hold_batches_open(
+            self, slow_window):
+        slow_window.handle_eval(eval_document())
+        assert slow_window.handle_eval(eval_document())["meta"]["cached"]
+        bad = eval_document()
+        bad["workload"] = {**bad["workload"], "fractions": [0.9, 0.9]}
+        with pytest.raises(WorkloadError):
+            slow_window.handle_eval(bad)
+        with pytest.raises(ServeError) as excinfo:
+            slow_window.handle_eval(eval_document(deadline_s=1e-9))
+        assert excinfo.value.code == "SERVE_DEADLINE_EXCEEDED"
+        lone = FIGURE_6_SEQUENCE[2]
+        start = time.monotonic()
+        payload = slow_window.handle_eval(eval_document(lone))
+        assert time.monotonic() - start < 1.0
+        assert payload["result"] == offline_result(lone)
+
+    def test_arrival_count_survives_concurrent_churn(self, slow_window):
+        """More threads than cores interleave every way an ``/eval``
+        can end, under a tiny switch interval.  A lost update to the
+        arrival count would hold the final lone request for the whole
+        5 s window."""
+        slow_window.handle_eval(eval_document())  # later ones hit
+        bad = eval_document()
+        bad["workload"] = {**bad["workload"], "fractions": [0.9, 0.9]}
+
+        def churn(worker: int) -> None:
+            for step in range(12):
+                kind = (worker + step) % 4
+                if kind == 0:
+                    payload = slow_window.handle_eval(eval_document())
+                    assert payload["meta"]["cached"] is True
+                elif kind == 1:
+                    with pytest.raises(WorkloadError):
+                        slow_window.handle_eval(bad)
+                elif kind == 2:
+                    with pytest.raises(ServeError, match="deadline"):
+                        slow_window.handle_eval(
+                            eval_document(deadline_s=1e-9)
+                        )
+                else:
+                    fresh = dataclasses.replace(
+                        SCENARIO, f=(worker * 12 + step + 1) / 1000
+                    )
+                    payload = slow_window.handle_eval(eval_document(fresh))
+                    assert payload["result"] == offline_result(fresh)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            calls = [Call(churn, worker) for worker in range(16)]
+            for call in calls:
+                call.result(timeout_s=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        lone = FIGURE_6_SEQUENCE[3]
+        start = time.monotonic()
+        payload = slow_window.handle_eval(eval_document(lone))
+        assert time.monotonic() - start < 1.0
+        assert payload["result"] == offline_result(lone)
+
+    def test_wide_soc_batch_matches_offline_within_contract(
+            self, slow_window, held_batch):
+        """More than two IPs: each row within 1e-12 relative of offline
+        ``evaluate``, with the same bottleneck and binding set."""
+        entered, release = held_batch
+        soc, workloads = wide_soc(seed=13, ips=5, rows=8)
+        occupant = Call(slow_window.handle_eval, eval_document())
+        assert entered.wait(10.0)
+        calls = [
+            Call(slow_window.handle_eval, {
+                "soc": encode_soc(soc), "workload": encode_workload(w),
+            })
+            for w in workloads
+        ]
+        wait_until(
+            lambda: slow_window.load_stats()["queued"] == len(calls)
+        )
+        release.set()
+        occupant.result()
+        for workload, call in zip(workloads, calls):
+            payload = call.result()
+            assert payload["meta"]["batched"] == len(calls)
+            got = payload["result"]
+            want = encode_result(evaluate(soc, workload))
+            assert got["bottleneck"] == want["bottleneck"]
+            assert got["binding_components"] == want["binding_components"]
+            assert within_contract(got, want)
 
 
 class TestOverloadAndWatchdog:
