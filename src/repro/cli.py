@@ -162,12 +162,9 @@ def _compiler_line(soc, variant) -> str:
         phase = variant.lower(soc).phases[0]
     digest = model_compile.compile_digest(soc, phase)
     cached = "cached" if model_compile.is_cached(soc, phase) else "uncompiled"
-    native = (
-        "native+ufunc" if model_compile.native_available() else "ufunc"
-    )
     stats = model_compile.compile_cache_stats()
     return (
-        f"batch compiler: kernel {digest} ({cached}, {native} tier); "
+        f"batch compiler: kernel {digest} ({cached}); "
         f"cache size={stats['size']} hits={stats['hits']} "
         f"misses={stats['misses']} builds={stats['builds']}"
     )

@@ -34,7 +34,6 @@ from .compile import (
     compile_cache_stats,
     compile_digest,
     compile_phase,
-    native_available,
 )
 from .blend import blend_workloads, interference_slowdown
 from .curves import RooflineCurve, min_envelope
@@ -153,7 +152,6 @@ __all__ = [
     "ip_terms",
     "machine_balance",
     "min_envelope",
-    "native_available",
     "prepare_batch",
     "scaled_roofline_curves",
     "variant_from_config",

@@ -23,6 +23,13 @@ Hardware parameters can vary across the batch too: ``memory_bandwidth``
 override the SoC's values, which is how the ``Bpeak``/``Bi``/``Ai``
 sweeps in :mod:`repro.explore.sweep` and the generational projections
 in :mod:`repro.explore.scaling` ride the same batch path.
+
+:func:`evaluate_batch` (the base model) and
+:func:`evaluate_lowered_batch` (one lowered phase) share one body.  It
+resolves the ``engine`` switch, prepares the inputs once, and runs
+either the interpreter in this module, which is the ground truth, or
+the one compiled tier, the fused ufunc kernel of
+:mod:`repro.core.compile`, under a single span.
 """
 
 from __future__ import annotations
@@ -35,9 +42,7 @@ import numpy as np
 
 from ..errors import EvaluationError, SpecError, WorkloadError
 from ..obs.metrics import counter as _counter
-from ..obs.profile import get_profiler as _get_profiler
 from ..obs.profile import profile_scope as _profile_scope
-from ..obs.trace import get_tracer as _get_tracer
 from ..obs.trace import span as _span
 from ..resilience.partial import check_on_error, point_failure
 from .._validation import FRACTION_SUM_TOL
@@ -46,12 +51,6 @@ from .gables import evaluate
 from .lowering import COORDINATION, LoweredPhase
 from .params import SoCSpec, Workload
 from .result import BINDING_REL_TOL, MEMORY, GablesResult, IPTerm
-
-#: Singletons bound once at import: the hot-path disabled check is
-#: two attribute loads, no function calls (the overhead benchmarks
-#: hold instrumented entry points within a few percent of bare).
-_TRACER = _get_tracer()
-_PROFILER = _get_profiler()
 
 #: Module-level instrument handles (one registry lookup at import).
 _BATCH_CALLS = _counter("core.evaluate_batch.calls")
@@ -272,8 +271,6 @@ def _validate_workload_arrays(
     fractions: np.ndarray, intensities: np.ndarray
 ) -> None:
     """Vectorized equivalent of the ``Workload`` constructor checks."""
-    if fractions.shape[0] == 0:
-        raise WorkloadError("batch needs at least one point")
     if not np.all(np.isfinite(fractions) & (fractions >= 0)
                   & (fractions <= 1)):
         raise WorkloadError(
@@ -417,7 +414,6 @@ class PreparedBatch:
     validate: bool
     on_error: str
     _guards: tuple = ()
-    _fortran: tuple | None = None
 
     def __post_init__(self) -> None:
         if not self._guards:
@@ -435,49 +431,25 @@ class PreparedBatch:
     def as_tuple(self, soc: SoCSpec, validate: bool, on_error: str) -> tuple:
         """The ``_prepare_batch`` result tuple, re-validating only when
         the guard detects mutated arrays (or a stricter context)."""
-        return self.resolved(soc, validate, on_error)[0]
-
-    def resolved(
-        self, soc: SoCSpec, validate: bool, on_error: str
-    ) -> tuple:
-        """``(as_tuple result, self-or-None)``: the second element is
-        this batch when its cached state is trusted for the call (so
-        derived caches like the Fortran grid pair apply), or ``None``
-        on the re-validated stale path."""
         if soc is not self.soc and soc != self.soc:
             raise SpecError(
                 "PreparedBatch was prepared for a different SoC"
             )
-        if on_error != self.on_error or (validate and not self.validate):
-            stale = True
-        else:
-            stale = self._guards != self._fingerprints()
-        if stale:
-            self._fortran = None
+        if (
+            on_error != self.on_error
+            or (validate and not self.validate)
+            or self._guards != self._fingerprints()
+        ):
             return _prepare_batch(
                 soc, self.fractions, self.intensities,
                 self.memory_bandwidth, self.ip_bandwidths, self.ip_peaks,
                 validate, on_error,
-            ), None
+            )
         return (
             self.fractions, self.intensities, self.memory_bandwidth,
             self.ip_bandwidths, self.ip_peaks, self.valid,
             list(self.failures), self.k,
-        ), self
-
-    def fortran_pair(self) -> tuple:
-        """The workload grids in column-contiguous (Fortran) order,
-        transposed once and cached — the native fused kernel walks
-        columns, and re-ordering a 10k-point grid costs as much as
-        evaluating it."""
-        pair = self._fortran
-        if pair is None:
-            pair = (
-                np.asfortranarray(self.fractions),
-                np.asfortranarray(self.intensities),
-            )
-            self._fortran = pair
-        return pair
+        )
 
     def with_workload(
         self, fractions, intensities, validate: bool = True
@@ -591,10 +563,11 @@ def _resolve_engine(engine: str, on_error: str) -> str:
 
 
 def _compiled_call(
-    soc, phase, fractions, intensities, memory_bandwidth, ip_bandwidths,
-    ip_peaks, valid, on_error, failures, prepared=None,
+    soc, fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks,
+    valid, on_error, failures, phase,
 ):
-    """Run the fused kernel, wiring the lazy interpreted replay."""
+    """Run the fused kernel, wiring the lazy interpreted replay (called
+    like :func:`_evaluate_batch_impl`)."""
     kernel = compile_phase(soc, phase)
     valid_init = None if valid is None else valid.copy()
     failures_init = tuple(failures)
@@ -612,7 +585,6 @@ def _compiled_call(
         valid=valid, on_error=on_error, failures=failures,
         route_solver=None if phase is None else phase.route_solver,
         replay=replay,
-        fortran=None if prepared is None else prepared.fortran_pair,
     )
 
 
@@ -630,8 +602,7 @@ def _prepared_cached(
     soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
     ip_peaks, validate, on_error,
 ):
-    """The `_prepare_batch` tuple (plus its :class:`PreparedBatch`)
-    via the compiled-path prepare cache."""
+    """The `_prepare_batch` tuple via the compiled-path prepare cache."""
     key = (
         id(soc), id(fractions), id(intensities), id(memory_bandwidth),
         id(ip_bandwidths), id(ip_peaks), validate, on_error,
@@ -647,7 +618,7 @@ def _prepared_cached(
             and anchors[4] is ip_bandwidths
             and anchors[5] is ip_peaks
         ):
-            return prepared.resolved(soc, validate, on_error)
+            return prepared.as_tuple(soc, validate, on_error)
     prepared = prepare_batch(
         soc, fractions, intensities, memory_bandwidth=memory_bandwidth,
         ip_bandwidths=ip_bandwidths, ip_peaks=ip_peaks,
@@ -660,7 +631,7 @@ def _prepared_cached(
          ip_peaks),
         prepared,
     )
-    return prepared.resolved(soc, validate, on_error)
+    return prepared.as_tuple(soc, validate, on_error)
 
 
 def _prepared_inputs(
@@ -668,14 +639,13 @@ def _prepared_inputs(
     ip_peaks, validate, on_error, use,
 ):
     """Resolve raw arrays or a :class:`PreparedBatch` into the
-    ``_prepare_batch`` result tuple plus the backing
-    :class:`PreparedBatch` (``None`` on the uncached paths)."""
+    ``_prepare_batch`` result tuple."""
     if isinstance(fractions, PreparedBatch):
         if intensities is not None:
             raise WorkloadError(
                 "pass intensities=None when fractions is a PreparedBatch"
             )
-        return fractions.resolved(soc, validate, on_error)
+        return fractions.as_tuple(soc, validate, on_error)
     if use == "compiled":
         return _prepared_cached(
             soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
@@ -684,7 +654,7 @@ def _prepared_inputs(
     return _prepare_batch(
         soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
         ip_peaks, validate, on_error,
-    ), None
+    )
 
 
 def evaluate_batch(
@@ -750,43 +720,10 @@ def evaluate_batch(
     bad workload arrays, :class:`SpecError` for bad hardware arrays,
     :class:`EvaluationError` for degenerate all-zero-time points).
     """
-    use = _resolve_engine(engine, on_error)
-    (
-        fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks,
-        valid, failures, k,
-    ), prepared = _prepared_inputs(
-        soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-        ip_peaks, validate, on_error, use,
+    return _evaluate(
+        soc, None, fractions, intensities, memory_bandwidth, ip_bandwidths,
+        ip_peaks, validate, on_error, engine,
     )
-    _BATCH_CALLS.inc()
-    _BATCH_POINTS.inc(k)
-    if use == "compiled":
-        if not (_TRACER.enabled or _PROFILER.enabled):
-            return _compiled_call(
-                soc, None, fractions, intensities, memory_bandwidth,
-                ip_bandwidths, ip_peaks, valid, on_error, failures,
-                prepared,
-            )
-        with _span("core.evaluate_batch", soc=soc.name, points=k,
-                   engine="compiled"), \
-                _profile_scope("core.evaluate_batch"):
-            return _compiled_call(
-                soc, None, fractions, intensities, memory_bandwidth,
-                ip_bandwidths, ip_peaks, valid, on_error, failures,
-                prepared,
-            )
-    if not (_TRACER.enabled or _PROFILER.enabled):
-        return _evaluate_batch_impl(
-            soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-            ip_peaks, valid=valid, on_error=on_error, failures=failures,
-        )
-    # One span/scope per batch — never one per point (issue contract).
-    with _span("core.evaluate_batch", soc=soc.name, points=k), \
-            _profile_scope("core.evaluate_batch"):
-        return _evaluate_batch_impl(
-            soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-            ip_peaks, valid=valid, on_error=on_error, failures=failures,
-        )
 
 
 def evaluate_lowered_batch(
@@ -825,40 +762,43 @@ def evaluate_lowered_batch(
     surrounding arithmetic fused.  ``fractions`` may be a
     :class:`PreparedBatch` (with ``intensities=None``).
     """
+    return _evaluate(
+        soc, phase, fractions, intensities, memory_bandwidth, ip_bandwidths,
+        ip_peaks, validate, on_error, engine,
+    )
+
+
+def _evaluate(
+    soc, phase, fractions, intensities, memory_bandwidth, ip_bandwidths,
+    ip_peaks, validate, on_error, engine,
+):
+    """The one body behind both batch entry points.
+
+    ``phase=None`` is the base model and keeps the
+    ``core.evaluate_batch`` span and counters; a lowered phase reports
+    as ``core.evaluate_lowered_batch``.
+    """
     use = _resolve_engine(engine, on_error)
     (
         fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks,
         valid, failures, k,
-    ), prepared = _prepared_inputs(
+    ) = _prepared_inputs(
         soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
         ip_peaks, validate, on_error, use,
     )
-    _LOWERED_CALLS.inc()
+    if phase is None:
+        name = "core.evaluate_batch"
+        _BATCH_CALLS.inc()
+    else:
+        name = "core.evaluate_lowered_batch"
+        _LOWERED_CALLS.inc()
     _BATCH_POINTS.inc(k)
-    if use == "compiled":
-        if not (_TRACER.enabled or _PROFILER.enabled):
-            return _compiled_call(
-                soc, phase, fractions, intensities, memory_bandwidth,
-                ip_bandwidths, ip_peaks, valid, on_error, failures,
-                prepared,
-            )
-        with _span("core.evaluate_lowered_batch", soc=soc.name, points=k,
-                   engine="compiled"), \
-                _profile_scope("core.evaluate_lowered_batch"):
-            return _compiled_call(
-                soc, phase, fractions, intensities, memory_bandwidth,
-                ip_bandwidths, ip_peaks, valid, on_error, failures,
-                prepared,
-            )
-    if not (_TRACER.enabled or _PROFILER.enabled):
-        return _evaluate_batch_impl(
-            soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-            ip_peaks, valid=valid, on_error=on_error, failures=failures,
-            phase=phase,
-        )
-    with _span("core.evaluate_lowered_batch", soc=soc.name, points=k), \
-            _profile_scope("core.evaluate_lowered_batch"):
-        return _evaluate_batch_impl(
+    run = _compiled_call if use == "compiled" else _evaluate_batch_impl
+    # One span/scope per batch — never one per point; both are shared
+    # no-op singletons while tracing and profiling are off.
+    with _span(name, soc=soc.name, points=k, engine=use), \
+            _profile_scope(name):
+        return run(
             soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
             ip_peaks, valid=valid, on_error=on_error, failures=failures,
             phase=phase,
@@ -888,6 +828,9 @@ def _prepare_batch(
             f"got {fractions.shape} and {intensities.shape}"
         )
     k = fractions.shape[0]
+    if k == 0:
+        # Structural, so it raises under every validate/on_error mode.
+        raise WorkloadError("batch needs at least one point")
 
     if memory_bandwidth is None:
         memory_bandwidth = np.asarray(soc.memory_bandwidth, dtype=float)
@@ -918,16 +861,13 @@ def _prepare_batch(
             _validate_hardware_arrays(
                 memory_bandwidth, ip_bandwidths, ip_peaks
             )
+    elif validate:
+        valid, failures = _pointwise_failures(
+            fractions, intensities, memory_bandwidth, ip_bandwidths,
+            ip_peaks,
+        )
     else:
-        if fractions.shape[0] == 0:
-            raise WorkloadError("batch needs at least one point")
-        if validate:
-            valid, failures = _pointwise_failures(
-                fractions, intensities, memory_bandwidth, ip_bandwidths,
-                ip_peaks,
-            )
-        else:
-            valid = np.ones(k, dtype=bool)
+        valid = np.ones(k, dtype=bool)
     return (
         fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks,
         valid, failures, k,

@@ -12,6 +12,10 @@ column operations.  This module *compiles* a phase instead: given a
 chain is fixed at build time — and caches it under a canonical
 (variant, SoC, phase-structure) key.
 
+The kernel is the one compiled tier: plain numpy ufunc chains, with no
+generated code and no C toolchain needed at run time.  The interpreter
+stays the ground truth every kernel is checked against.
+
 What the compiler specializes:
 
 - **Phase structure is constant-folded.**  The memory rule (full
@@ -57,12 +61,7 @@ access by replaying the interpreted engine on the stored inputs.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
 import threading
 
 import numpy as np
@@ -299,251 +298,6 @@ def _op(ufunc, a, b, scratch: _Scratch):
     return out
 
 
-# -- the native tier ----------------------------------------------------
-#
-# One *generic* fused C kernel, compiled once per process with the
-# system C compiler and loaded through ctypes.  The per-(SoC, phase)
-# specialization stays in Python — CompiledPhaseKernel resolves the
-# phase structure into flat constant arrays — and the C loop fuses the
-# whole per-point chain into a single L1-tiled sweep, which removes
-# the one cost the ufunc chain cannot: a full memory pass per
-# operation.  Every arithmetic step mirrors the interpreter exactly
-# (same IEEE-754 divisions, multiplications and accumulation order;
-# MAXNP replicates np.maximum's NaN propagation), so native results
-# remain bitwise identical.  Anything that prevents the fused loop —
-# a route solver, per-point hardware override columns, broadcast
-# workload grids (which the ufunc chain folds to scalars), a missing
-# or failing compiler — silently falls back to the ufunc tier.
-
-_NATIVE_SOURCE = r"""
-#include <stddef.h>
-
-#define MAXNP(a, b) \
-    ((a) != (a) ? (a) : ((b) != (b) ? (b) : ((a) >= (b) ? (a) : (b))))
-#define BLK 256
-
-/* Column-tiled fused Gables phase evaluator.
- *
- * F, I hold the workload grids column-contiguous ((k, n) Fortran
- * order): column j starts at F + j * k.  PK[j] = A_j * Ppeak and
- * BW[j] are the effective per-IP constants, MBW the DRAM bandwidth.
- * MW (nullable) carries Eq. 15 memory filter weights, BUSW/BUSBW the
- * nbus fixed-bus weight rows (Eq. 16), DW/OPI the coordination
- * dispatch table (coord_on resolves the batch-global "does
- * coordination join the component set" predicate on the Python
- * side).  Outputs: att = 1/binding, boundv = the degenerate-check
- * operand (binding, or the serialized total), codes = first-tie-wins
- * bottleneck indices.
- */
-void gables_fused(
-    long k, long n,
-    const double *F, const double *I,
-    const double *PK, const double *BW, double MBW,
-    int include_memory, const double *MW, int folded,
-    long nbus, const double *BUSW, const double *BUSBW,
-    const double *DW, double OPI, int coord_on,
-    int combine_sum, double RTOL,
-    double *att, double *boundv, long *codes)
-{
-    double comp[40][BLK];
-    double d[32][BLK];
-    double scratch[BLK];
-    for (long r0 = 0; r0 < k; r0 += BLK) {
-        long m = (k - r0 < BLK) ? (k - r0) : BLK;
-        long nc = n + (combine_sum ? 0 : 1 + nbus + (coord_on ? 1 : 0));
-        for (long j = 0; j < n; ++j) {
-            const double *f = F + j * k + r0;
-            const double *ii = I + j * k + r0;
-            const double pk = PK[j], bw = BW[j];
-            double *dj = d[j], *cj = comp[j];
-            if (folded) {
-                for (long r = 0; r < m; ++r) {
-                    double c = f[r] / pk;
-                    double dd = f[r] / ii[r];
-                    double t = dd / bw;
-                    double ip = MAXNP(t, c);
-                    double dram = dd / MBW;
-                    dj[r] = dd;
-                    cj[r] = MAXNP(ip, dram);
-                }
-            } else {
-                for (long r = 0; r < m; ++r) {
-                    double c = f[r] / pk;
-                    double dd = f[r] / ii[r];
-                    double t = dd / bw;
-                    dj[r] = dd;
-                    cj[r] = MAXNP(t, c);
-                }
-            }
-        }
-        if (coord_on) {
-            double *tc = comp[n + 1 + nbus];
-            for (long r = 0; r < m; ++r) scratch[r] = 0.0;
-            for (long j = 1; j < n; ++j) {
-                const double *f = F + j * k + r0;
-                const double w = DW[j];
-                for (long r = 0; r < m; ++r)
-                    scratch[r] += (f[r] > 0.0) ? w : 0.0;
-            }
-            for (long r = 0; r < m; ++r) {
-                tc[r] = scratch[r] / OPI;
-                comp[0][r] = comp[0][r] + tc[r];
-            }
-        }
-        if (!combine_sum) {
-            double *mem = comp[n];
-            if (MW) {
-                for (long r = 0; r < m; ++r)
-                    scratch[r] = d[0][r] * MW[0];
-                for (long j = 1; j < n; ++j)
-                    for (long r = 0; r < m; ++r)
-                        scratch[r] += d[j][r] * MW[j];
-                for (long r = 0; r < m; ++r) mem[r] = scratch[r] / MBW;
-            } else if (include_memory) {
-                for (long r = 0; r < m; ++r) scratch[r] = d[0][r];
-                for (long j = 1; j < n; ++j)
-                    for (long r = 0; r < m; ++r) scratch[r] += d[j][r];
-                for (long r = 0; r < m; ++r) mem[r] = scratch[r] / MBW;
-            } else {
-                for (long r = 0; r < m; ++r) mem[r] = 0.0;
-            }
-            for (long b = 0; b < nbus; ++b) {
-                const double *w = BUSW + b * n;
-                double *bt = comp[n + 1 + b];
-                for (long r = 0; r < m; ++r)
-                    scratch[r] = d[0][r] * w[0];
-                for (long j = 1; j < n; ++j)
-                    for (long r = 0; r < m; ++r)
-                        scratch[r] += d[j][r] * w[j];
-                for (long r = 0; r < m; ++r)
-                    bt[r] = scratch[r] / BUSBW[b];
-            }
-        }
-        double *bind = scratch;
-        if (combine_sum) {
-            double total[BLK];
-            for (long r = 0; r < m; ++r) total[r] = comp[0][r];
-            for (long j = 1; j < n; ++j)
-                for (long r = 0; r < m; ++r) total[r] += comp[j][r];
-            for (long r = 0; r < m; ++r) {
-                boundv[r0 + r] = total[r];
-                att[r0 + r] = 1.0 / total[r];
-            }
-            for (long r = 0; r < m; ++r) bind[r] = comp[0][r];
-            for (long j = 1; j < n; ++j)
-                for (long r = 0; r < m; ++r)
-                    bind[r] = MAXNP(bind[r], comp[j][r]);
-        } else {
-            for (long r = 0; r < m; ++r) bind[r] = comp[0][r];
-            for (long j = 1; j < nc; ++j)
-                for (long r = 0; r < m; ++r)
-                    bind[r] = MAXNP(bind[r], comp[j][r]);
-            for (long r = 0; r < m; ++r) {
-                boundv[r0 + r] = bind[r];
-                att[r0 + r] = 1.0 / bind[r];
-            }
-        }
-        /* First-tie-wins as a branch-free count of leading non-ties
-         * (an all-false tie row matches argmax == 0). */
-        long cnt[BLK];
-        long alive[BLK];
-        for (long r = 0; r < m; ++r) { cnt[r] = 0; alive[r] = 1; }
-        for (long j = 0; j < nc; ++j) {
-            const double *cj = comp[j];
-            for (long r = 0; r < m; ++r) {
-                double diff = bind[r] - cj[r];
-                long nb = !(diff <= RTOL * bind[r] || cj[r] == bind[r]);
-                alive[r] &= nb;
-                cnt[r] += alive[r];
-            }
-        }
-        for (long r = 0; r < m; ++r)
-            codes[r0 + r] = (cnt[r] == nc) ? 0 : cnt[r];
-    }
-}
-"""
-
-#: Per-IP / component capacity of the native kernel's tile buffers.
-_NATIVE_MAX_IPS = 32
-_NATIVE_MAX_COMPONENTS = 40
-
-_NATIVE_UNSET = object()
-_NATIVE = _NATIVE_UNSET
-
-
-def _build_native():
-    """Compile and load the generic fused kernel, or ``None``.
-
-    ``-ffp-contract=off`` forbids FMA contraction so the C arithmetic
-    rounds exactly like numpy's; ``-ffast-math`` is never used.  The
-    shared object is loaded from a temporary directory that is removed
-    immediately (the mapping survives the unlink), so nothing persists
-    on disk.  Any failure — no compiler, a cross-compiling toolchain,
-    a sandbox that blocks loading — degrades to the ufunc tier.
-    """
-    if np.dtype(np.intp).itemsize != ctypes.sizeof(ctypes.c_long):
-        return None
-    compiler = (
-        os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    )
-    if compiler is None:
-        return None
-    try:
-        with tempfile.TemporaryDirectory(prefix="gables-native-") as work:
-            src = os.path.join(work, "gables_fused.c")
-            lib_path = os.path.join(work, "gables_fused.so")
-            with open(src, "w", encoding="utf-8") as handle:
-                handle.write(_NATIVE_SOURCE)
-            for extra in (["-march=native"], []):
-                cmd = [
-                    compiler, "-O3", "-ffp-contract=off", "-fPIC",
-                    "-shared", *extra, "-o", lib_path, src,
-                ]
-                proc = subprocess.run(
-                    cmd, capture_output=True, text=True, timeout=120
-                )
-                if proc.returncode == 0:
-                    break
-            else:
-                return None
-            lib = ctypes.CDLL(lib_path)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    fn = lib.gables_fused
-    fn.restype = None
-    fn.argtypes = [
-        ctypes.c_long, ctypes.c_long,              # k, n
-        ctypes.c_void_p, ctypes.c_void_p,          # F, I
-        ctypes.c_void_p, ctypes.c_void_p,          # PK, BW
-        ctypes.c_double,                           # MBW
-        ctypes.c_int, ctypes.c_void_p, ctypes.c_int,  # include, MW, folded
-        ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,  # nbus, BUSW, BUSBW
-        ctypes.c_void_p, ctypes.c_double, ctypes.c_int,   # DW, OPI, coord_on
-        ctypes.c_int, ctypes.c_double,             # combine_sum, RTOL
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,  # att, bound, codes
-    ]
-    return fn
-
-
-def _native_fn():
-    """The loaded native kernel (built on first use), or ``None``."""
-    global _NATIVE
-    if _NATIVE is _NATIVE_UNSET:
-        with _LOCK:
-            if _NATIVE is _NATIVE_UNSET:
-                if os.environ.get("GABLES_NATIVE", "1") == "0":
-                    _NATIVE = None
-                else:
-                    _NATIVE = _build_native()
-    return _NATIVE
-
-
-def native_available() -> bool:
-    """Whether the fused C tier is active in this process (triggers
-    the one-time build attempt)."""
-    return _native_fn() is not None
-
-
 _LAZY_FIELDS = frozenset(
     (
         "fractions",
@@ -718,55 +472,16 @@ class CompiledPhaseKernel:
         n_extras = len(self.buses) + len(self.solver_names) + 1
         n_comp = n + 1 + n_extras
         self._rows = 8 * n + 3 * n_extras + n_comp + 16
-        # Native-tier constants: the phase structure resolved into the
-        # flat arrays the generic C kernel consumes.  Solver phases
-        # and oversized component sets stay on the ufunc tier.
-        self._native_static = (
-            not self.solver_names
-            and n <= _NATIVE_MAX_IPS
-            and n_comp <= _NATIVE_MAX_COMPONENTS
-            and (self.dispatch is None
-                 or (all(d >= 0 for d in self.dispatch)
-                     and self.ops_per_item is not None
-                     and 0 < float(self.ops_per_item) < float("inf")))
-        )
-        self._pk = np.ascontiguousarray(self.peaks, dtype=np.float64)
-        self._bw = np.ascontiguousarray(
-            self.ip_bandwidths, dtype=np.float64
-        )
-        self._mw = (
-            None
-            if self.memory_weights is None
-            else np.ascontiguousarray(self.memory_weights, dtype=np.float64)
-        )
-        if self.buses:
-            self._busw = np.ascontiguousarray(
-                [w for _, _, w in self.buses], dtype=np.float64
-            )
-            self._busbw = np.ascontiguousarray(
-                [b for _, b, _ in self.buses], dtype=np.float64
-            )
-        else:
-            self._busw = self._busbw = None
-        self._dw = (
-            None
-            if self.dispatch is None
-            else np.ascontiguousarray(self.dispatch, dtype=np.float64)
-        )
 
     # -- operand loading ------------------------------------------------
 
     @staticmethod
-    def _column(matrix: np.ndarray, j: int, scratch: _Scratch | None):
-        """Column ``j`` as a folded scalar or a contiguous copy."""
+    def _column(matrix: np.ndarray, j: int):
+        """Column ``j`` as a folded scalar or a strided view."""
         column = matrix[:, j]
         if column.strides[0] == 0:
             return column[0]
-        if scratch is None:
-            return column
-        out = scratch.take()
-        np.copyto(out, column)
-        return out
+        return column
 
     @staticmethod
     def _axis(vector):
@@ -802,25 +517,16 @@ class CompiledPhaseKernel:
         failures: list | None = None,
         route_solver=None,
         replay=None,
-        fortran=None,
     ) -> FusedBatchResult:
         k = fractions.shape[0]
-        n = self.n_ips
-        failures = list(failures or ())
-        if self._native_static and k:
-            result = self._run_native(
-                fractions, intensities, memory_bandwidth, ip_bandwidths,
-                ip_peaks, valid, on_error, failures, replay, k, n, fortran,
-            )
-            if result is not None:
-                return result
         scratch = _Scratch(_ARENAS.acquire(self._rows, k))
         bools = _ARENAS.acquire(4, k, dtype=bool)
         try:
             return self._run(
                 fractions, intensities, memory_bandwidth, ip_bandwidths,
-                ip_peaks, valid, on_error, failures, route_solver, replay,
-                k, n, scratch, _Scratch(bools),
+                ip_peaks, valid, on_error, list(failures or ()),
+                route_solver, replay, k, self.n_ips, scratch,
+                _Scratch(bools),
             )
         finally:
             if len(scratch.blocks) > 1:
@@ -831,136 +537,6 @@ class CompiledPhaseKernel:
                 _ARENAS.release(block)
             _ARENAS.release(bools)
 
-    @staticmethod
-    def _effective_row(override: np.ndarray, default: np.ndarray):
-        """The per-IP constants row the native kernel consumes, or
-        ``None`` when the override varies per point."""
-        if override.ndim == 1:
-            return default
-        if override.shape[0] == 1 or override.strides[0] == 0:
-            return np.ascontiguousarray(override[0], dtype=np.float64)
-        return None
-
-    def _run_native(
-        self, fractions, intensities, memory_bandwidth, ip_bandwidths,
-        ip_peaks, valid, on_error, failures, replay, k, n, fortran,
-    ):
-        """One fused C sweep, or ``None`` when this call cannot take
-        the native tier (per-point hardware overrides, broadcast
-        workload grids, no compiler)."""
-        fn = _native_fn()
-        if fn is None:
-            return None
-        if fractions.strides[0] == 0 or intensities.strides[0] == 0:
-            # Broadcast grids fold to scalar chains in the ufunc tier,
-            # which beats materializing K copies for the C loop.
-            return None
-        if (fractions.dtype != np.float64
-                or intensities.dtype != np.float64):
-            return None
-        mbw = self._axis(memory_bandwidth)
-        if _is_array(mbw):
-            return None
-        pk = self._effective_row(ip_peaks, self._pk)
-        bw = self._effective_row(ip_bandwidths, self._bw)
-        if pk is None or bw is None:
-            return None
-        coord_on = False
-        if self._dw is not None:
-            # Batch-global predicate: with non-negative dispatch
-            # weights and finite ops_per_item, max(t_coord) > 0 iff
-            # some dispatching IP is active somewhere in the batch.
-            for j in range(1, n):
-                if self._dw[j] > 0 and bool((fractions[:, j] > 0).any()):
-                    coord_on = True
-                    break
-            if coord_on and COORDINATION in self.ip_names:
-                raise SpecError(
-                    f"component name {COORDINATION!r} collides "
-                    "with an IP"
-                )
-        if fortran is not None:
-            columns = fortran()
-        else:
-            columns = (
-                fractions
-                if fractions.flags.f_contiguous
-                else np.asfortranarray(fractions),
-                intensities
-                if intensities.flags.f_contiguous
-                else np.asfortranarray(intensities),
-            )
-        grid_f, grid_i = columns
-        attainables = np.empty(k)
-        boundv = np.empty(k)
-        codes = np.empty(k, dtype=np.intp)
-        busw, busbw = self._busw, self._busbw
-        fn(
-            k, n,
-            grid_f.ctypes.data, grid_i.ctypes.data,
-            pk.ctypes.data, bw.ctypes.data, float(mbw),
-            1 if self.include_memory else 0,
-            None if self._mw is None else self._mw.ctypes.data,
-            1 if self.folded else 0,
-            0 if busw is None else busw.shape[0],
-            None if busw is None else busw.ctypes.data,
-            None if busbw is None else busbw.ctypes.data,
-            None if self._dw is None else self._dw.ctypes.data,
-            float(self.ops_per_item) if self.ops_per_item else 1.0,
-            1 if coord_on else 0,
-            1 if self.combine == "sum" else 0,
-            BINDING_REL_TOL,
-            attainables.ctypes.data, boundv.ctypes.data, codes.ctypes.data,
-        )
-        extra_names = tuple(name for name, _, _ in self.buses)
-        if coord_on:
-            extra_names += (COORDINATION,)
-        if self.combine == "sum":
-            raise_msg = "serialized usecase takes zero time"
-            record_msg = "serialized usecase takes zero time"
-        else:
-            raise_msg = (
-                "degenerate usecase at batch point {bad}: every "
-                "component takes zero time"
-            )
-            record_msg = (
-                "degenerate usecase: every component takes zero time"
-            )
-        errors = ()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if on_error == "raise":
-                if not boundv.min() > 0:
-                    bad = int(np.argmin(boundv > 0))
-                    raise EvaluationError(raise_msg.format(bad=bad))
-            else:
-                from ..resilience.partial import point_failure
-
-                progressing = boundv > 0
-                degenerate = valid & ~progressing
-                for index in np.nonzero(degenerate)[0].tolist():
-                    failures.append(
-                        (index, "EVAL_DEGENERATE_POINT", record_msg)
-                    )
-                valid = valid & progressing
-                failures.sort(key=lambda item: item[0])
-                errors = tuple(
-                    point_failure((index, ), code, message)
-                    for index, code, message in failures
-                )
-                codes = np.where(valid, codes, -1)
-                attainables[~valid] = np.nan
-        return FusedBatchResult(
-            component_names=self.ip_names + (MEMORY,) + extra_names,
-            attainables=attainables,
-            bottleneck_codes=codes,
-            valid=valid,
-            errors=errors,
-            extra_names=extra_names,
-            combine=self.combine,
-            folded_memory=self.folded,
-            replay=replay,
-        )
-
     def _run(
         self, fractions, intensities, memory_bandwidth, ip_bandwidths,
         ip_peaks, valid, on_error, failures, route_solver, replay,
@@ -970,12 +546,12 @@ class CompiledPhaseKernel:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Equation 9, column-wise: Ci = fi / (Ai * Ppeak);
             # Di = fi / Ii; transfer = Di / Bi; T_IP = max.
-            f_cols = [self._column(fractions, j, None) for j in range(n)]
+            f_cols = [self._column(fractions, j) for j in range(n)]
             d_cols = []
             ip_cols = []
             for j in range(n):
                 f_j = f_cols[j]
-                i_j = self._column(intensities, j, None)
+                i_j = self._column(intensities, j)
                 peak_j = self._hardware(ip_peaks, j, self.peaks)
                 bw_j = self._hardware(ip_bandwidths, j, self.ip_bandwidths)
                 c_j = _op(np.divide, f_j, peak_j, scratch)

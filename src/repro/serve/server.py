@@ -24,6 +24,8 @@ the only decisions made here are transport ones:
 - 429 and 503 responses carry ``Retry-After``;
 - request bodies beyond the configured limit are refused with 413
   *before* being read into memory;
+- an error answered before the body is read closes the connection, so
+  the unread body never parses as the next keep-alive request;
 - ``SIGTERM``/``SIGINT`` trigger a graceful drain: readiness flips
   immediately, in-flight requests finish, then the listener stops.
 
@@ -94,7 +96,7 @@ class _Handler(BaseHTTPRequestHandler):
         log_event("debug", "serve.http", format % args)
 
     def _send_json(self, status: int, document: dict, *,
-                   request_id: str = "") -> None:
+                   request_id: str = "", close: bool = False) -> None:
         body = json.dumps(document, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -103,6 +105,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Gables-Request-Id", request_id)
         if status in (429, 503):
             self.send_header("Retry-After", str(RETRY_AFTER_S))
+        if close:
+            # http.server also sets close_connection on this header.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -119,10 +124,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_error_json(self, err: ReproError, *,
                          request_id: str = "") -> None:
+        # An error answered before _read_body consumed the body (404,
+        # 405, 413, a bad Content-Length) leaves that body in the
+        # keep-alive stream, where it would parse as the next request:
+        # answer, then close the connection.
         self._send_json(
             http_status_for(err),
             error_body(err, request_id=request_id),
             request_id=request_id,
+            close=not self._body_read,
         )
 
     def _read_body(self) -> dict:
@@ -142,6 +152,7 @@ class _Handler(BaseHTTPRequestHandler):
                 code="SERVE_PAYLOAD_TOO_LARGE",
             )
         raw = self.rfile.read(length)
+        self._body_read = True
         try:
             document = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as err:
@@ -163,6 +174,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         start = time.perf_counter()
         self._fault_requested = False
+        self._body_read = False
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         try:
             remote = extract_headers(self.headers)

@@ -776,7 +776,7 @@ class EvaluationService:
     def _with_engine_fallback(self, run):
         """Run ``run(engine)`` under the circuit breaker.
 
-        The preferred engine (compiled tiers allowed) is attempted
+        The preferred engine (the compiled tier allowed) is attempted
         when the breaker admits it; a failure there records on the
         breaker and the *same* work retries interpreted, so the
         request that observed a compiled-tier fault still succeeds.

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ENGINE_CHOICES,
     FIGURE_6_SEQUENCE,
     SoCSpec,
     Workload,
@@ -163,6 +164,23 @@ class TestBatchValidation:
     def test_empty_batch_rejected(self, two_ip_soc):
         with pytest.raises(WorkloadError, match="at least one point"):
             evaluate_batch(two_ip_soc, np.empty((0, 2)), np.empty((0, 2)))
+
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("on_error", ["raise", "record", "skip"])
+    @pytest.mark.parametrize("engine", ENGINE_CHOICES)
+    def test_empty_batch_raises_in_every_mode(
+            self, two_ip_soc, engine, on_error, validate):
+        empty = np.empty((0, 2))
+        if (engine, on_error) == ("compiled", "skip"):
+            # The compiled engine refuses skip mode before reading input.
+            expected, match = SpecError, "skip"
+        else:
+            expected, match = WorkloadError, "at least one point"
+        with pytest.raises(expected, match=match):
+            evaluate_batch(
+                two_ip_soc, empty, empty, validate=validate,
+                on_error=on_error, engine=engine,
+            )
 
     def test_fractions_must_sum_to_one(self, two_ip_soc):
         with pytest.raises(WorkloadError, match="sum to 1"):

@@ -2,16 +2,15 @@
 
 :mod:`repro.core.compile` specializes a (SoC, lowered phase) pair into
 a fused batch kernel — constant-folded phase structure, pre-resolved
-bus weights, a generated native C sweep with a ufunc-chain fallback —
-that the batch entry points pick via ``engine="auto"``.  This suite
-pins the contract that makes the speed safe:
+bus weights, precomputed ufunc chains over pooled scratch — that the
+batch entry points pick via ``engine="auto"``.  It is the one compiled
+tier; the interpreter is the ground truth.  This suite pins the
+contract that makes the speed safe:
 
 - the compiled engine agrees with the interpreter within **1e-12
-  relative** (and, on this toolchain, bitwise) across every variant
-  kind, including ``on_error="record"`` NaN masking and per-point
-  hardware overrides;
-- the equivalence holds on **both compiled tiers** — the native C
-  kernel and the pure-ufunc lane it degrades to;
+  relative** (and in practice bitwise) across every variant
+  kind and SoCs of one to four IPs, including ``on_error="record"``
+  NaN masking and per-point hardware overrides;
 - the kernel cache and its ``core.compile.*`` counters behave;
 - :class:`PreparedBatch` reuse is hash-guarded, never stale;
 - the grid fleet's chunk-addressed generation and digests are
@@ -46,10 +45,8 @@ from repro.core import (
     evaluate_batch,
     evaluate_variant,
     evaluate_variant_batch,
-    native_available,
     prepare_batch,
 )
-from repro.core import compile as model_compile
 from repro.core.batch import _resolve_engine
 from repro.core.extensions import (
     Bus,
@@ -311,8 +308,9 @@ class TestCompiledEquivalence:
             _assert_equivalent(compiled, interpreted)
 
     def test_broadcast_grids_match(self):
-        # Stride-0 rows skip the native tier and fold to scalar ufunc
-        # chains; the answer must not change.
+        # Stride-0 workload columns fold to scalars, so their whole
+        # sub-chain runs once instead of per row; the answer must not
+        # change.
         soc = _soc(3)
         fractions = np.broadcast_to(
             np.array([0.2, 0.3, 0.5]), (16, 3)
@@ -359,14 +357,7 @@ class TestCompiledEquivalence:
 
 
 class TestUfuncLane:
-    """The pure-ufunc tier (no native kernel) stays equivalent too."""
-
-    @pytest.fixture(autouse=True)
-    def _no_native(self, monkeypatch):
-        monkeypatch.setattr(model_compile, "_NATIVE", None)
-
-    def test_native_reports_unavailable(self):
-        assert not native_available()
+    """The pure-ufunc lane, the one compiled tier, on other grid shapes."""
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_every_variant_matches_without_native(self, n):
@@ -474,16 +465,6 @@ class TestPreparedBatch:
         prepared.fractions[0] = (0.9, 0.9)
         with pytest.raises(Exception, match="fraction"):
             evaluate_batch(soc, prepared, None)
-
-    def test_fortran_pair_is_cached_and_column_major(self):
-        soc = _soc(3)
-        prepared = prepare_batch(soc, *_grid(3, k=16))
-        grid_f, grid_i = prepared.fortran_pair()
-        assert grid_f.flags.f_contiguous
-        assert grid_i.flags.f_contiguous
-        again_f, again_i = prepared.fortran_pair()
-        assert again_f is grid_f and again_i is grid_i
-        np.testing.assert_array_equal(grid_f, prepared.fractions)
 
 
 # ---------------------------------------------------------------------------

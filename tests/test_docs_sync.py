@@ -312,9 +312,7 @@ def test_performance_doc_names_every_compiler_surface():
         "compile_digest",
         "compile_cache_stats",
         "clear_compile_cache",
-        "native_available",
         "core.compile.hits",
-        "GABLES_NATIVE",
         "FusedBatchResult",
         "prepare_batch",
         "PreparedBatch",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -117,6 +118,12 @@ class TestExplainFlag:
         out = capsys.readouterr().out
         assert "bound by 'memory'" in out
         assert "audit vs bottleneck analysis: agrees" in out
+        line = out.splitlines()[-1]
+        assert re.fullmatch(
+            r"batch compiler: kernel [0-9a-f]{12} \((cached|uncompiled)\); "
+            r"cache size=\d+ hits=\d+ misses=\d+ builds=\d+",
+            line,
+        ), line
 
     def test_eval_without_explain_is_unchanged(self, capsys):
         assert main(["eval", "--figure", "6b"]) == 0

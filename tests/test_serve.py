@@ -397,8 +397,8 @@ class TestCoalescer:
 
     @pytest.fixture()
     def slow_window(self):
-        # Interpreted: a first compiled call may build the native
-        # kernel, which would blur the timing of a lone request.
+        # Interpreted, so a lone request's timing holds no first
+        # kernel build.
         instance = EvaluationService(ServiceConfig(
             batch_window_s=5.0, engine="interpreted", watchdog_hang_s=30.0,
         ))
@@ -711,6 +711,63 @@ class TestHttpSurface:
             conn.close()
         assert response.status == 400
         assert payload["error"]["code"] == "SERVE_BAD_REQUEST"
+
+    def test_early_errors_close_the_keep_alive_connection(self, server):
+        # A POST answered before its body is read leaves that body in
+        # the stream, where it would parse as the next request line.
+        import http.client
+
+        body = json.dumps(eval_document()).encode("utf-8")
+        padded = json.dumps({"padding": "x" * 30_000}).encode("utf-8")
+        cases = (
+            ("/nope", body, str(len(body)), 404, "SERVE_UNKNOWN_ENDPOINT"),
+            ("/healthz", body, str(len(body)), 405,
+             "SERVE_METHOD_NOT_ALLOWED"),
+            ("/eval", padded, str(len(padded)), 413,
+             "SERVE_PAYLOAD_TOO_LARGE"),
+            ("/eval", body, None, 400, "SERVE_BAD_REQUEST"),
+            ("/eval", body, "many", 400, "SERVE_BAD_REQUEST"),
+        )
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for path, data, length, status, code in cases:
+                conn.putrequest("POST", path)
+                conn.putheader("Content-Type", "application/json")
+                if length is not None:
+                    conn.putheader("Content-Length", length)
+                conn.endheaders(data)
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                assert response.status == status, (path, length)
+                assert payload["error"]["code"] == code
+                assert response.getheader("Connection") == "close"
+                conn.request("GET", "/healthz")
+                health = conn.getresponse()
+                assert health.status == 200, (path, length)
+                assert json.loads(health.read())["status"] == "ok"
+        finally:
+            conn.close()
+
+    def test_errors_after_the_body_is_read_keep_the_connection(self, server):
+        import http.client
+
+        host, port = server.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("POST", "/eval", body=b"{not json")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 400
+            assert response.getheader("Connection") is None
+            sock = conn.sock
+            conn.request("GET", "/healthz")
+            health = conn.getresponse()
+            assert health.status == 200
+            assert json.loads(health.read())["status"] == "ok"
+            assert conn.sock is sock
+        finally:
+            conn.close()
 
     def test_healthz_and_readyz(self, server):
         with ServiceClient(server.url) as client:
