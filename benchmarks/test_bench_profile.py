@@ -1,7 +1,7 @@
 """Disabled-observability overhead benchmarks.
 
-The profiler and tracer guard every hot-path scope behind one flag
-check, so with both disabled the instrumented batch entry point must
+The tracer guards every hot-path span behind one flag check, so with
+tracing disabled the instrumented batch entry point must
 stay within 1% of the bare kernel (the ISSUE acceptance criterion on
 the 10k-point variant sweep).  A second check compares against the
 ``BENCH_variants.json`` snapshot when — and only when — the snapshot
@@ -25,7 +25,7 @@ from repro.core.batch import (
 )
 from repro.core.extensions import Bus, InterconnectSpec
 from repro.explore import sweep_fraction
-from repro.obs import profiling_enabled, tracing_enabled
+from repro.obs import tracing_enabled
 from repro.obs.bench import host_fingerprint, load_bench_file
 from repro.units import GIGA
 
@@ -69,10 +69,10 @@ def test_disabled_observability_overhead_within_1pct():
 
     Both sides run the identical preparation and kernel; the
     instrumented side additionally pays the entry point's counters and
-    tracing/profiling flag checks — the only cost the observability
-    layer is allowed to add when disabled.
+    tracing flag check — the only cost the observability layer is
+    allowed to add when disabled.
     """
-    assert not tracing_enabled() and not profiling_enabled()
+    assert not tracing_enabled()
     soc, workload = _pair()
     phase = _variant().lower(soc).phases[0]
     grid, intensities = _grid(soc, workload)

@@ -1,7 +1,7 @@
 """Fleet-runner benchmarks: disabled hook cost, market-scale throughput.
 
 Two acceptance criteria live here.  First, the telemetry hooks on the
-fleet evaluation loop (span, profile scope, structured log, counters)
+fleet evaluation loop (spans, structured log, counters)
 must cost at most 1% of a point's evaluation when every collector is
 disabled.  Wall-clock timing of the full loop cannot resolve 1% of a
 ~40 us model evaluation through container scheduling noise, so the
@@ -23,7 +23,7 @@ from repro.core import evaluate
 from repro.explore import evaluate_population, fleet_bench_records, run_fleet_sweep
 from repro.explore.fleet import FleetPoint
 from repro.market import market_spec_population
-from repro.obs import profiling_enabled, tracing_enabled
+from repro.obs import tracing_enabled
 from repro.obs.bench import append_history, read_history
 
 BENCH_HISTORY = Path(__file__).resolve().parent.parent / "BENCH_HISTORY.jsonl"
@@ -48,7 +48,7 @@ def test_disabled_telemetry_hooks_within_1pct(monkeypatch):
     checkpoint / logging checks that remain when every collector is
     off.  Their difference is the disabled-path hook cost.
     """
-    assert not tracing_enabled() and not profiling_enabled()
+    assert not tracing_enabled()
     cases = market_spec_population(limit=N_CASES)
     stub_result = evaluate(cases[0].soc, cases[0].workload)
     monkeypatch.setattr(

@@ -417,11 +417,11 @@ def _cmd_trace_summarize(args) -> int:
         spans = obs.read_trace_jsonl(args.file)
     except OSError as err:
         raise ReproError(f"cannot read trace file: {err}") from err
-    summaries = obs.summarize_spans(spans)
-    if not summaries:
+    nodes = obs.summarize_spans(spans)
+    if not nodes:
         print(f"{args.file}: no finished spans")
         return 0
-    total = obs.trace_total_seconds(summaries)
+    total = obs.trace_total_seconds(nodes)
     print(f"{args.file}: {len(spans)} spans, "
           f"{total:.6f} s of root wall time")
     width = args.width
@@ -429,7 +429,7 @@ def _cmd_trace_summarize(args) -> int:
         # Deep span trees must wrap onto continuation rows, never be
         # truncated at the terminal edge.
         width = shutil.get_terminal_size((80, 24)).columns
-    print(trace_summary_table(summaries, fmt=args.format, width=width))
+    print(trace_summary_table(nodes, fmt=args.format, width=width))
     return 0
 
 
@@ -464,21 +464,28 @@ def _cmd_profile(args) -> int:
         raise ReproError("cannot nest 'profile' inside 'profile'")
     inner_args = build_parser().parse_args(inner)
     _configure_logging(inner_args)
-    obs.reset_profiling()
-    obs.enable_profiling()
+    command = inner_args.command
+    # The profile is the spans this run finishes; a global --trace
+    # keeps collecting (and writes them) as usual.
+    tracer = obs.get_tracer()
+    traced = tracer.enabled
+    if not traced:
+        tracer.reset()
+        tracer.enabled = True
+    first = len(tracer.finished_spans())
     start = time.perf_counter()
     try:
-        with obs.profile_scope(f"cli.{inner_args.command}"):
+        with obs.span(f"cli.{command}"):
             code = inner_args.handler(inner_args)
     finally:
         wall = time.perf_counter() - start
-        obs.disable_profiling()
-    nodes = obs.get_profiler().report()
-    profiled_s = obs.get_profiler().total_seconds()
+        tracer.enabled = traced
+    nodes = obs.summarize_spans(tracer.finished_spans()[first:])
+    covered_s = obs.trace_total_seconds(nodes)
     print()
     print(obs.format_profile(nodes, total_s=wall))
-    coverage = 100.0 * profiled_s / wall if wall > 0 else 0.0
-    print(f"\nprofiled {profiled_s:.6f}s of {wall:.6f}s wall "
+    coverage = 100.0 * covered_s / wall if wall > 0 else 0.0
+    print(f"\ntraced {covered_s:.6f}s of {wall:.6f}s wall "
           f"({coverage:.1f}% coverage)")
     if args.out:
         out = str(args.out)
@@ -1082,7 +1089,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.set_defaults(handler=_cmd_trace_export)
 
     p_profile = sub.add_parser(
-        "profile", help="run any subcommand under the phase profiler"
+        "profile", help="run any subcommand under the tracer and print "
+        "its span profile"
     )
     p_profile.add_argument(
         "--out", default=None, metavar="FILE",

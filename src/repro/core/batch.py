@@ -42,7 +42,6 @@ import numpy as np
 
 from ..errors import EvaluationError, SpecError, WorkloadError
 from ..obs.metrics import counter as _counter
-from ..obs.profile import profile_scope as _profile_scope
 from ..obs.trace import span as _span
 from ..resilience.partial import check_on_error, point_failure
 from .._validation import FRACTION_SUM_TOL
@@ -794,10 +793,9 @@ def _evaluate(
         _LOWERED_CALLS.inc()
     _BATCH_POINTS.inc(k)
     run = _compiled_call if use == "compiled" else _evaluate_batch_impl
-    # One span/scope per batch — never one per point; both are shared
-    # no-op singletons while tracing and profiling are off.
-    with _span(name, soc=soc.name, points=k, engine=use), \
-            _profile_scope(name):
+    # One span per batch — never one per point; a shared no-op
+    # singleton while tracing is off.
+    with _span(name, soc=soc.name, points=k, engine=use):
         return run(
             soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
             ip_peaks, valid=valid, on_error=on_error, failures=failures,

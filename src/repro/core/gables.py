@@ -30,19 +30,16 @@ from .._validation import require_same_length
 from ..errors import WorkloadError
 from ..obs import provenance as _provenance
 from ..obs.metrics import counter as _counter
-from ..obs.profile import get_profiler as _get_profiler
-from ..obs.profile import profile_scope as _profile_scope
 from ..obs.trace import get_tracer as _get_tracer
 from ..obs.trace import span as _span
 from .curves import RooflineCurve
 from .params import SoCSpec, Workload
 from .result import MEMORY, GablesResult, IPTerm, compose_result
 
-#: Singletons bound once at import: the hot-path disabled check is
-#: two attribute loads, no function calls (the overhead benchmarks
+#: Singleton bound once at import: the hot-path disabled check is
+#: one attribute load, no function call (the overhead benchmarks
 #: hold instrumented entry points within a few percent of bare).
 _TRACER = _get_tracer()
-_PROFILER = _get_profiler()
 
 #: Module-level instrument handle: resolved once so the hot path pays a
 #: single attribute add per evaluation, not a registry lookup.
@@ -116,12 +113,12 @@ def evaluate(soc: SoCSpec, workload: Workload) -> GablesResult:
         'memory'
     """
     _EVAL_CALLS.inc()
-    if not (_TRACER.enabled or _PROFILER.enabled):
+    if not _TRACER.enabled:
         result = _evaluate_impl(soc, workload)
     else:
         with _span(
             "core.evaluate", soc=soc.name, workload=workload.name
-        ) as sp, _profile_scope("core.evaluate"):
+        ) as sp:
             result = _evaluate_impl(soc, workload)
             sp.set_attribute("bottleneck", result.bottleneck)
             sp.set_attribute("attainable", result.attainable)

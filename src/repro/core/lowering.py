@@ -46,15 +46,15 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from ..errors import SpecError
-from ..obs.profile import get_profiler as _get_profiler
-from ..obs.profile import profile_scope as _profile_scope
+from ..obs.trace import get_tracer as _get_tracer
+from ..obs.trace import span as _span
 from .gables import ip_terms, memory_time
 from .params import SoCSpec, Workload
 from .result import MEMORY, GablesResult, compose_result
 
 #: Singleton bound once at import: the hot-path disabled check is
 #: one attribute load, no function call.
-_PROFILER = _get_profiler()
+_TRACER = _get_tracer()
 
 #: Component label for the host-coordination term (re-exported by the
 #: coordination extension for backward compatibility).
@@ -209,8 +209,8 @@ def execute_lowered_phase(
     bitwise identical to the ``evaluate_with_*`` functions they
     replace.
     """
-    if _PROFILER.enabled:
-        with _profile_scope("core.execute_lowered_phase"):
+    if _TRACER.enabled:
+        with _span("core.execute_lowered_phase"):
             return _execute_lowered_phase_impl(soc, workload, phase)
     return _execute_lowered_phase_impl(soc, workload, phase)
 

@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass, field
 
 from ..errors import EvaluationError
-from ..obs.profile import get_profiler as _get_profiler
-from ..obs.profile import profile_scope as _profile_scope
+from ..obs.trace import get_tracer as _get_tracer
+from ..obs.trace import span as _span
 from ..units import format_intensity, format_ops
 
 #: Singleton bound once at import: the hot-path disabled check is
 #: one attribute load, no function call.
-_PROFILER = _get_profiler()
+_TRACER = _get_tracer()
 
 #: Relative tolerance when deciding whether two component times "tie"
 #: for the bottleneck (used to report balanced designs such as Fig. 6d).
@@ -216,8 +216,8 @@ def compose_result(
         ``max()`` (False for the serialized model, which folds DRAM
         time into each per-IP term).
     """
-    if _PROFILER.enabled:
-        with _profile_scope("core.compose_result"):
+    if _TRACER.enabled:
+        with _span("core.compose_result"):
             return _compose_result_impl(
                 terms,
                 memory_time=memory_time,

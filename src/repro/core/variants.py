@@ -30,8 +30,6 @@ import numpy as np
 from ..errors import EvaluationError, SpecError, WorkloadError
 from ..obs import provenance as _provenance
 from ..obs.metrics import counter as _counter
-from ..obs.profile import get_profiler as _get_profiler
-from ..obs.profile import profile_scope as _profile_scope
 from ..obs.trace import get_tracer as _get_tracer
 from ..obs.trace import span as _span
 from .extensions.coordination import CoordinationModel, lower_coordination
@@ -53,11 +51,10 @@ from .lowering import LoweredModel, LoweredPhase, execute_lowered_phase
 from .params import SoCSpec, Workload
 from .result import GablesResult
 
-#: Singletons bound once at import: the hot-path disabled check is
-#: two attribute loads, no function calls (the overhead benchmarks
+#: Singleton bound once at import: the hot-path disabled check is
+#: one attribute load, no function call (the overhead benchmarks
 #: hold instrumented entry points within a few percent of bare).
 _TRACER = _get_tracer()
-_PROFILER = _get_profiler()
 
 #: CLI-facing variant names, in presentation order.
 VARIANT_CHOICES = (
@@ -194,21 +191,20 @@ def evaluate_variant(
     """
     if variant is None:
         variant = BaseVariant()
-    if _PROFILER.enabled:
-        with _profile_scope("core.variant.lower"):
-            lowered = _lowered_cached(variant, soc)
-    else:
+    if not _TRACER.enabled:
         lowered = _lowered_cached(variant, soc)
-    _VARIANT_CALLS.inc()
-    if not (_TRACER.enabled or _PROFILER.enabled):
+        _VARIANT_CALLS.inc()
         result = _evaluate_lowered(soc, workload, lowered)
     else:
+        with _span("core.variant.lower"):
+            lowered = _lowered_cached(variant, soc)
+        _VARIANT_CALLS.inc()
         with _span(
             "core.evaluate_variant",
             soc=soc.name,
             variant=lowered.kind,
             workload=None if workload is None else workload.name,
-        ) as sp, _profile_scope("core.evaluate_variant"):
+        ) as sp:
             result = _evaluate_lowered(soc, workload, lowered)
             sp.set_attribute("bottleneck", result.bottleneck)
             sp.set_attribute("attainable", result.attainable)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from ..core.params import IPBlock, SoCSpec
 from ..core.roofline import Ceiling, Roofline
 from ..errors import FittingError
-from ..obs.profile import profiled as _profiled
+from ..obs.trace import span as _span
 from .sweep import SweepResult
 
 #: A sample counts as bandwidth-bound when it attains less than this
@@ -83,7 +83,6 @@ class EmpiricalRoofline:
         )
 
 
-@_profiled("ert.fit_roofline")
 def fit_roofline(sweep: SweepResult) -> EmpiricalRoofline:
     """Extract the empirical roofline from a sweep.
 
@@ -91,6 +90,11 @@ def fit_roofline(sweep: SweepResult) -> EmpiricalRoofline:
     DRAM-resident samples (footprints never left the caches) or lacks a
     compute-bound region (every sample bandwidth-bound).
     """
+    with _span("ert.fit_roofline", engine=sweep.engine):
+        return _fit_roofline(sweep)
+
+
+def _fit_roofline(sweep: SweepResult) -> EmpiricalRoofline:
     if not sweep.samples:
         raise FittingError(f"sweep for {sweep.engine!r} has no samples")
     peak = sweep.max_gflops()

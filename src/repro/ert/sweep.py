@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from ..errors import SpecError
 from ..obs.metrics import counter as _counter
-from ..obs.profile import profile_scope as _profile_scope
 from ..obs.trace import span as _span
 from ..resilience.checkpoint import SweepCheckpoint, sample_key
 from ..resilience.faults import FaultInjector, FaultPlan
@@ -181,7 +180,7 @@ def run_sweep(
             engine=engine,
             variant=variant,
             grid=len(intensities) * len(footprints),
-        ), _profile_scope("ert.run_sweep"):
+        ):
             samples = _sweep_samples(
                 platform, engine, intensities, footprints, variant, simd,
                 repeats, rng, noise, retry_policy, checkpoint,
@@ -269,7 +268,7 @@ def _measure_sample(
     one, a :class:`~repro.errors.MeasurementError` propagates.
     """
     observations = []
-    with _profile_scope("ert.measure"):
+    with _span("ert.measure"):
         for _ in range(repeats):
             def attempt():
                 return platform.run_kernel(engine, kernel)
@@ -291,7 +290,7 @@ def _measure_sample(
             observations.append((observed, result.service_level))
     values = [value for value, _ in observations]
     if retry_policy is not None:
-        with _profile_scope("ert.outlier_reject"):
+        with _span("ert.outlier_reject"):
             values = reject_outliers_mad(values, retry_policy.mad_threshold)
     best = max(values)
     service_level = next(

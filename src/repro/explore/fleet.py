@@ -12,8 +12,8 @@ checkable.
 Structure:
 
 - :func:`evaluate_population` is the serial core: one shard's cases
-  through :func:`repro.core.evaluate`, with structured-log /
-  metric / profile hooks (all free when disabled), optional fault
+  through :func:`repro.core.evaluate`, with span / structured-log /
+  metric hooks (all free when disabled), optional fault
   injection + retry (:mod:`repro.resilience`), checkpoint reuse, and
   tolerant ``on_error`` modes.
 - :func:`run_fleet_sweep` shards a population round-robin over worker
@@ -64,12 +64,7 @@ from ..obs.logging import (
     reset_logging,
 )
 from ..obs.metrics import counter as _counter
-from ..obs.profile import (
-    enable_profiling,
-    profile_scope as _profile_scope,
-    profiling_enabled,
-)
-from ..obs.trace import enable_tracing, span as _span
+from ..obs.trace import enable_tracing, span as _span, tracing_enabled
 from ..resilience.checkpoint import SweepCheckpoint, sample_key
 from ..resilience.faults import FaultInjector, FaultPlan, fault_plan
 from ..resilience.partial import PointFailure, check_on_error, record_failure
@@ -188,8 +183,8 @@ def evaluate_population(
     skipped, or recorded per ``on_error``.  ``heartbeat`` (a callable)
     fires every ``heartbeat_every`` evaluated points.
 
-    The telemetry hooks on this loop — a span per shard, a profile
-    scope and structured-log event per point, the fleet counters — cost
+    The telemetry hooks on this loop — a span per shard, a span and a
+    structured-log event per point, the fleet counters — cost
     nothing when their collector is disabled: the enablement checks are
     hoisted out of the loop (collectors are process-global and cannot
     flip mid-shard), so the disabled path per point is the plain
@@ -212,13 +207,12 @@ def evaluate_population(
     points, failures = [], []
     # Hoisted enablement checks: the loop's disabled path must stay
     # within the 1% overhead budget, so nothing per point may build a
-    # scope, a closure, or a kwargs dict unless its collector is live.
-    profiled = profiling_enabled()
+    # span, a closure, or a kwargs dict unless its collector is live.
     logged = logging_configured()
-    plain = injector is None and retry_policy is None and not profiled
+    plain = injector is None and retry_policy is None and not tracing_enabled()
     key = None
     reused = 0
-    with _span("fleet.shard", attributes={"cases": len(cases)}):
+    with _span("fleet.shard", cases=len(cases)):
         for position, (index, case) in enumerate(zip(indices, cases)):
             if heartbeat is not None and position % heartbeat_every == 0:
                 heartbeat()
@@ -271,14 +265,14 @@ def evaluate_population(
 
 
 def _instrumented_attempt(case, injector, retry_policy):
-    """One case with fault injection / retry / profiling attached."""
+    """One case with fault injection / retry / its span attached."""
 
     def attempt():
         if injector is not None:
             injector.check_dropout(f"fleet point {case.key}")
         return evaluate(case.soc, case.workload)
 
-    with _profile_scope("fleet.point"):
+    with _span("fleet.point"):
         if retry_policy is not None:
             return call_with_retry(
                 attempt, retry_policy, context=f"fleet point {case.key}",
@@ -338,7 +332,6 @@ def _run_shard(payload: dict, parent_context: TraceContext | None) -> dict:
         collector = ShardCollector(payload["telemetry_dir"], context)
         configure_logging(collector.log_path)
         enable_tracing()
-        enable_profiling()
     injector = None
     if payload["plan"] is not None:
         injector = FaultInjector(
@@ -449,7 +442,7 @@ def run_fleet_sweep(
 
     ``workers=1`` runs inline in the calling process (no spawn): same
     code path, same telemetry, and the caller's own collectors are
-    *used, not reset* — enable tracing/profiling beforehand to keep
+    *used, not reset* — enable tracing beforehand to keep
     collecting into them.
     """
     cases = tuple(cases)
@@ -658,7 +651,7 @@ def evaluate_grid_chunks(
     """
     summaries = []
     n = soc.n_ips
-    with _span("fleet.grid_shard", attributes={"chunks": len(assignments)}):
+    with _span("fleet.grid_shard", chunks=len(assignments)):
         for chunk_index, size in assignments:
             if heartbeat is not None:
                 heartbeat()
@@ -719,7 +712,6 @@ def _run_grid_shard(payload: dict, parent_context) -> dict:
         collector = ShardCollector(payload["telemetry_dir"], context)
         configure_logging(collector.log_path)
         enable_tracing()
-        enable_profiling()
     heartbeat = collector.heartbeat if collector is not None else None
     log_event(
         "info", "fleet.grid_shard.start",

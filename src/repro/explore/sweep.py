@@ -33,7 +33,6 @@ from ..core.variants import (
 )
 from ..errors import ReproError, SpecError, WorkloadError
 from ..obs.metrics import counter as _counter
-from ..obs.profile import profile_scope as _profile_scope
 from ..obs.trace import span as _span
 from ..resilience.partial import check_on_error, record_failure
 
@@ -152,8 +151,7 @@ def _series(
     _SWEEP_SERIES.inc()
     _SWEEP_POINTS.inc(len(values))
     errors: tuple = ()
-    with _span("explore.sweep", parameter=parameter, points=len(values)), \
-            _profile_scope("explore.sweep"):
+    with _span("explore.sweep", parameter=parameter, points=len(values)):
         if use_batch:
             # Fast path: the whole grid through the vectorized engine.
             _SWEEP_BATCHES.inc()

@@ -6,16 +6,16 @@ sweeps, report generation):
 
 - :mod:`.trace` — nestable, thread-safe spans on a process-global
   tracer that is a shared no-op when disabled;
-- :mod:`.profile` — an aggregating phase-level profiler (self /
-  cumulative timing trees) behind ``gables profile -- <subcommand>``;
+- :mod:`.profile` — profiles as aggregated spans: ``summarize_spans``
+  folds any span set into a self / cumulative timing tree, behind
+  ``gables profile -- <subcommand>`` and ``gables trace summarize``;
 - :mod:`.metrics` — always-on named counters, gauges, histograms, and
   block timers;
 - :mod:`.provenance` — auditable *explain records* for every
   ``evaluate()``, cross-checked against
   :mod:`repro.analysis.bottleneck`;
 - :mod:`.export` — JSONL trace events, Chrome/Perfetto trace export,
-  JSON metrics snapshots, and the span-tree summaries behind
-  ``gables trace summarize``;
+  and JSON metrics snapshots;
 - :mod:`.bench` — normalized benchmark records, the append-only
   ``BENCH_HISTORY.jsonl`` store, and rolling-median regression
   detection behind ``gables bench compare``;
@@ -32,15 +32,15 @@ Quickstart::
     from repro import obs
 
     obs.enable_tracing()
-    obs.enable_profiling()
     result = evaluate(soc, workload)          # spans + counters recorded
     obs.write_trace_jsonl("trace.jsonl")
     obs.write_trace_chrome("trace.chrome.json")   # open in Perfetto
-    print(obs.format_profile(obs.get_profiler().report()))
+    spans = obs.get_tracer().finished_spans()
+    print(obs.format_profile(obs.summarize_spans(spans)))
 
-Everything here degrades to near-zero overhead when tracing and
-profiling are off — the benchmark suite holds the instrumented batch
-kernels within 1% of un-instrumented throughput.
+Everything here degrades to near-zero overhead when tracing is off —
+the benchmark suite holds the instrumented batch kernels within 1% of
+un-instrumented throughput.
 """
 
 from .bench import (
@@ -65,7 +65,6 @@ from .collect import (
     WorkerHealth,
     discover_shards,
     load_shards,
-    merge_profiles,
     merge_telemetry,
     merged_chrome_trace,
     read_shard,
@@ -104,12 +103,9 @@ from .expo import (
     render_exposition,
 )
 from .export import (
-    SpanSummary,
     chrome_span_events,
     chrome_trace_events,
     read_trace_jsonl,
-    summarize_spans,
-    trace_total_seconds,
     write_metrics_json,
     write_trace_chrome,
     write_trace_jsonl,
@@ -146,16 +142,10 @@ from .metrics import (
 )
 from .profile import (
     ProfileNode,
-    Profiler,
-    disable_profiling,
-    enable_profiling,
     format_profile,
-    get_profiler,
-    profile_scope,
     profile_to_dict,
-    profiled,
-    profiling_enabled,
-    reset_profiling,
+    summarize_spans,
+    trace_total_seconds,
     write_profile_json,
 )
 from .provenance import (
@@ -211,13 +201,11 @@ __all__ = [
     "MergedTelemetry",
     "MetricsRegistry",
     "ProfileNode",
-    "Profiler",
     "RequestWindow",
     "SLOEvent",
     "SLObjective",
     "ShardCollector",
     "SpanRecord",
-    "SpanSummary",
     "StructuredLogger",
     "TelemetryShard",
     "TermExplain",
@@ -243,10 +231,8 @@ __all__ = [
     "default_objectives",
     "detect_regressions",
     "discover_shards",
-    "disable_profiling",
     "disable_provenance",
     "disable_tracing",
-    "enable_profiling",
     "enable_provenance",
     "enable_tracing",
     "encode_metric_key",
@@ -264,7 +250,6 @@ __all__ = [
     "format_slo_report",
     "gauge",
     "get_logger",
-    "get_profiler",
     "get_registry",
     "get_tracer",
     "git_revision",
@@ -279,7 +264,6 @@ __all__ = [
     "log_event",
     "logging_configured",
     "make_record",
-    "merge_profiles",
     "merge_snapshots",
     "merge_telemetry",
     "merged_chrome_trace",
@@ -288,10 +272,7 @@ __all__ = [
     "new_trace_id",
     "observe_request",
     "parse_exposition",
-    "profile_scope",
     "profile_to_dict",
-    "profiled",
-    "profiling_enabled",
     "provenance_enabled",
     "read_alerts",
     "read_history",
@@ -304,7 +285,6 @@ __all__ = [
     "reset_context",
     "reset_logging",
     "reset_metrics",
-    "reset_profiling",
     "reset_provenance",
     "reset_slo",
     "reset_tracing",
@@ -333,13 +313,12 @@ __all__ = [
 def reset_observability() -> None:
     """Reset every process-global collector to pristine.
 
-    The test-suite hook: tracing and profiling disabled and emptied,
+    The test-suite hook: tracing disabled and emptied,
     every metric zeroed in place (handles stay live), provenance
     capture off with an empty history, the structured logger closed
     and removed, and the trace context dropped.
     """
     reset_tracing()
-    reset_profiling()
     reset_metrics()
     reset_provenance()
     reset_logging()

@@ -1,9 +1,9 @@
 """Per-worker telemetry shards and the cross-process merger.
 
 A fleet run spreads one logical sweep across worker processes; each
-worker collects its own telemetry — spans, metrics, a profile tree,
-structured logs, and liveness heartbeats — because the process-global
-collectors in :mod:`repro.obs` are exactly that: per process.  This
+worker collects its own telemetry — spans, metrics, structured logs,
+and liveness heartbeats — because the process-global collectors in
+:mod:`repro.obs` are exactly that: per process.  This
 module gives every worker a *shard directory* to drain its collectors
 into, and gives the parent a merger that folds the shards back into
 one coherent trace, one metrics snapshot, one profile tree, and one
@@ -16,7 +16,6 @@ Shard layout (one directory per worker under the telemetry root)::
         manifest.json     identity: context, pid, clock anchor
         spans.jsonl       finished spans (repro.obs.export JSONL)
         metrics.json      registry snapshot
-        profile.json      profile_to_dict document
         logs.jsonl        structured log records
         heartbeats.jsonl  periodic CPU/RSS liveness samples
       worker-w1/
@@ -25,7 +24,9 @@ Shard layout (one directory per worker under the telemetry root)::
 The manifest is written *eagerly* at collector construction, so a
 worker that crashes mid-shard still leaves its identity and clock
 anchor behind; every JSONL stream tolerates a torn final line on read
-(same contract as the checkpoint and log readers).
+(:func:`repro.io.read_jsonl_tolerant`, the checkpoint and log readers'
+contract), and a malformed stream or ``metrics.json`` raises
+:class:`~repro.errors.ObservabilityError` naming the file.
 
 Merging obeys three laws, each pinned by a property test:
 
@@ -35,33 +36,38 @@ Merging obeys three laws, each pinned by a property test:
   wall↔monotonic anchor, so nothing collides and Perfetto lanes line
   up;
 - **metrics add** — :func:`repro.obs.metrics.merge_snapshots`;
-- **profiles add** — same-name-path nodes sum ``count``/``total_s``/
-  ``self_s`` exactly (floating-point addition of the constituents).
+- **profiles add** — the merged profile is
+  :func:`~repro.obs.profile.summarize_spans` over the renumbered spans
+  on each shard's *own* clock (not rebased: at wall-clock magnitudes
+  one ulp is ~0.24 µs), so every node's count is the sum over shards
+  and its total the exact ``math.fsum`` of the shard-local durations.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import statistics
 import time
 from dataclasses import dataclass, field, replace
 
 from ..errors import ObservabilityError
 from .context import TraceContext, anchor_offset, clock_anchor
-from .export import chrome_span_events, read_trace_jsonl, write_trace_jsonl
+from .export import chrome_span_events, write_trace_jsonl
 from .logging import get_logger, read_log_jsonl
 from .metrics import get_registry, merge_snapshots
-from .profile import ProfileNode, get_profiler, profile_to_dict
-from .trace import get_tracer
+from .profile import profile_to_dict, summarize_spans
+from .trace import SpanRecord, get_tracer
 
 #: Shard file names (the on-disk contract of a worker directory).
 MANIFEST_FILE = "manifest.json"
 SPANS_FILE = "spans.jsonl"
 METRICS_FILE = "metrics.json"
-PROFILE_FILE = "profile.json"
 LOGS_FILE = "logs.jsonl"
 HEARTBEATS_FILE = "heartbeats.jsonl"
+
+#: The merged view's profile tree (derived from spans, never sharded).
+PROFILE_FILE = "profile.json"
 
 MANIFEST_SCHEMA = 1
 
@@ -100,9 +106,9 @@ class ShardCollector:
 
     Construction creates the shard directory and writes the manifest
     (identity + clock anchor) immediately; :meth:`heartbeat` appends a
-    liveness sample; :meth:`finalize` snapshots the tracer, registry,
-    and profiler into the shard files.  The structured-log path is
-    exposed as :attr:`log_path` for ``configure_logging``.
+    liveness sample; :meth:`finalize` snapshots the tracer and registry
+    into the shard files.  The structured-log path is exposed as
+    :attr:`log_path` for ``configure_logging``.
     """
 
     def __init__(self, root, context: TraceContext) -> None:
@@ -143,11 +149,11 @@ class ShardCollector:
         return self._heartbeats
 
     def finalize(self) -> dict:
-        """Snapshot tracer/registry/profiler into the shard files.
+        """Snapshot tracer/registry into the shard files.
 
-        Returns ``{"spans": n, "metrics": n, "profile_roots": n}`` so
-        callers can log what the shard holds.  The structured logger,
-        if it points at this shard, is flushed by its own eager writes.
+        Returns ``{"spans": n, "metrics": n}`` so callers can log what
+        the shard holds.  The structured logger, if it points at this
+        shard, is flushed by its own eager writes.
         """
         spans = get_tracer().finished_spans()
         write_trace_jsonl(self.path(SPANS_FILE), spans)
@@ -155,18 +161,10 @@ class ShardCollector:
         with open(self.path(METRICS_FILE), "w", encoding="utf-8") as handle:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        nodes = get_profiler().report()
-        with open(self.path(PROFILE_FILE), "w", encoding="utf-8") as handle:
-            json.dump(profile_to_dict(nodes), handle, indent=2, sort_keys=True)
-            handle.write("\n")
         logger = get_logger()
         if logger is not None and logger.path == self.log_path:
             logger.close()
-        return {
-            "spans": len(spans),
-            "metrics": len(snapshot),
-            "profile_roots": len(nodes),
-        }
+        return {"spans": len(spans), "metrics": len(snapshot)}
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,6 @@ class TelemetryShard:
     anchor: dict
     spans: tuple = ()
     metrics: dict = field(default_factory=dict)
-    profile: tuple = ()
     logs: tuple = ()
     heartbeats: tuple = ()
 
@@ -197,24 +194,26 @@ def _read_json(path):
         return json.load(handle)
 
 
-def _read_heartbeats(path) -> tuple:
-    """Heartbeat samples, torn-tail tolerant like every shard stream."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    samples = []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            samples.append(json.loads(line))
-        except ValueError as err:
-            if line_no == len(lines):
-                break  # torn tail from a killed worker
-            raise ObservabilityError(
-                f"{path}:{line_no}: bad heartbeat sample ({err})"
-            ) from None
-    return tuple(samples)
+def _read_metrics(path) -> dict:
+    try:
+        snapshot = _read_json(path)
+    except ValueError as err:
+        raise ObservabilityError(
+            f"{path}: unreadable metrics snapshot ({err})"
+        ) from None
+    if not isinstance(snapshot, dict):
+        raise ObservabilityError(
+            f"{path}: metrics snapshot is not a JSON object"
+        )
+    return snapshot
+
+
+def _read_stream(path, decode, label: str) -> tuple:
+    from ..io.jsonl import read_jsonl_tolerant
+
+    return read_jsonl_tolerant(
+        path, decode, error=ObservabilityError, label=label
+    )
 
 
 def read_shard(shard_dir) -> TelemetryShard:
@@ -222,7 +221,8 @@ def read_shard(shard_dir) -> TelemetryShard:
 
     The manifest is mandatory — a directory without one is not a shard.
     Every other stream is optional (a crashed worker may never have
-    finalized); missing files read as empty.
+    finalized); missing files read as empty, and a torn final JSONL
+    line is dropped.
     """
     shard_dir = os.fspath(shard_dir)
     manifest_path = os.path.join(shard_dir, MANIFEST_FILE)
@@ -236,28 +236,25 @@ def read_shard(shard_dir) -> TelemetryShard:
             f"{shard_dir}: unreadable shard manifest ({err})"
         ) from None
 
-    def optional(name, reader, empty):
+    def optional(name, empty, reader, *args):
         path = os.path.join(shard_dir, name)
         if not os.path.exists(path):
             return empty
-        return reader(path)
+        return reader(path, *args)
 
-    profile_doc = optional(PROFILE_FILE, _read_json, None)
-    profile = ()
-    if profile_doc is not None:
-        profile = tuple(
-            ProfileNode.from_dict(node) for node in profile_doc.get("tree", ())
-        )
     return TelemetryShard(
         dir=shard_dir,
         context=context,
         pid=pid,
         anchor=anchor,
-        spans=optional(SPANS_FILE, read_trace_jsonl, ()),
-        metrics=optional(METRICS_FILE, _read_json, {}),
-        profile=profile,
-        logs=optional(LOGS_FILE, read_log_jsonl, ()),
-        heartbeats=optional(HEARTBEATS_FILE, _read_heartbeats, ()),
+        spans=optional(
+            SPANS_FILE, (), _read_stream, SpanRecord.from_dict, "trace event"
+        ),
+        metrics=optional(METRICS_FILE, {}, _read_metrics),
+        logs=optional(LOGS_FILE, (), read_log_jsonl),
+        heartbeats=optional(
+            HEARTBEATS_FILE, (), _read_stream, None, "heartbeat sample"
+        ),
     )
 
 
@@ -297,7 +294,8 @@ class MergedTelemetry:
 
     ``spans`` are renumbered (disjoint id ranges per shard) and rebased
     onto the wall clock; ``metrics`` obey the snapshot addition laws;
-    ``profile`` is the name-path-summed tree; ``logs`` are every
+    ``profile`` is :func:`~repro.obs.profile.summarize_spans` over the
+    renumbered spans on each shard's own clock; ``logs`` are every
     worker's records in timestamp order.
     """
 
@@ -328,51 +326,29 @@ class MergedTelemetry:
         }
 
 
-def _rebase_spans(shard: TelemetryShard, id_offset: int) -> tuple:
-    """Shard spans renumbered by ``id_offset`` and rebased to wall time."""
-    offset_s = anchor_offset(shard.anchor)
-    rebased = []
-    for record in shard.spans:
-        rebased.append(replace(
+def _renumbered(spans, id_offset: int) -> list:
+    return [
+        replace(
             record,
             span_id=record.span_id + id_offset,
             parent_id=(
                 None if record.parent_id is None
                 else record.parent_id + id_offset
             ),
+        )
+        for record in spans
+    ]
+
+
+def _rebased(spans, offset_s: float) -> list:
+    return [
+        replace(
+            record,
             start_s=record.start_s + offset_s,
             end_s=None if record.end_s is None else record.end_s + offset_s,
-        ))
-    return tuple(rebased)
-
-
-def merge_profiles(trees) -> tuple:
-    """Sum same-name-path profile trees across shards.
-
-    ``trees`` is an iterable of root tuples (one per shard).  Nodes
-    sharing a name under the same parent path merge by adding
-    ``count``/``total_s``/``self_s``; children recurse.  Output order
-    is descending total time then name, like :meth:`Profiler.report`.
-    """
-
-    def fold(node_lists) -> tuple:
-        by_name: dict = {}
-        for nodes in node_lists:
-            for node in nodes:
-                by_name.setdefault(node.name, []).append(node)
-        merged = []
-        for name, group in by_name.items():
-            merged.append(ProfileNode(
-                name=name,
-                count=sum(node.count for node in group),
-                total_s=math.fsum(node.total_s for node in group),
-                self_s=math.fsum(node.self_s for node in group),
-                children=fold([node.children for node in group]),
-            ))
-        merged.sort(key=lambda node: (-node.total_s, node.name))
-        return tuple(merged)
-
-    return fold(list(trees))
+        )
+        for record in spans
+    ]
 
 
 def merge_telemetry(shards) -> MergedTelemetry:
@@ -394,10 +370,12 @@ def merge_telemetry(shards) -> MergedTelemetry:
             "shards belong to different traces: "
             + ", ".join(sorted(trace_ids))
         )
-    spans = []
+    local, spans = [], []
     id_offset = 0
     for shard in ordered:
-        spans.extend(_rebase_spans(shard, id_offset))
+        renumbered = _renumbered(shard.spans, id_offset)
+        local.extend(renumbered)
+        spans.extend(_rebased(renumbered, anchor_offset(shard.anchor)))
         if shard.spans:
             id_offset += max(r.span_id for r in shard.spans) + 1
     logs = tuple(sorted(
@@ -410,7 +388,7 @@ def merge_telemetry(shards) -> MergedTelemetry:
         workers=tuple(s.worker_id for s in ordered),
         spans=tuple(spans),
         metrics=merge_snapshots(*(s.metrics for s in ordered)),
-        profile=merge_profiles(s.profile for s in ordered),
+        profile=summarize_spans(local),
         logs=logs,
         heartbeats={s.worker_id: s.heartbeats for s in ordered},
         shards=ordered,
@@ -503,7 +481,8 @@ def straggler_report(shards, *, threshold: float = 1.5) -> tuple:
     """Per-worker health rows; flags workers ``threshold``× the median.
 
     A worker whose heartbeat window exceeds ``threshold`` times the
-    fleet median wall window is flagged a straggler.  Workers with no
+    fleet median wall window (``statistics.median``: with two workers,
+    the mean of both) is flagged a straggler.  Workers with no
     heartbeats report a zero window and are never flagged (they either
     finished before the first beat or never started — the log stream
     says which).
@@ -517,8 +496,8 @@ def straggler_report(shards, *, threshold: float = 1.5) -> tuple:
     for shard in shards:
         times = [sample["ts"] for sample in shard.heartbeats]
         windows[shard.worker_id] = (max(times) - min(times)) if times else 0.0
-    active = sorted(w for w in windows.values() if w > 0)
-    median = active[len(active) // 2] if active else 0.0
+    active = [w for w in windows.values() if w > 0]
+    median = statistics.median(active) if active else 0.0
     rows = []
     for shard in shards:
         wall = windows[shard.worker_id]

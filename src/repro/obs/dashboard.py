@@ -1,7 +1,7 @@
 """One-page self-contained HTML performance dashboard.
 
 :func:`render_dashboard` folds the observability surfaces — metrics
-snapshot, profiler tree, span waterfall, benchmark history — plus
+snapshot, profile tree, span waterfall, benchmark history — plus
 roofline thumbnails into a single HTML document with inline CSS and
 inline SVG only: no scripts, no network fetches, openable from a file
 share or a CI artifact.  ``gables report dashboard out.html`` runs a
@@ -20,8 +20,8 @@ import math
 
 from .bench import read_history
 from .metrics import get_registry
-from .profile import format_profile, get_profiler
-from .trace import get_tracer
+from .profile import format_profile, summarize_spans
+from .trace import enable_tracing, get_tracer
 
 #: Cap rendered waterfall rows; beyond this the longest spans win.
 MAX_WATERFALL_ROWS = 48
@@ -217,7 +217,7 @@ def _profile_section(nodes) -> str:
 
     nodes = tuple(nodes)
     if not nodes:
-        return '<p class="empty">profiler collected nothing</p>'
+        return '<p class="empty">no spans recorded</p>'
     tree = _html.escape(format_profile(nodes))
     flame = profile_flame_svg(nodes, width=960)
     return f"<pre>{tree}</pre>{flame}"
@@ -403,8 +403,8 @@ def render_dashboard(
     """The one-page dashboard as a self-contained HTML string.
 
     Every argument defaults to the live global collector (metrics
-    registry, profiler, tracer); pass explicit data to render saved
-    artifacts instead.  ``fleet`` is an optional
+    registry, tracer; the profile is :func:`summarize_spans` of the
+    spans); pass explicit data to render saved artifacts instead.  ``fleet`` is an optional
     :class:`~repro.obs.collect.MergedTelemetry` — when given, a fleet
     health section (per-worker lanes, heartbeat/straggler table, merged
     flamegraph, log tail) renders first.  The output embeds everything
@@ -412,10 +412,10 @@ def render_dashboard(
     """
     if metrics is None:
         metrics = get_registry().snapshot()
-    if profile_nodes is None:
-        profile_nodes = get_profiler().report()
     if spans is None:
         spans = get_tracer().finished_spans()
+    if profile_nodes is None:
+        profile_nodes = summarize_spans(spans)
     fleet_html = ""
     if fleet is not None:
         fleet_html = (
@@ -476,7 +476,7 @@ def demo_rooflines() -> tuple:
 def collect_demo_activity() -> None:
     """Run a small instrumented workload into the global collectors.
 
-    Enables tracing and profiling, evaluates the Figure 6 walkthrough
+    Enables tracing, evaluates the Figure 6 walkthrough
     (base model and the interconnect variant) and a 9-point fraction
     sweep, so a fresh process still renders a populated dashboard.
     Collection stays enabled so the caller's own activity keeps
@@ -485,11 +485,8 @@ def collect_demo_activity() -> None:
     from ..core import evaluate, evaluate_variant, variant_from_config
     from ..core.two_ip import FIGURE_6_SEQUENCE
     from ..explore import sweep_fraction
-    from .trace import enable_tracing
 
     enable_tracing()
-    profiler = get_profiler()
-    profiler.enabled = True
     for scenario in FIGURE_6_SEQUENCE:
         soc, workload = scenario.soc(), scenario.workload()
         evaluate(soc, workload)
@@ -507,11 +504,11 @@ def write_dashboard_html(path, history_path=None, demo: bool = True) -> str:
     """Render the dashboard to ``path``; returns the HTML written.
 
     With ``demo`` (the default), an instrumented demo workload runs
-    first whenever the global profiler has collected nothing, so the
+    first whenever the global tracer has recorded nothing, so the
     page always has content.  ``history_path`` points at a
     ``BENCH_HISTORY.jsonl`` file (missing file -> empty trend section).
     """
-    if demo and not get_profiler().report():
+    if demo and not get_tracer().finished_spans():
         collect_demo_activity()
     history: tuple = ()
     if history_path is not None:

@@ -9,8 +9,8 @@ per *finished* span, in completion order::
 
 JSONL keeps traces appendable and greppable; :func:`read_trace_jsonl`
 round-trips them back into :class:`~repro.obs.trace.SpanRecord`
-objects, :func:`summarize_spans` folds them into a per-path tree (the
-``gables trace summarize`` table), and :func:`write_trace_chrome`
+objects (which :func:`repro.obs.profile.summarize_spans` folds into the
+``gables trace summarize`` tree), and :func:`write_trace_chrome`
 re-emits them in the Chrome trace-event format for Perfetto (the
 ``gables trace export --format chrome`` path).
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 from ..errors import ObservabilityError
 from .metrics import get_registry
@@ -199,105 +198,3 @@ def write_trace_chrome(path, spans=None) -> int:
     return sum(
         1 for event in document["traceEvents"] if event["ph"] == "X"
     )
-
-
-# ---------------------------------------------------------------------
-# Span-tree summarization
-# ---------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpanSummary:
-    """Aggregate of all spans sharing one name-path in the trace tree."""
-
-    path: tuple  # span names from root to this node
-    count: int
-    total_s: float
-    min_s: float
-    max_s: float
-    self_s: float  # total minus time inside child summaries
-
-    @property
-    def name(self) -> str:
-        return self.path[-1]
-
-    @property
-    def depth(self) -> int:
-        return len(self.path) - 1
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
-
-def summarize_spans(spans) -> tuple:
-    """Fold span records into per-path aggregates, tree order.
-
-    Spans are grouped by their *name path* (root span name down to the
-    span's own name), so repeated calls collapse into one row with a
-    count.  Rows come back depth-first: each parent immediately
-    followed by its children, children ordered by descending total
-    time; root paths by descending total as well.
-    """
-    by_id = {record.span_id: record for record in spans}
-
-    def name_path(record) -> tuple:
-        names = [record.name]
-        seen = {record.span_id}
-        parent_id = record.parent_id
-        while parent_id is not None:
-            parent = by_id.get(parent_id)
-            if parent is None or parent.span_id in seen:
-                break  # orphaned or cyclic: treat as a root
-            names.append(parent.name)
-            seen.add(parent.span_id)
-            parent_id = parent.parent_id
-        return tuple(reversed(names))
-
-    totals: dict = {}
-    for record in spans:
-        if record.end_s is None:
-            continue
-        path = name_path(record)
-        entry = totals.setdefault(
-            path, {"count": 0, "total": 0.0,
-                   "min": math.inf, "max": -math.inf}
-        )
-        entry["count"] += 1
-        entry["total"] += record.duration_s
-        entry["min"] = min(entry["min"], record.duration_s)
-        entry["max"] = max(entry["max"], record.duration_s)
-
-    child_time: dict = {}
-    for path, entry in totals.items():
-        if len(path) > 1:
-            parent = path[:-1]
-            child_time[parent] = child_time.get(parent, 0.0) + entry["total"]
-
-    def emit(prefix: tuple, out: list) -> None:
-        children = [p for p in totals if len(p) == len(prefix) + 1
-                    and p[:len(prefix)] == prefix]
-        children.sort(key=lambda p: (-totals[p]["total"], p))
-        for path in children:
-            entry = totals[path]
-            out.append(
-                SpanSummary(
-                    path=path,
-                    count=entry["count"],
-                    total_s=entry["total"],
-                    min_s=entry["min"],
-                    max_s=entry["max"],
-                    self_s=max(0.0, entry["total"]
-                               - child_time.get(path, 0.0)),
-                )
-            )
-            emit(path, out)
-
-    rows: list = []
-    emit((), rows)
-    return tuple(rows)
-
-
-def trace_total_seconds(summaries) -> float:
-    """Wall time covered by the root spans of a summary."""
-    return math.fsum(s.total_s for s in summaries if s.depth == 0)

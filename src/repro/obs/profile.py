@@ -1,61 +1,31 @@
-"""Deterministic phase-level profiler with near-zero disabled overhead.
+"""Profiles are aggregated spans.
 
-Where :mod:`repro.obs.trace` records individual spans for later
-inspection, the profiler *aggregates in place*: entering the same
-scope name twice under the same parent folds into one tree node with a
-call count and a cumulative total, so a 10k-point sweep costs 10k tiny
-node updates rather than 10k retained records.  The result answers
-"where did the time go, per pipeline stage?" directly::
+A profile answers "where did the time go, per pipeline stage?" by
+folding tracer spans (:mod:`repro.obs.trace`) by their *name path*,
+the span names from a root span down to the span itself.  Repeated
+calls under the same path collapse into one tree node with a call
+count, a cumulative total and a self time::
 
-    from repro.obs import enable_profiling, profile_scope
+    from repro import obs
 
-    enable_profiling()
-    with profile_scope("explore.sweep"):
-        ...                      # nested scopes accumulate below
-    print(format_profile(get_profiler().report()))
+    obs.enable_tracing()
+    ...                          # instrumented library calls
+    nodes = obs.summarize_spans(obs.get_tracer().finished_spans())
+    print(obs.format_profile(nodes))
 
-Instrumented stages across the library (lowering construction,
-``execute_lowered_phase``, the batch kernels, ``compose_result``, the
-ERT sweep's measure/retry/outlier/fit stages, explore and report
-generation) all funnel through :func:`profile_scope`, and the CLI's
-``gables profile -- <subcommand>`` wraps any invocation in a root
-scope and prints the self/cumulative tree.
-
-Design constraints mirror the tracer, in priority order:
-
-1. *Disabled is free.*  :func:`profile_scope` is one attribute check
-   returning a shared no-op scope; hot paths additionally guard with
-   :func:`profiling_enabled` so the disabled path skips the ``with``
-   statement entirely.  The benchmark suite asserts the instrumented
-   batch entry stays within 1% of the bare kernel.
-2. *Thread safe.*  Scope stacks are thread-local; node creation is
-   lock-protected, node updates are GIL-atomic attribute adds (same
-   contract as :mod:`repro.obs.metrics`).
-3. *Deterministic and dependency free.*  ``time.perf_counter`` and the
-   stdlib only; an injectable clock makes the tree exactly testable.
+:func:`summarize_spans` is the one aggregation behind every profile
+view: ``gables profile -- <subcommand>`` (the subcommand runs under
+the tracer inside a ``cli.<command>`` root span), ``gables trace
+summarize``, the flamegraph, the dashboard and the merged fleet
+``profile.json``.  Totals are ``math.fsum`` sums of span durations, so
+the profile of a union of span sets is exactly the sum of its parts.
 """
 
 from __future__ import annotations
 
-import functools
+import json
 import math
-import threading
-import time
 from dataclasses import dataclass
-
-from ..errors import ObservabilityError
-
-
-class _Node:
-    """One mutable aggregation cell: (parent path, name) -> totals."""
-
-    __slots__ = ("name", "count", "total_s", "children")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total_s = 0.0
-        self.children: dict = {}
 
 
 @dataclass(frozen=True)
@@ -104,214 +74,67 @@ class ProfileNode:
         )
 
 
-class _ActiveScope:
-    """Context manager for one live profiling scope on one thread."""
+def summarize_spans(spans) -> tuple:
+    """Fold span records into a :class:`ProfileNode` forest.
 
-    __slots__ = ("_profiler", "_name", "_start")
-
-    def __init__(self, profiler: "Profiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> "_ActiveScope":
-        self._profiler._enter(self._name)
-        self._start = self._profiler._clock()
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        elapsed = self._profiler._clock() - self._start
-        self._profiler._exit(self._name, elapsed)
-        return False  # never swallow exceptions
-
-
-class _NullScope:
-    """The shared do-nothing scope handed out while profiling is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        return False
-
-
-NULL_SCOPE = _NullScope()
-
-
-class Profiler:
-    """Aggregates nested scopes into a per-thread-merged timing tree.
-
-    A fresh profiler starts *disabled*; :func:`enable_profiling` (or
-    setting ``profiler.enabled = True``) turns collection on.  Scopes
-    opened under the same parent path with the same name share one
-    node, whatever thread they ran on.
+    Open spans (``end_s is None``) are skipped.  A span whose parent is
+    not among the closed spans is a root; so is the first span reached
+    only through a parent cycle.  Roots and every child tuple come back
+    in descending total time, then name.
     """
+    closed = [record for record in spans if record.end_s is not None]
+    ids = {record.span_id for record in closed}
+    children: dict = {}  # parent span id -> indices into closed
+    for index, record in enumerate(closed):
+        children.setdefault(record.parent_id, []).append(index)
+    durations: dict = {}  # name path -> span durations
+    seen = [False] * len(closed)
 
-    def __init__(self, clock=time.perf_counter) -> None:
-        self.enabled = False
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._local = threading.local()
-        self._root = _Node("")
-
-    # -- scope lifecycle -----------------------------------------------
-
-    def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def scope(self, name: str) -> _ActiveScope:
-        """Open a scope; use as a context manager."""
-        if not name:
-            raise ObservabilityError("profile scope name must be non-empty")
-        return _ActiveScope(self, name)
-
-    def _enter(self, name: str) -> None:
-        stack = self._stack()
-        parent = stack[-1] if stack else self._root
-        node = parent.children.get(name)
-        if node is None:
-            with self._lock:
-                node = parent.children.get(name)
-                if node is None:
-                    node = parent.children[name] = _Node(name)
-        stack.append(node)
-
-    def _exit(self, name: str, elapsed: float) -> None:
-        stack = self._stack()
-        # Exception safety: unwind past any scopes a non-local exit
-        # left open above us (mirrors the tracer's contract).
+    def visit(root: int) -> None:
+        stack = [(root, ())]
         while stack:
-            node = stack.pop()
-            if node.name == name:
-                node.count += 1
-                node.total_s += elapsed
-                break
-
-    # -- inspection ----------------------------------------------------
-
-    def report(self) -> tuple:
-        """Snapshot the tree as :class:`ProfileNode` roots.
-
-        Roots (and every child list) come back in descending cumulative
-        time; ``self_s`` is computed here, once, from the frozen totals.
-        """
-        with self._lock:
-            return tuple(
-                _freeze(child)
-                for child in _ordered(self._root.children)
+            index, prefix = stack.pop()
+            if seen[index]:
+                continue
+            seen[index] = True
+            record = closed[index]
+            path = prefix + (record.name,)
+            durations.setdefault(path, []).append(record.duration_s)
+            stack.extend(
+                (child, path) for child in children.get(record.span_id, ())
             )
 
-    def total_seconds(self) -> float:
-        """Cumulative wall time across the root scopes."""
-        with self._lock:
-            return math.fsum(
-                node.total_s for node in self._root.children.values()
-            )
+    for index, record in enumerate(closed):
+        if record.parent_id not in ids:
+            visit(index)
+    for index in range(len(closed)):
+        visit(index)  # only spans hidden behind a parent cycle remain
 
-    def active_depth(self) -> int:
-        """How many scopes are open on the calling thread."""
-        return len(self._stack())
+    by_parent: dict = {}
+    for path in durations:
+        by_parent.setdefault(path[:-1], []).append(path)
 
-    def reset(self) -> None:
-        """Drop the collected tree (the enabled flag is untouched)."""
-        with self._lock:
-            self._root = _Node("")
-        self._local = threading.local()
-
-
-def _ordered(children: dict) -> list:
-    return sorted(
-        children.values(), key=lambda node: (-node.total_s, node.name)
-    )
-
-
-def _freeze(node: _Node) -> ProfileNode:
-    frozen_children = tuple(
-        _freeze(child) for child in _ordered(node.children)
-    )
-    child_total = math.fsum(child.total_s for child in frozen_children)
-    return ProfileNode(
-        name=node.name,
-        count=node.count,
-        total_s=node.total_s,
-        self_s=max(0.0, node.total_s - child_total),
-        children=frozen_children,
-    )
-
-
-#: The process-global profiler used by all library instrumentation.
-_PROFILER = Profiler()
-
-
-def get_profiler() -> Profiler:
-    """The process-global profiler."""
-    return _PROFILER
-
-
-def profiling_enabled() -> bool:
-    """True when the global profiler is collecting."""
-    return _PROFILER.enabled
-
-
-def enable_profiling() -> Profiler:
-    """Turn the global profiler on and return it."""
-    _PROFILER.enabled = True
-    return _PROFILER
-
-
-def disable_profiling() -> None:
-    """Turn the global profiler off (the collected tree is kept)."""
-    _PROFILER.enabled = False
-
-
-def reset_profiling() -> None:
-    """Disable the global profiler and drop everything it collected."""
-    _PROFILER.enabled = False
-    _PROFILER.reset()
-
-
-def profile_scope(name: str):
-    """Open a scope on the global profiler, or a no-op when disabled.
-
-    The disabled path is a single attribute check returning a shared
-    singleton — cheap enough for per-evaluation instrumentation on hot
-    loops (hot paths additionally guard with
-    :func:`profiling_enabled` to skip the ``with`` statement too).
-    """
-    if not _PROFILER.enabled:
-        return NULL_SCOPE
-    return _PROFILER.scope(name)
-
-
-def profiled(name=None):
-    """Decorator form of :func:`profile_scope`.
-
-    Use bare (``@profiled``, scope named ``module.qualname``) or with
-    an explicit scope name (``@profiled("ert.fit_roofline")``).  The
-    disabled path adds one attribute check per call.
-    """
-
-    def decorate(fn, scope_name=None):
-        scope_name = scope_name or (
-            f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__qualname__}"
+    def freeze(path) -> ProfileNode:
+        kids = _ordered(freeze(child) for child in by_parent.get(path, ()))
+        total = math.fsum(durations[path])
+        return ProfileNode(
+            name=path[-1],
+            count=len(durations[path]),
+            total_s=total,
+            self_s=max(0.0, total - trace_total_seconds(kids)),
+            children=kids,
         )
 
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not _PROFILER.enabled:
-                return fn(*args, **kwargs)
-            with _PROFILER.scope(scope_name):
-                return fn(*args, **kwargs)
+    return _ordered(freeze(path) for path in by_parent.get((), ()))
 
-        return wrapper
 
-    if callable(name):  # used as @profiled without parentheses
-        return decorate(name)
-    return lambda fn: decorate(fn, name)
+def _ordered(nodes) -> tuple:
+    return tuple(sorted(nodes, key=lambda node: (-node.total_s, node.name)))
+
+
+def trace_total_seconds(nodes) -> float:
+    """Wall time covered by the root nodes of a profile."""
+    return math.fsum(node.total_s for node in nodes)
 
 
 # ---------------------------------------------------------------------
@@ -322,14 +145,14 @@ def profiled(name=None):
 def format_profile(nodes, total_s: float | None = None) -> str:
     """The self/cumulative timing tree as aligned text.
 
-    ``nodes`` is the output of :meth:`Profiler.report`; ``total_s``
+    ``nodes`` is the output of :func:`summarize_spans`; ``total_s``
     overrides the percentage denominator (defaults to the sum of the
     root totals — pass the end-to-end wall time to report coverage
     against it instead).
     """
     nodes = tuple(nodes)
     if total_s is None:
-        total_s = math.fsum(node.total_s for node in nodes)
+        total_s = trace_total_seconds(nodes)
     rows = [("phase", "calls", "total (s)", "self (s)", "% total")]
     for root in nodes:
         for depth, node in root.walk():
@@ -359,20 +182,13 @@ def profile_to_dict(nodes) -> dict:
     nodes = tuple(nodes)
     return {
         "schema": 1,
-        "total_s": math.fsum(node.total_s for node in nodes),
+        "total_s": trace_total_seconds(nodes),
         "tree": [node.to_dict() for node in nodes],
     }
 
 
-def write_profile_json(path, nodes=None) -> dict:
-    """Write a profile report (default: the global profiler's) as JSON.
-
-    Returns the document that was written.
-    """
-    import json
-
-    if nodes is None:
-        nodes = _PROFILER.report()
+def write_profile_json(path, nodes) -> dict:
+    """Write a profile report as JSON; returns the document written."""
     document = profile_to_dict(nodes)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)

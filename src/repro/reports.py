@@ -13,7 +13,6 @@ from __future__ import annotations
 from .core import FIGURE_6_SEQUENCE, FIGURE_6_EXPECTED_GOPS, cached_evaluator
 from .errors import ReproError
 from .obs.metrics import counter as _counter
-from .obs.profile import profile_scope as _profile_scope
 from .obs.trace import span as _span
 from .resilience.partial import check_on_error, degraded_banner, record_failure
 from .units import GIGA
@@ -255,8 +254,7 @@ def _instrumented(experiment: str, generator):
 
     def run(*args, **kwargs) -> str:
         _counter("reports.generated").inc()
-        with _span("report.generate", experiment=experiment), \
-                _profile_scope(f"report.{experiment}"):
+        with _span(f"report.{experiment}", experiment=experiment):
             return generator(*args, **kwargs)
 
     run.__name__ = generator.__name__

@@ -1,11 +1,11 @@
 """Flamegraph-style SVG rendering of a phase-profile tree.
 
-Renders the profiler's aggregated timing tree (see
-:mod:`repro.obs.profile`) as stacked horizontal bars: each depth is one
-row, each scope a rectangle whose width is its share of the root total,
-children nested directly below their parent.  Unlike sampling
-flamegraphs the input is exact — widths are measured wall time, not
-sample counts.
+Renders a profile tree (spans aggregated by
+:func:`repro.obs.profile.summarize_spans`) as stacked horizontal bars:
+each depth is one row, each span path a rectangle whose width is its
+share of the root total, children nested directly below their parent.
+Unlike sampling flamegraphs the input is exact — widths are measured
+wall time, not sample counts.
 
 The renderer is duck-typed over any node with ``name``, ``count``,
 ``total_s``, ``self_s``, and ``children`` attributes, so ``viz`` never
@@ -42,7 +42,7 @@ def profile_flame_svg(nodes, width: int = 960,
                       title: str = "phase profile") -> str:
     """The profile tree as a flamegraph-style SVG document.
 
-    ``nodes`` are root profile nodes (e.g. ``Profiler.report()``).
+    ``nodes`` are root profile nodes (e.g. ``summarize_spans(spans)``).
     Widths are proportional to cumulative time; each bar carries a
     hover tooltip with name, call count, total, and self time.  Colors
     cycle the categorical palette by depth — depth is an ordering, not

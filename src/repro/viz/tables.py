@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
 
 from ..errors import SpecError
 
@@ -96,34 +97,35 @@ def drift_table(points, fmt: str = "markdown") -> str:
     return _render(headers, rows, fmt)
 
 
-def trace_summary_table(summaries, fmt: str = "markdown",
+def trace_summary_table(nodes, fmt: str = "markdown",
                         width: int | None = None) -> str:
     """A span-tree time breakdown as a table.
 
-    ``summaries`` is the output of
-    :func:`repro.obs.export.summarize_spans` (depth-first tree order);
-    rows indent span names by depth and report each path's share of the
-    total root-span wall time.
+    ``nodes`` are the profile roots from
+    :func:`repro.obs.profile.summarize_spans`; rows walk the tree
+    depth-first, indent span names by depth, and report each path's
+    share of the total root-span wall time.
 
     ``width`` (markdown only) caps the rendered line length for
     terminal display: deeply indented span names that would overflow
     are *wrapped* onto continuation rows — indentation preserved, stat
     cells blank — never truncated.  ``None`` leaves rows unwrapped.
     """
-    total = sum(s.total_s for s in summaries if s.depth == 0)
+    total = math.fsum(root.total_s for root in nodes)
     headers = ("span", "count", "total (s)", "mean (s)",
                "self (s)", "% of trace")
     rows = []
-    for summary in summaries:
-        share = 100.0 * summary.total_s / total if total > 0 else 0.0
-        rows.append((
-            "  " * summary.depth + summary.name,
-            summary.count,
-            f"{summary.total_s:.6f}",
-            f"{summary.mean_s:.6f}",
-            f"{summary.self_s:.6f}",
-            f"{share:.1f}",
-        ))
+    for root in nodes:
+        for depth, node in root.walk():
+            share = 100.0 * node.total_s / total if total > 0 else 0.0
+            rows.append((
+                "  " * depth + node.name,
+                node.count,
+                f"{node.total_s:.6f}",
+                f"{node.total_s / node.count:.6f}",
+                f"{node.self_s:.6f}",
+                f"{share:.1f}",
+            ))
     if width is not None and fmt == "markdown":
         rows = _wrap_span_rows(rows, width)
     return _render(headers, rows, fmt)

@@ -99,13 +99,13 @@ class TestRenderDashboard:
 
     def test_populated_dashboard_embeds_all_panels(self):
         obs.enable_tracing()
-        obs.enable_profiling()
-        with obs.span("page.root"), obs.profile_scope("page.root"):
+        with obs.span("page.root"):
             obs.counter("page.evals").inc()
+        spans = obs.get_tracer().finished_spans()
         html = render_dashboard(
             metrics=obs.get_registry().snapshot(),
-            profile_nodes=obs.get_profiler().report(),
-            spans=obs.get_tracer().finished_spans(),
+            profile_nodes=obs.summarize_spans(spans),
+            spans=spans,
             history=_history([1.0, 1.1, 0.9]),
         )
         page = audit(html)
@@ -113,6 +113,16 @@ class TestRenderDashboard:
         assert page.tags.count("svg") >= 2  # flamegraph + waterfall
         assert "page.evals" in html
         assert "bench.sweep" in html
+
+    def test_profile_defaults_to_the_summary_of_the_spans(self):
+        obs.enable_tracing()
+        with obs.span("page.root"):
+            with obs.span("page.child"):
+                pass
+        html = render_dashboard()
+        profile = html.split('<section id="profile">')[1].split(
+            "</section>")[0]
+        assert "page.root" in profile and "  page.child" in profile
 
     def test_dashboard_is_self_contained(self):
         html = render_dashboard(history=_history([1.0, 1.1]))

@@ -8,10 +8,15 @@ when the file has drifted.  (Regenerate with
 
 from __future__ import annotations
 
+import ast
 import importlib
 from pathlib import Path
 
+SRC_ROOT = Path(__file__).resolve().parent.parent / "src"
 DOC_PATH = Path(__file__).resolve().parent.parent / "docs" / "api.md"
+OBSERVABILITY_PATH = (
+    Path(__file__).resolve().parent.parent / "docs" / "observability.md"
+)
 ARCH_PATH = Path(__file__).resolve().parent.parent / "docs" / "architecture.md"
 PROFILING_PATH = Path(__file__).resolve().parent.parent / "docs" / "profiling.md"
 TELEMETRY_PATH = Path(__file__).resolve().parent.parent / "docs" / "telemetry.md"
@@ -112,9 +117,7 @@ def test_profiling_doc_names_every_observatory_surface():
     assert PROFILING_PATH.exists(), "docs/profiling.md missing"
     text = PROFILING_PATH.read_text(encoding="utf-8")
     anchors = (
-        "enable_profiling",
-        "profile_scope",
-        "profiled",
+        "summarize_spans",
         "format_profile",
         "write_profile_json",
         "profile_flame_svg",
@@ -136,6 +139,46 @@ def test_profiling_doc_names_every_observatory_surface():
         assert "profiling.md" in (root / page).read_text(encoding="utf-8"), (
             f"docs/{page} lost its cross-link to profiling.md"
         )
+
+
+def span_names_in_src() -> set:
+    """Every span name passed as a literal to ``span``/``_span`` in
+    ``src/``.  An f-string name shows its placeholders as ``<expr>``:
+    ``f"report.{experiment}"`` reads ``report.<experiment>``."""
+    names = set()
+    for path in SRC_ROOT.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else (
+                getattr(func, "id", "")
+            )
+            if called not in ("span", "_span"):
+                continue
+            name = node.args[0]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                names.add(name.value)
+            elif isinstance(name, ast.JoinedStr):
+                names.add("".join(
+                    part.value if isinstance(part, ast.Constant)
+                    else f"<{ast.unparse(part.value)}>"
+                    for part in name.values
+                ))
+    return names
+
+
+def test_observability_doc_tables_every_span():
+    """docs/observability.md has one table of every span the library
+    opens; each span-name literal in src/ needs its row."""
+    names = span_names_in_src()
+    assert {"core.evaluate", "cli.<command>", "report.<experiment>"} <= names
+    text = OBSERVABILITY_PATH.read_text(encoding="utf-8")
+    missing = sorted(name for name in names if f"| `{name}` |" not in text)
+    assert not missing, (
+        "docs/observability.md's span table lacks: " + ", ".join(missing)
+    )
 
 
 def test_telemetry_doc_names_every_fleet_surface():

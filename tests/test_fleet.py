@@ -14,9 +14,11 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.core import FIGURE_6B
 from repro.errors import SpecError
 from repro.explore import (
     FleetPoint,
+    evaluate_grid_chunks,
     evaluate_population,
     fleet_bench_records,
     run_fleet_sweep,
@@ -196,6 +198,32 @@ class TestFleetTelemetry:
             worker: len(beats)
             for worker, beats in merged.heartbeats.items()
         } == {w: reports[w].heartbeats for w in reports}
+
+    def test_shard_spans_carry_flat_attributes(self, telemetry_run):
+        _, root = telemetry_run
+        for shard in obs.load_shards(root):
+            (record,) = [r for r in shard.spans if r.name == "fleet.shard"]
+            assert record.attributes == {"cases": 30}
+
+    def test_grid_shard_span_carries_flat_attributes(self):
+        obs.enable_tracing()
+        evaluate_grid_chunks(FIGURE_6B.soc(), ((0, 8), (1, 8)))
+        (record,) = [
+            r for r in obs.get_tracer().finished_spans()
+            if r.name == "fleet.grid_shard"
+        ]
+        assert record.attributes == {"chunks": 2}
+
+    def test_merged_profile_is_derived_from_shard_spans(self, telemetry_run):
+        _, root = telemetry_run
+        # Workers ship spans only; the profile is computed at merge.
+        assert not (root / "worker-w0" / "profile.json").exists()
+        merged = obs.merge_telemetry(obs.load_shards(root))
+        (shard_node,) = merged.profile
+        assert (shard_node.name, shard_node.count) == ("fleet.shard", 2)
+        (point_node,) = shard_node.children
+        assert (point_node.name, point_node.count) == ("fleet.point", 60)
+        assert point_node.children[0].name == "core.evaluate"
 
     def test_fleet_dashboard_renders_merged_view(self, telemetry_run,
                                                  tmp_path):

@@ -314,15 +314,13 @@ class TestExport:
 
     def test_summarize_groups_by_path(self):
         spans = self._collect_spans()
-        rows = obs.summarize_spans(spans)
-        by_path = {r.path: r for r in rows}
-        assert by_path[("root",)].count == 1
-        assert by_path[("root", "child")].count == 2
-        root = by_path[("root",)]
-        child = by_path[("root", "child")]
+        (root,) = obs.summarize_spans(spans)
+        (child,) = root.children
+        assert (root.name, root.count) == ("root", 1)
+        assert (child.name, child.count) == ("child", 2)
         assert root.self_s == pytest.approx(root.total_s - child.total_s)
-        # Tree order: parent row precedes its children.
-        assert rows[0].path == ("root",)
+        # Walk order: parent row precedes its children.
+        assert [node.name for _, node in root.walk()] == ["root", "child"]
 
     def test_metrics_snapshot_file(self, tmp_path):
         obs.counter("t.export").inc(3)

@@ -16,9 +16,12 @@ class TestTraceFlag:
         path = tmp_path / "t.jsonl"
         assert main(["--trace", str(path), "eval", "--figure", "6b"]) == 0
         err = capsys.readouterr().err
-        assert f"wrote 1 trace events to {path}" in err
-        (event,) = [json.loads(line) for line in
-                    path.read_text().splitlines()]
+        assert f"wrote 2 trace events to {path}" in err
+        compose, event = [json.loads(line) for line in
+                          path.read_text().splitlines()]
+        # Completion order: the result is composed inside evaluate().
+        assert compose["name"] == "core.compose_result"
+        assert compose["parent_id"] == event["span_id"]
         assert event["name"] == "core.evaluate"
         assert event["attributes"]["bottleneck"] == "memory"
 
@@ -43,7 +46,7 @@ class TestTraceFlag:
         main(["--trace", str(first), "eval", "--figure", "6b"])
         main(["--trace", str(second), "eval", "--figure", "6b"])
         # The second file must not accumulate the first run's spans.
-        assert len(second.read_text().splitlines()) == 1
+        assert len(second.read_text().splitlines()) == 2
 
 
 class TestTraceSummarize:

@@ -1,4 +1,4 @@
-"""The phase-level profiler: tree building, rendering, CLI, overhead."""
+"""Profiles as aggregated spans: tree building, rendering, CLI."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.core import FIGURE_6B, evaluate, evaluate_variant
-from repro.errors import ObservabilityError
-from repro.obs.profile import NULL_SCOPE, Profiler, ProfileNode
+from repro.obs.profile import ProfileNode
+from repro.obs.trace import SpanRecord, Tracer
 
 
 class FakeClock:
@@ -26,158 +26,163 @@ class FakeClock:
         return value
 
 
+def _tracer() -> Tracer:
+    """An enabled tracer on a clock that ticks one second per read."""
+    tracer = Tracer(clock=FakeClock())
+    tracer.enabled = True
+    return tracer
+
+
+def _profile(tracer=None) -> tuple:
+    """The profile of a tracer's spans (default: the global tracer)."""
+    tracer = tracer or obs.get_tracer()
+    return obs.summarize_spans(tracer.finished_spans())
+
+
+def _record(name, span_id, parent_id, start, end) -> SpanRecord:
+    return SpanRecord(
+        name=name, span_id=span_id, parent_id=parent_id,
+        thread="MainThread", start_s=start, end_s=end,
+    )
+
+
+def _paths_and_counts(nodes) -> dict:
+    """``{name path: call count}`` over a whole profile forest."""
+    counts = {}
+
+    def visit(node, prefix):
+        path = prefix + (node.name,)
+        counts[path] = node.count
+        for child in node.children:
+            visit(child, path)
+
+    for node in nodes:
+        visit(node, ())
+    return counts
+
+
 class TestProfiler:
+    """``summarize_spans`` over a :class:`Tracer` on a fake clock."""
+
     def test_nested_scopes_build_a_tree(self):
-        profiler = Profiler(clock=FakeClock())
-        profiler.enabled = True
-        with profiler.scope("outer"):
-            with profiler.scope("inner"):
+        tracer = _tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
                 pass
-        (root,) = profiler.report()
-        assert root.name == "outer"
-        assert root.count == 1
+        (root,) = _profile(tracer)
+        assert (root.name, root.count) == ("outer", 1)
         (child,) = root.children
-        assert child.name == "inner"
-        assert child.count == 1
+        assert (child.name, child.count) == ("inner", 1)
 
     def test_repeated_scopes_aggregate_into_one_node(self):
-        profiler = Profiler(clock=FakeClock())
-        profiler.enabled = True
+        tracer = _tracer()
         for _ in range(5):
-            with profiler.scope("stage"):
+            with tracer.span("stage"):
                 pass
-        (root,) = profiler.report()
+        (root,) = _profile(tracer)
         assert root.count == 5
+        assert root.total_s == 5.0
 
     def test_deterministic_totals_with_injected_clock(self):
-        # Each scope body costs exactly one tick (enter reads the
-        # clock once, exit once), so totals are exact integers.
-        profiler = Profiler(clock=FakeClock(step=1.0))
-        profiler.enabled = True
-        with profiler.scope("outer"):
-            with profiler.scope("inner"):
+        # A span reads the clock once when opened and once when closed,
+        # so the inner span lasts 1 tick, the outer 3, leaving it 2.
+        tracer = _tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
                 pass
-        (root,) = profiler.report()
+        (root,) = _profile(tracer)
         (child,) = root.children
-        assert child.total_s == pytest.approx(1.0)
-        assert root.total_s == pytest.approx(3.0)
-        assert root.self_s == pytest.approx(2.0)
+        assert child.total_s == 1.0
+        assert root.total_s == 3.0
+        assert root.self_s == 2.0
 
     def test_self_time_clamped_at_zero(self):
-        node = ProfileNode(
-            name="p", count=1, total_s=1.0, self_s=0.0,
-            children=(ProfileNode("c", 1, 2.0, 2.0, ()),),
-        )
+        # A child that outlasts its parent (clock jitter) leaves the
+        # parent no self time, never a negative one.
+        (root,) = obs.summarize_spans([
+            _record("p", 1, None, 0.0, 1.0),
+            _record("c", 2, 1, 0.0, 2.0),
+        ])
+        assert root.self_s == 0.0
         # from_dict round-trip preserves the clamped value.
-        assert ProfileNode.from_dict(node.to_dict()) == node
+        assert ProfileNode.from_dict(root.to_dict()) == root
 
     def test_same_name_different_parents_are_distinct_nodes(self):
-        profiler = Profiler(clock=FakeClock())
-        profiler.enabled = True
-        with profiler.scope("a"):
-            with profiler.scope("shared"):
+        tracer = _tracer()
+        with tracer.span("a"):
+            with tracer.span("shared"):
                 pass
-        with profiler.scope("b"):
-            with profiler.scope("shared"):
+        with tracer.span("b"):
+            with tracer.span("shared"):
                 pass
-        roots = profiler.report()
+        roots = _profile(tracer)
         assert {r.name for r in roots} == {"a", "b"}
         for root in roots:
             assert [c.name for c in root.children] == ["shared"]
+            assert root.children[0].count == 1
 
     def test_exception_unwinds_open_scopes(self):
-        profiler = Profiler(clock=FakeClock())
-        profiler.enabled = True
+        tracer = _tracer()
         with pytest.raises(RuntimeError):
-            with profiler.scope("outer"):
-                with profiler.scope("inner"):
+            with tracer.span("outer"):
+                with tracer.span("inner"):
                     raise RuntimeError("boom")
-        assert profiler.active_depth() == 0
-        (root,) = profiler.report()
+        assert tracer.active_depth() == 0
+        (root,) = _profile(tracer)
         assert root.count == 1
-
-    def test_empty_scope_name_rejected(self):
-        with pytest.raises(ObservabilityError):
-            Profiler().scope("")
+        assert [(c.name, c.count) for c in root.children] == [("inner", 1)]
 
     def test_reset_keeps_enabled_flag(self):
-        profiler = Profiler(clock=FakeClock())
-        profiler.enabled = True
-        with profiler.scope("x"):
+        tracer = _tracer()
+        with tracer.span("x"):
             pass
-        profiler.reset()
-        assert profiler.enabled
-        assert profiler.report() == ()
+        tracer.reset()
+        assert tracer.enabled
+        assert _profile(tracer) == ()
 
     def test_report_orders_children_by_descending_total(self):
-        clock = FakeClock(step=0.0)
-        profiler = Profiler(clock=clock)
-        profiler.enabled = True
-        for name, cost in (("cheap", 1.0), ("dear", 5.0)):
-            profiler._enter(name)
-            profiler._exit(name, cost)
-        assert [r.name for r in profiler.report()] == ["dear", "cheap"]
+        roots = obs.summarize_spans([
+            _record("root", 1, None, 0.0, 10.0),
+            _record("cheap", 2, 1, 0.0, 1.0),
+            _record("dear", 3, 1, 1.0, 6.0),
+            _record("also_cheap", 4, 1, 6.0, 7.0),
+            _record("short", 5, None, 10.0, 11.0),
+        ])
+        assert [r.name for r in roots] == ["root", "short"]
+        # Ties in total time fall back to name order.
+        assert [c.name for c in roots[0].children] == [
+            "dear", "also_cheap", "cheap",
+        ]
 
-
-class TestGlobalProfilerApi:
-    def test_profile_scope_is_null_when_disabled(self):
-        assert obs.profile_scope("anything") is NULL_SCOPE
-
-    def test_enable_disable_cycle(self):
-        obs.enable_profiling()
-        assert obs.profiling_enabled()
-        with obs.profile_scope("stage"):
-            pass
-        obs.disable_profiling()
-        assert not obs.profiling_enabled()
-        # The collected tree survives disable; reset drops it.
-        assert obs.get_profiler().report()
-        obs.reset_profiling()
-        assert obs.get_profiler().report() == ()
-
-    def test_profiled_decorator_bare_and_named(self):
-        obs.enable_profiling()
-
-        @obs.profiled
-        def plain():
-            return 1
-
-        @obs.profiled("custom.name")
-        def named():
-            return 2
-
-        assert plain() == 1 and named() == 2
-        names = {r.name for r in obs.get_profiler().report()}
-        assert "custom.name" in names
-        assert any("plain" in name for name in names)
-
-    def test_reset_observability_resets_profiling(self):
-        obs.enable_profiling()
-        with obs.profile_scope("stage"):
-            pass
-        obs.reset_observability()
-        assert not obs.profiling_enabled()
-        assert obs.get_profiler().report() == ()
+    def test_open_spans_are_skipped_and_orphans_become_roots(self):
+        roots = obs.summarize_spans([
+            _record("open", 1, None, 0.0, None),
+            _record("orphan", 2, 1, 0.0, 1.0),
+            _record("stray", 3, 99, 0.0, 2.0),
+        ])
+        assert [(r.name, r.count) for r in roots] == [
+            ("stray", 1), ("orphan", 1),
+        ]
 
 
 class TestInstrumentedPipeline:
     def test_evaluate_records_core_scope(self):
-        obs.enable_profiling()
+        obs.enable_tracing()
         evaluate(FIGURE_6B.soc(), FIGURE_6B.workload())
-        (root,) = obs.get_profiler().report()
+        (root,) = _profile()
         assert root.name == "core.evaluate"
         child_names = {c.name for c in root.children}
         assert "core.compose_result" in child_names
 
     def test_evaluate_variant_records_lower_and_execute(self):
-        obs.enable_profiling()
+        obs.enable_tracing()
         evaluate_variant(FIGURE_6B.soc(), FIGURE_6B.workload(), None)
-        names = {r.name for r in obs.get_profiler().report()}
+        roots = _profile()
+        names = {r.name for r in roots}
         assert "core.variant.lower" in names
         assert "core.evaluate_variant" in names
         (variant_root,) = [
-            r for r in obs.get_profiler().report()
-            if r.name == "core.evaluate_variant"
+            r for r in roots if r.name == "core.evaluate_variant"
         ]
         assert [c.name for c in variant_root.children] == [
             "core.execute_lowered_phase"
@@ -185,17 +190,24 @@ class TestInstrumentedPipeline:
 
     def test_profiling_off_adds_nothing(self):
         evaluate(FIGURE_6B.soc(), FIGURE_6B.workload())
-        assert obs.get_profiler().report() == ()
+        assert _profile() == ()
+
+    def test_reset_observability_empties_the_profile(self):
+        obs.enable_tracing()
+        evaluate(FIGURE_6B.soc(), FIGURE_6B.workload())
+        assert _profile()
+        obs.reset_observability()
+        assert not obs.tracing_enabled()
+        assert _profile() == ()
 
 
 class TestRendering:
     def _nodes(self):
-        profiler = Profiler(clock=FakeClock())
-        profiler.enabled = True
-        with profiler.scope("outer"):
-            with profiler.scope("inner"):
+        tracer = _tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
                 pass
-        return profiler.report()
+        return _profile(tracer)
 
     def test_format_profile_header_and_indent(self):
         text = obs.format_profile(self._nodes())
@@ -222,19 +234,18 @@ class TestRendering:
         assert ProfileNode.from_dict(tree_root) == nodes[0]
 
     def test_flamegraph_svg_renders_deep_trees(self):
-        profiler = Profiler(clock=FakeClock())
-        profiler.enabled = True
+        tracer = _tracer()
 
         def nest(depth):
             if depth == 0:
                 return
-            with profiler.scope(f"level{depth}"):
+            with tracer.span(f"level{depth}"):
                 nest(depth - 1)
 
         nest(12)
         from repro.viz import profile_flame_svg
 
-        svg = profile_flame_svg(profiler.report())
+        svg = profile_flame_svg(_profile(tracer))
         assert svg.startswith("<svg")
         assert "level12" in svg  # root bar is wide enough for a label
 
@@ -282,7 +293,39 @@ class TestProfileCli:
 
     def test_profiling_disabled_after_run(self):
         main(["profile", "--", "eval", "--figure", "6b"])
-        assert not obs.profiling_enabled()
+        assert not obs.tracing_enabled()
+
+    def test_profile_tree_is_the_trace_summary_under_cli_root(
+        self, tmp_path, capsys
+    ):
+        profile_path = tmp_path / "p.json"
+        trace_path = tmp_path / "t.jsonl"
+        command = ["sweep", "--figure", "6b", "--steps", "99"]
+        assert main(["profile", "--out", str(profile_path), "--",
+                     *command]) == 0
+        assert main(["--trace", str(trace_path), *command]) == 0
+        (cli_root,) = json.loads(profile_path.read_text())["tree"]
+        assert cli_root["name"] == "cli.sweep"
+        under_root = _paths_and_counts(
+            ProfileNode.from_dict(child) for child in cli_root["children"]
+        )
+        traced = _paths_and_counts(
+            obs.summarize_spans(obs.read_trace_jsonl(trace_path))
+        )
+        assert under_root == traced
+        assert ("explore.sweep",) in traced
+
+    def test_profile_under_global_trace_writes_its_spans(
+        self, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "t.jsonl"
+        assert main(["--trace", str(trace_path), "profile", "--",
+                     "eval", "--figure", "6b"]) == 0
+        assert "cli.eval" in capsys.readouterr().out
+        assert not obs.tracing_enabled()
+        (root,) = obs.summarize_spans(obs.read_trace_jsonl(trace_path))
+        assert root.name == "cli.eval"
+        assert [c.name for c in root.children] == ["core.evaluate"]
 
 
 class TestTimerMetric:

@@ -173,23 +173,23 @@ class TestTraceExportCli:
 
 class TestSummarizeWrapping:
     def test_narrow_width_wraps_instead_of_truncating(self):
-        summaries = obs.summarize_spans(_deep_spans(12))
-        wide = trace_summary_table(summaries)
-        narrow = trace_summary_table(summaries, width=60)
+        (root,) = obs.summarize_spans(_deep_spans(12))
+        wide = trace_summary_table((root,))
+        narrow = trace_summary_table((root,), width=60)
         # Every character of every span name survives the wrap.
-        for summary in summaries:
-            flat = "".join(
-                line.split("|")[1].strip()
-                for line in narrow.splitlines()[2:]
-            )
-            assert summary.name in flat
+        flat = "".join(
+            line.split("|")[1].strip()
+            for line in narrow.splitlines()[2:]
+        )
+        for _depth, node in root.walk():
+            assert node.name in flat
         assert len(narrow.splitlines()) > len(wide.splitlines())
 
     def test_unwrapped_when_width_is_none(self):
-        summaries = obs.summarize_spans(_deep_spans(12))
-        table = trace_summary_table(summaries, width=None)
-        # One header row, one rule, one row per summary — no wraps.
-        assert len(table.splitlines()) == 2 + len(summaries)
+        (root,) = obs.summarize_spans(_deep_spans(12))
+        table = trace_summary_table((root,), width=None)
+        # One header row, one rule, one row per tree node — no wraps.
+        assert len(table.splitlines()) == 2 + len(list(root.walk()))
 
     def test_wrap_preserves_indentation_and_blanks_stats(self):
         rows = [("    " + "x" * 200, "1", "0.1", "0.1", "0.0", "50.0")]
