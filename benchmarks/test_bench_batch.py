@@ -9,7 +9,6 @@ noise) and track the absolute throughput of both paths.
 
 from __future__ import annotations
 
-import json
 import timeit
 from pathlib import Path
 
@@ -22,15 +21,16 @@ from repro.core import (
     Workload,
     evaluate,
     evaluate_batch,
+    evaluate_variant,
     fraction_grid,
 )
 from repro.core.extensions import Bus, InterconnectSpec
-from repro.explore import sweep_fraction
-from repro.obs.bench import make_record
+from repro.explore import SweepPoint, SweepSeries, sweep_fraction
+from repro.obs.bench import append_history, make_record, new_run_id
 from repro.units import GIGA
 
-#: Variant-sweep timing snapshot (repo root, alongside BENCH_obs.json).
-VARIANTS_SNAPSHOT = Path(__file__).resolve().parent.parent / "BENCH_variants.json"
+#: The append-only benchmark trajectory at the repo root.
+BENCH_HISTORY = Path(__file__).resolve().parent.parent / "BENCH_HISTORY.jsonl"
 
 #: A 10k-point offload-fraction grid over the paper's two-IP design.
 N_POINTS = 10_000
@@ -45,10 +45,17 @@ def _pair():
     return soc, Workload.two_ip(f=0.8, i0=6, i1=2)
 
 
-def _scalar_evaluate(soc, workload):
-    # A wrapper defeats the `evaluate_fn is evaluate` identity check,
-    # forcing sweep_fraction onto the per-point scalar loop.
-    return evaluate(soc, workload)
+def _scalar_sweep(soc, workload, values, variant=None):
+    """The per-point scalar loop: build, evaluate and record each point."""
+    points = []
+    for f in values:
+        point = workload.with_fraction_at(1, f)
+        result = (
+            evaluate(soc, point) if variant is None
+            else evaluate_variant(soc, point, variant)
+        )
+        points.append(SweepPoint(f, result.attainable, result.bottleneck))
+    return SweepSeries("f[1]", tuple(points))
 
 
 def test_batch_sweep_10x_faster_than_scalar_loop():
@@ -59,9 +66,7 @@ def test_batch_sweep_10x_faster_than_scalar_loop():
         repeat=5, number=1,
     ))
     slow = min(timeit.repeat(
-        lambda: sweep_fraction(
-            soc, workload, 1, F_VALUES, evaluate_fn=_scalar_evaluate
-        ),
+        lambda: _scalar_sweep(soc, workload, F_VALUES),
         repeat=3, number=1,
     ))
     speedup = slow / fast
@@ -77,9 +82,7 @@ def test_batch_sweep_matches_scalar_loop_exactly():
     """Speed never trades accuracy: both paths agree point for point."""
     soc, workload = _pair()
     fast = sweep_fraction(soc, workload, 1, F_VALUES)
-    slow = sweep_fraction(
-        soc, workload, 1, F_VALUES, evaluate_fn=_scalar_evaluate
-    )
+    slow = _scalar_sweep(soc, workload, F_VALUES)
     assert fast.attainables() == slow.attainables()
     assert tuple(p.bottleneck for p in fast.points) == tuple(
         p.bottleneck for p in slow.points
@@ -90,11 +93,10 @@ def test_variant_batch_sweep_5x_faster_than_scalar_loop():
     """Extension sweeps ride the lowered batch backend: >= 5x on a
     10k-point interconnect f-sweep vs the per-point scalar pipeline.
 
-    The scalar loop is forced via ``on_error="record"`` (tolerant modes
-    evaluate point by point for per-point provenance); the fast path is
-    the default raise-mode dispatch through
-    :func:`repro.core.variants.evaluate_variant_batch`.  Timings land
-    in ``BENCH_variants.json`` for cross-PR comparison.
+    The scalar loop calls :func:`repro.core.variants.evaluate_variant`
+    point by point; the fast path is the sweep's dispatch through
+    :func:`repro.core.variants.evaluate_variant_batch`.  Timings are
+    appended to ``BENCH_HISTORY.jsonl`` for cross-PR comparison.
     """
     soc, workload = _pair()
     variant = InterconnectVariant(
@@ -105,27 +107,22 @@ def test_variant_batch_sweep_5x_faster_than_scalar_loop():
         repeat=5, number=1,
     ))
     slow = min(timeit.repeat(
-        lambda: sweep_fraction(
-            soc, workload, 1, F_VALUES, variant=variant, on_error="record"
-        ),
+        lambda: _scalar_sweep(soc, workload, F_VALUES, variant),
         repeat=3, number=1,
     ))
     speedup = slow / fast
     print(f"\n10k-point interconnect f-sweep: scalar {slow * 1e3:.1f} ms, "
           f"batch {fast * 1e3:.1f} ms, speedup {speedup:.1f}x")
+    run_id = new_run_id()
     meta = {"variant": "interconnect", "points": N_POINTS}
-    records = [
+    append_history(BENCH_HISTORY, [
         make_record("variants.interconnect.scalar_seconds", slow,
-                    meta=meta),
+                    run_id=run_id, meta=meta),
         make_record("variants.interconnect.batch_seconds", fast,
-                    meta=meta),
+                    run_id=run_id, meta=meta),
         make_record("variants.interconnect.speedup", speedup, "x",
-                    meta=meta),
-    ]
-    VARIANTS_SNAPSHOT.write_text(json.dumps(
-        {"schema": 1, "records": [r.to_dict() for r in records]},
-        indent=2, sort_keys=True,
-    ) + "\n", encoding="utf-8")
+                    run_id=run_id, meta=meta),
+    ])
     assert speedup >= 5.0, (
         f"variant batch sweep only {speedup:.1f}x faster than the "
         f"scalar loop (scalar {slow:.4f}s, batch {fast:.4f}s); need >= 5x"
@@ -139,10 +136,7 @@ def test_variant_batch_sweep_matches_scalar_loop():
         InterconnectSpec((Bus("fabric", 18 * GIGA),), ((0,), (0,)))
     )
     fast = sweep_fraction(soc, workload, 1, F_VALUES, variant=variant)
-    slow = sweep_fraction(
-        soc, workload, 1, F_VALUES, variant=variant, on_error="record"
-    )
-    assert not slow.errors
+    slow = _scalar_sweep(soc, workload, F_VALUES, variant)
     assert np.allclose(
         fast.attainables(), slow.attainables(), rtol=1e-12, atol=0.0
     )

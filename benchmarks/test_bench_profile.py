@@ -4,9 +4,8 @@ The tracer guards every hot-path span behind one flag check, so with
 tracing disabled the instrumented batch entry point must
 stay within 1% of the bare kernel (the ISSUE acceptance criterion on
 the 10k-point variant sweep).  A second check compares against the
-``BENCH_variants.json`` snapshot when — and only when — the snapshot
-was recorded on this host; cross-machine wall-clock comparisons are
-noise, not signal.
+latest variant-sweep timing in ``BENCH_HISTORY.jsonl`` recorded on
+this host; cross-machine wall-clock comparisons are noise, not signal.
 """
 
 from __future__ import annotations
@@ -26,12 +25,12 @@ from repro.core.batch import (
 from repro.core.extensions import Bus, InterconnectSpec
 from repro.explore import sweep_fraction
 from repro.obs import tracing_enabled
-from repro.obs.bench import host_fingerprint, load_bench_file
+from repro.obs.bench import host_fingerprint, read_history
 from repro.units import GIGA
 
 #: Same design point and grid as test_bench_batch.py (kept in sync by
 #: hand: the benchmark modules are not an importable package).
-VARIANTS_SNAPSHOT = Path(__file__).resolve().parent.parent / "BENCH_variants.json"
+BENCH_HISTORY = Path(__file__).resolve().parent.parent / "BENCH_HISTORY.jsonl"
 N_POINTS = 10_000
 F_VALUES = [k / (N_POINTS - 1) for k in range(N_POINTS)]
 
@@ -109,25 +108,24 @@ def test_disabled_observability_overhead_within_1pct():
     )
 
 
-def test_variant_sweep_vs_snapshot_same_host_only():
-    """Timing vs the checked-in snapshot, gated on host identity.
+def test_variant_sweep_vs_history_same_host_only():
+    """Timing vs the latest same-host history record.
 
-    Legacy snapshots carry no host fingerprint and other machines'
-    numbers are incomparable — both cases report instead of asserting.
-    On the recording host, the 10k-point interconnect sweep must stay
-    within a coarse 1.5x tripwire of the snapshot (fine-grained
-    detection is ``gables bench compare``'s job).
+    Other machines' numbers are incomparable, so without a record from
+    this host the test skips.  On the recording host, the 10k-point
+    interconnect sweep must stay within a coarse 1.5x tripwire of the
+    record (fine-grained detection is ``gables bench compare``'s job).
     """
-    if not VARIANTS_SNAPSHOT.exists():
-        pytest.skip("no BENCH_variants.json snapshot yet")
-    records = load_bench_file(VARIANTS_SNAPSHOT)
+    host = host_fingerprint()
+    records = read_history(BENCH_HISTORY) if BENCH_HISTORY.exists() else ()
     baseline = next(
-        (r for r in records
-         if r.name == "variants.interconnect.batch_seconds"),
+        (r for r in reversed(records)
+         if r.name == "variants.interconnect.batch_seconds"
+         and r.host == host),
         None,
     )
     if baseline is None:
-        pytest.skip("snapshot has no interconnect batch timing")
+        pytest.skip("no interconnect batch timing recorded on this host")
     soc, workload = _pair()
     variant = _variant()
     current = min(timeit.repeat(
@@ -136,18 +134,13 @@ def test_variant_sweep_vs_snapshot_same_host_only():
         repeat=5, number=1,
     ))
     ratio = current / baseline.value if baseline.value else float("inf")
-    print(f"\nsnapshot batch_seconds {baseline.value:.6f}s, "
+    print(f"\nrecorded batch_seconds {baseline.value:.6f}s, "
           f"current {current:.6f}s ({ratio:.2f}x)")
-    if not baseline.host:
-        pytest.skip("legacy snapshot without a host fingerprint; "
-                    "report-only")
-    if baseline.host != host_fingerprint():
-        pytest.skip("snapshot recorded on a different host; report-only")
     # A coarse tripwire only: min-of-5 of a ~13 ms sweep drifts ~25%
     # run to run on a busy single-core box.  The principled 20% bar
     # lives in `gables bench compare`, whose rolling median + MAD
     # baseline absorbs exactly this noise.
     assert current <= baseline.value * 1.5, (
         f"10k-point variant sweep regressed {ratio:.2f}x vs the "
-        f"same-host snapshot ({baseline.value:.6f}s -> {current:.6f}s)"
+        f"same-host record ({baseline.value:.6f}s -> {current:.6f}s)"
     )

@@ -1258,7 +1258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--engine", dest="batch_engine", default="auto",
         choices=("auto", "compiled", "interpreted"),
-        help="batch-evaluation tier for coalesced requests",
+        help="batch-evaluation tier for coalesced /eval batches and "
+             "/sweep",
     )
     p_serve.add_argument(
         "--queue-limit", dest="queue_limit", type=int, default=64,
@@ -1284,7 +1285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--chaos", action="store_true",
         help="accept per-request fault-injection hooks "
-             "(crash/wedge/compiled-crash) — test rigs only",
+             "(crash/wedge) — test rigs only",
     )
     p_serve.add_argument(
         "--drain-timeout-s", dest="drain_timeout_s", type=float,

@@ -2,17 +2,19 @@
 
 The paper's analyses are sweeps: Figure 6 walks ``f``, ``Bpeak`` and
 ``I1``; Figure 8 sweeps ``f`` per intensity line.  This module provides
-those sweeps over *any* evaluator with the model's signature, recording
-the attainable performance and the binding component at every point —
-the bottleneck transitions are where the design insight lives.
+those sweeps, recording the attainable performance and the binding
+component at every point — the bottleneck transitions are where the
+design insight lives.
 
-Each built-in sweep runs on the vectorized batch engine
-(:func:`repro.core.batch.evaluate_batch`): the whole parameter grid is
-constructed as numpy arrays and evaluated in one shot, which is what
-makes dense, interactive sweeps cheap (see ``docs/performance.md``).
-Passing a custom ``evaluate_fn`` opts out of batching and falls back to
-the per-point scalar loop, preserving the pluggable-evaluator escape
-hatch for power-constrained or extended models.
+Every sweep runs on the vectorized batch engine
+(:func:`repro.core.batch.evaluate_batch`), in every ``on_error`` mode:
+the swept values are checked in one vectorized pass against the rule
+of the scalar constructor they feed, each rejected value carries that
+constructor's own error, and the accepted values are evaluated in one
+shot, which is what makes dense, interactive sweeps cheap (see
+``docs/performance.md``).  The surviving points of a tolerant sweep
+are therefore bitwise equal to a ``"raise"`` sweep over the accepted
+values.
 """
 
 from __future__ import annotations
@@ -24,17 +26,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core.batch import evaluate_batch, fraction_grid
-from ..core.gables import evaluate
 from ..core.params import SoCSpec, Workload
-from ..core.variants import (
-    ModelVariant,
-    evaluate_variant,
-    evaluate_variant_batch,
-)
+from ..core.variants import ModelVariant, evaluate_variant_batch
 from ..errors import ReproError, SpecError, WorkloadError
 from ..obs.metrics import counter as _counter
 from ..obs.trace import span as _span
-from ..resilience.partial import check_on_error, record_failure
+from ..resilience.partial import PointFailure, check_on_error, record_failure
 
 _SWEEP_SERIES = _counter("explore.sweep.series")
 _SWEEP_POINTS = _counter("explore.sweep.points")
@@ -118,83 +115,90 @@ class SweepSeries:
         return tuple(transitions)
 
 
-EvaluateFn = Callable[[SoCSpec, Workload], object]
+def _unit_interval(values: np.ndarray) -> np.ndarray:
+    """Where :meth:`Workload.with_fraction_at` accepts: ``0 <= f <= 1``."""
+    return (values >= 0) & (values <= 1)
+
+
+def _positive(values: np.ndarray) -> np.ndarray:
+    """Where ``require_positive`` accepts: ``> 0``, inf allowed, NaN not."""
+    return values > 0
+
+
+def _finite_positive(values: np.ndarray) -> np.ndarray:
+    """Where ``require_finite_positive`` accepts."""
+    return np.isfinite(values) & (values > 0)
 
 
 def _series(
     parameter: str,
     values: Sequence[float],
-    build: Callable[[float], tuple],
-    evaluate_fn: EvaluateFn,
-    batch_fn=None,
-    on_error: str = "raise",
-    variant: ModelVariant | None = None,
+    accepts: Callable[[np.ndarray], np.ndarray],
+    build: Callable[[float], object],
+    batch_fn: Callable[[np.ndarray, str], object],
+    on_error: str,
 ) -> SweepSeries:
-    check_on_error(on_error)
-    if variant is not None and evaluate_fn is not evaluate:
-        raise SpecError(
-            "pass either a custom evaluate_fn or a variant, not both"
-        )
-    use_batch = (
-        batch_fn is not None
-        and evaluate_fn is evaluate
-        and on_error == "raise"
-    )
-    if variant is not None:
-        # Route scalar fallbacks through the lowered engine; the batch
-        # fast path (built variant-aware by the sweep functions) stays.
-        def evaluate_fn(soc, workload, _variant=variant):  # noqa: F811
-            return evaluate_variant(soc, workload, _variant)
+    """Check the values, then evaluate the accepted ones as one batch.
 
+    ``accepts`` is the vectorized rule of the scalar constructor
+    ``build``: True exactly where ``build(value)`` does not raise.  A
+    rejected value gets ``build``'s own error, raised for the first one
+    under ``"raise"``, kept in value order under ``"record"`` and
+    dropped under ``"skip"``.  Tolerant modes run ``batch_fn`` under
+    ``on_error="record"``, so a row the batch rejects fails alone.
+    """
+    check_on_error(on_error)
     if len(values) == 0:
         raise SpecError(f"sweep over {parameter!r} needs at least one value")
     _SWEEP_SERIES.inc()
     _SWEEP_POINTS.inc(len(values))
-    errors: tuple = ()
+    failures = []
+    points: tuple = ()
     with _span("explore.sweep", parameter=parameter, points=len(values)):
-        if use_batch:
-            # Fast path: the whole grid through the vectorized engine.
+        swept = np.asarray(values, dtype=float)
+        accepted = accepts(swept)
+        for index in np.flatnonzero(~accepted).tolist():
+            try:
+                build(values[index])
+            except ReproError as err:
+                if on_error == "raise":
+                    raise
+                failures.append(
+                    (index, record_failure((float(values[index]),), err))
+                )
+        kept = np.flatnonzero(accepted)
+        if kept.size:
             _SWEEP_BATCHES.inc()
-            batch = batch_fn(np.asarray(values, dtype=float))
+            kept_values = swept[kept]
+            batch = batch_fn(
+                kept_values, "raise" if on_error == "raise" else "record"
+            )
             names = batch.component_names
             points = tuple(
                 SweepPoint(
-                    value=float(value),
+                    value=value,
                     attainable=attainable,
                     bottleneck=names[code],
                 )
                 for value, attainable, code in zip(
-                    values,
+                    kept_values.tolist(),
                     batch.attainables.tolist(),
                     batch.bottleneck_codes.tolist(),
                 )
+                if code >= 0
             )
-        else:
-            # Scalar loop: custom evaluators, and the tolerant modes
-            # (which need per-point exception capture).  Surviving
-            # points are bitwise identical to a fault-free run — the
-            # same scalar evaluation either way.
-            scalar_points = []
-            failures = []
-            for value in values:
-                try:
-                    soc, workload = build(value)
-                    result = evaluate_fn(soc, workload)
-                except ReproError as err:
-                    if on_error == "raise":
-                        raise
-                    failures.append(record_failure((float(value),), err))
-                    continue
-                scalar_points.append(
-                    SweepPoint(
-                        value=float(value),
-                        attainable=result.attainable,
-                        bottleneck=result.bottleneck,
-                    )
-                )
-            points = tuple(scalar_points)
-            if on_error == "record":
-                errors = tuple(failures)
+            # Phased batches run only under "raise" and carry no errors.
+            for failure in getattr(batch, "errors", ()):
+                index = int(kept[failure.coords[0]])
+                failures.append((index, PointFailure(
+                    coords=(float(values[index]),),
+                    code=failure.code,
+                    message=failure.message,
+                )))
+    errors: tuple = ()
+    if on_error == "record":
+        failures.sort(key=lambda item: item[0])
+        errors = tuple(failure for _, failure in failures)
     return SweepSeries(parameter=parameter, points=points, errors=errors)
 
 
@@ -226,7 +230,6 @@ def sweep_fraction(
     workload: Workload,
     ip_index: int,
     fractions: Sequence[float],
-    evaluate_fn: EvaluateFn = evaluate,
     on_error: str = "raise",
     variant: ModelVariant | None = None,
     engine: str = "auto",
@@ -237,30 +240,34 @@ def sweep_fraction(
     proportionally among the rest (see
     :meth:`~repro.core.params.Workload.with_fraction_at`).
     """
+    if not 0 <= ip_index < workload.n_ips:
+        raise WorkloadError(
+            f"IP index {ip_index} out of range for N={workload.n_ips}"
+        )
     _require_workload_variant(variant, f"f[{ip_index}]")
 
-    def batch_fn(values: np.ndarray):
+    def batch_fn(values: np.ndarray, on_error: str):
         grid = fraction_grid(workload.fractions, ip_index, values)
         intensities_m = np.broadcast_to(
             np.asarray(workload.intensities, dtype=float), grid.shape
         )
         if variant is None:
             return evaluate_batch(
-                soc, grid, intensities_m, validate=False, engine=engine
+                soc, grid, intensities_m, validate=False,
+                on_error=on_error, engine=engine,
             )
         return evaluate_variant_batch(
             soc, variant, grid, intensities_m, validate=False,
-            engine=engine,
+            on_error=on_error, engine=engine,
         )
 
     return _series(
         f"f[{ip_index}]",
         fractions,
-        lambda f: (soc, workload.with_fraction_at(ip_index, f)),
-        evaluate_fn,
+        _unit_interval,
+        lambda f: workload.with_fraction_at(ip_index, f),
         batch_fn,
-        on_error=on_error,
-        variant=variant,
+        on_error,
     )
 
 
@@ -269,7 +276,6 @@ def sweep_intensity(
     workload: Workload,
     ip_index: int,
     intensities: Sequence[float],
-    evaluate_fn: EvaluateFn = evaluate,
     on_error: str = "raise",
     variant: ModelVariant | None = None,
     engine: str = "auto",
@@ -279,16 +285,12 @@ def sweep_intensity(
         raise SpecError(f"ip_index {ip_index} out of range")
     _require_workload_variant(variant, f"I[{ip_index}]")
 
-    def build(value: float) -> tuple:
+    def build(value: float) -> Workload:
         intensities_new = list(workload.intensities)
         intensities_new[ip_index] = value
-        return soc, replace(workload, intensities=tuple(intensities_new))
+        return replace(workload, intensities=tuple(intensities_new))
 
-    def batch_fn(values: np.ndarray):
-        if not np.all((values > 0) & ~np.isnan(values)):
-            raise WorkloadError(
-                "swept intensities must be positive (inf allowed)"
-            )
+    def batch_fn(values: np.ndarray, on_error: str):
         matrix = np.tile(
             np.asarray(workload.intensities, dtype=float), (len(values), 1)
         )
@@ -296,16 +298,16 @@ def sweep_intensity(
         fractions_m, _ = _workload_matrices(workload, len(values))
         if variant is None:
             return evaluate_batch(
-                soc, fractions_m, matrix, validate=False, engine=engine
+                soc, fractions_m, matrix, validate=False,
+                on_error=on_error, engine=engine,
             )
         return evaluate_variant_batch(
             soc, variant, fractions_m, matrix, validate=False,
-            engine=engine,
+            on_error=on_error, engine=engine,
         )
 
     return _series(
-        f"I[{ip_index}]", intensities, build, evaluate_fn, batch_fn,
-        on_error=on_error, variant=variant,
+        f"I[{ip_index}]", intensities, _positive, build, batch_fn, on_error
     )
 
 
@@ -313,14 +315,13 @@ def sweep_memory_bandwidth(
     soc: SoCSpec,
     workload: Workload,
     bandwidths: Sequence[float],
-    evaluate_fn: EvaluateFn = evaluate,
     on_error: str = "raise",
     variant: ModelVariant | None = None,
     engine: str = "auto",
 ) -> SweepSeries:
     """Sweep ``Bpeak`` (Fig. 6b -> 6c's question: does more DRAM help?)."""
 
-    def batch_fn(values: np.ndarray):
+    def batch_fn(values: np.ndarray, on_error: str):
         if variant is not None and not variant.requires_workload:
             return evaluate_variant_batch(
                 soc, variant, memory_bandwidth=values, engine=engine
@@ -329,21 +330,20 @@ def sweep_memory_bandwidth(
         if variant is None:
             return evaluate_batch(
                 soc, fractions_m, intensities_m, memory_bandwidth=values,
-                engine=engine,
+                on_error=on_error, engine=engine,
             )
         return evaluate_variant_batch(
             soc, variant, fractions_m, intensities_m,
-            memory_bandwidth=values, engine=engine,
+            memory_bandwidth=values, on_error=on_error, engine=engine,
         )
 
     return _series(
         "Bpeak",
         bandwidths,
-        lambda b: (soc.with_memory_bandwidth(b), workload),
-        evaluate_fn,
+        _finite_positive,
+        soc.with_memory_bandwidth,
         batch_fn,
-        on_error=on_error,
-        variant=variant,
+        on_error,
     )
 
 
@@ -352,7 +352,6 @@ def sweep_ip_bandwidth(
     workload: Workload,
     ip_index: int,
     bandwidths: Sequence[float],
-    evaluate_fn: EvaluateFn = evaluate,
     on_error: str = "raise",
     variant: ModelVariant | None = None,
     engine: str = "auto",
@@ -361,7 +360,7 @@ def sweep_ip_bandwidth(
     if not 0 <= ip_index < soc.n_ips:
         raise SpecError(f"IP index {ip_index} out of range for N={soc.n_ips}")
 
-    def batch_fn(values: np.ndarray):
+    def batch_fn(values: np.ndarray, on_error: str):
         matrix = np.tile(
             np.array([ip.bandwidth for ip in soc.ips]), (len(values), 1)
         )
@@ -374,21 +373,20 @@ def sweep_ip_bandwidth(
         if variant is None:
             return evaluate_batch(
                 soc, fractions_m, intensities_m, ip_bandwidths=matrix,
-                engine=engine,
+                on_error=on_error, engine=engine,
             )
         return evaluate_variant_batch(
             soc, variant, fractions_m, intensities_m, ip_bandwidths=matrix,
-            engine=engine,
+            on_error=on_error, engine=engine,
         )
 
     return _series(
         f"B[{ip_index}]",
         bandwidths,
-        lambda b: (soc.with_ip(ip_index, bandwidth=b), workload),
-        evaluate_fn,
+        _positive,
+        lambda b: soc.with_ip(ip_index, bandwidth=b),
         batch_fn,
-        on_error=on_error,
-        variant=variant,
+        on_error,
     )
 
 
@@ -397,7 +395,6 @@ def sweep_acceleration(
     workload: Workload,
     ip_index: int,
     accelerations: Sequence[float],
-    evaluate_fn: EvaluateFn = evaluate,
     on_error: str = "raise",
     variant: ModelVariant | None = None,
     engine: str = "auto",
@@ -408,16 +405,13 @@ def sweep_acceleration(
     if not 0 <= ip_index < soc.n_ips:
         raise SpecError(f"IP index {ip_index} out of range for N={soc.n_ips}")
 
-    def batch_fn(values: np.ndarray):
-        if not np.all(np.isfinite(values) & (values > 0)):
-            raise SpecError(
-                "swept accelerations must be finite positive numbers"
-            )
+    def batch_fn(values: np.ndarray, on_error: str):
         matrix = np.tile(
             np.array([soc.ip_peak(i) for i in range(soc.n_ips)]),
             (len(values), 1),
         )
-        matrix[:, ip_index] = values * soc.peak_perf
+        with np.errstate(over="ignore"):  # the batch rejects inf peaks
+            matrix[:, ip_index] = values * soc.peak_perf
         if variant is not None and not variant.requires_workload:
             return evaluate_variant_batch(
                 soc, variant, ip_peaks=matrix, engine=engine
@@ -426,19 +420,18 @@ def sweep_acceleration(
         if variant is None:
             return evaluate_batch(
                 soc, fractions_m, intensities_m, ip_peaks=matrix,
-                engine=engine,
+                on_error=on_error, engine=engine,
             )
         return evaluate_variant_batch(
             soc, variant, fractions_m, intensities_m, ip_peaks=matrix,
-            engine=engine,
+            on_error=on_error, engine=engine,
         )
 
     return _series(
         f"A[{ip_index}]",
         accelerations,
-        lambda a: (soc.with_ip(ip_index, acceleration=a), workload),
-        evaluate_fn,
+        _finite_positive,
+        lambda a: soc.with_ip(ip_index, acceleration=a),
         batch_fn,
-        on_error=on_error,
-        variant=variant,
+        on_error,
     )

@@ -145,7 +145,7 @@ def sweep_grid(
                 errors=tuple(failures) if on_error == "record" else (),
             )
         # Workload construction already validated every row; the batch
-        # skip mode still weeds out degenerate (all-zero-time) points.
+        # record mode still weeds out degenerate (all-zero-time) points.
         batch_eval = (
             evaluate_batch
             if variant is None
@@ -158,7 +158,7 @@ def sweep_grid(
             np.array([w.fractions for w in workloads]),
             np.array([w.intensities for w in workloads]),
             validate=False,
-            on_error="raise" if on_error == "raise" else "skip",
+            on_error="raise" if on_error == "raise" else "record",
             engine=engine,
         )
         for failure in batch.errors:
@@ -170,8 +170,6 @@ def sweep_grid(
                     message=failure.message,
                 )
             )
-        if batch.point_indices is not None:
-            kept_coords = [kept_coords[i] for i in batch.point_indices.tolist()]
         names = batch.component_names
         cells = tuple(
             GridCell(
@@ -185,6 +183,7 @@ def sweep_grid(
                 batch.attainables.tolist(),
                 batch.bottleneck_codes.tolist(),
             )
+            if code >= 0
         )
     return SweepGrid(
         x_name=x_name,

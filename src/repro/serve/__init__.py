@@ -12,8 +12,9 @@ deployment story, dependency-free (stdlib ``http.server`` + threads):
   per-request deadlines, the micro-batching coalescer (bitwise
   identical to offline scalar evaluation on 2-IP SoCs, within 1e-12
   relative with the same bottleneck and binding set on wider ones),
-  the compiled-tier circuit breaker, the wedged-worker watchdog, and
-  graceful drain;
+  inline sweeps that run the offline :mod:`repro.explore.sweep`
+  drivers (so a served sweep equals the offline one bitwise, in every
+  ``on_error`` mode), the wedged-worker watchdog, and graceful drain;
 - :mod:`~repro.serve.server` — the thin HTTP adapter
   (``gables serve``), with ``/healthz``, ``/readyz``, and
   SIGTERM-triggered drain;
@@ -46,16 +47,10 @@ from .protocol import (
     parse_variants_request,
 )
 from .server import GablesServer, run_server
-from .service import (
-    CircuitBreaker,
-    EvaluationService,
-    ResultCache,
-    ServiceConfig,
-)
+from .service import EvaluationService, ResultCache, ServiceConfig
 
 __all__ = [
     "HTTP_STATUS_BY_CODE",
-    "CircuitBreaker",
     "EvaluationService",
     "GablesServer",
     "LoadReport",

@@ -47,7 +47,7 @@ from ..resilience import ON_ERROR_MODES
 
 #: Chaos fault keys a request may carry (honored only when the service
 #: was started with fault injection enabled; see ``ServiceConfig``).
-FAULT_KINDS = ("crash", "wedge", "compiled-crash")
+FAULT_KINDS = ("crash", "wedge")
 
 #: HTTP status for every catalogued error code — class defaults and
 #: fine-grained codes alike.  ``tests/test_errors.py`` asserts the

@@ -6,7 +6,7 @@ JSON in, strict JSON out, every failure mapped through
 :mod:`repro.serve.protocol` into a structured error body with a
 catalogued code and the HTTP status from
 :data:`~repro.serve.protocol.HTTP_STATUS_BY_CODE`.  All policy —
-admission, deadlines, batching, breakers — lives in the service;
+admission, deadlines, batching, the watchdog — lives in the service;
 the only decisions made here are transport ones:
 
 - every request is assigned a fresh request id, answered in the

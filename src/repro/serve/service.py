@@ -29,11 +29,6 @@ failure mode:
   append-only JSONL file recovered on restart through the shared
   torn-tail-tolerant reader (crash-only restart: kill the process,
   start it again, warm cache).
-- **circuit breaker** — batch work normally runs the compiled engine
-  tier; if that tier starts *failing* the breaker trips and routes
-  batches to the interpreted engine for a cooldown (each failed
-  attempt also falls back immediately, so the request that observed
-  the failure still succeeds).
 - **watchdog** — a wedged worker thread (stuck evaluating) is
   detected after ``watchdog_hang_s``, its in-flight batch is failed
   with ``SERVE_WORKER_CRASHED``, and a fresh worker is started; the
@@ -43,7 +38,7 @@ failure mode:
   the worker and watchdog.
 
 Chaos hooks: when ``allow_fault_injection`` is set, a request may
-carry ``"fault": "crash" | "wedge" | "compiled-crash"`` to exercise
+carry ``"fault": "crash" | "wedge"`` to exercise
 exactly these paths (the load generator's fault plans do); outside
 chaos runs the field is rejected at validation.
 """
@@ -64,7 +59,6 @@ from ..errors import (
     FINE_GRAINED_CODES,
     ReproError,
     ServeError,
-    SimulationError,
     SpecError,
     error_classes,
 )
@@ -94,8 +88,6 @@ _BATCHES = _counter("serve.batches")
 _BATCHED = _counter("serve.batched_requests")
 _CACHE_HITS = _counter("serve.cache.hits")
 _CACHE_MISSES = _counter("serve.cache.misses")
-_BREAKER_TRIPS = _counter("serve.breaker.trips")
-_BREAKER_FALLBACKS = _counter("serve.breaker.fallbacks")
 _RECYCLES = _counter("serve.watchdog.recycles")
 _FAULTS = _counter("serve.faults.injected")
 
@@ -121,8 +113,6 @@ class ServiceConfig:
     cache_capacity: int = 1024
     cache_path: str | None = None
     engine: str = "auto"
-    breaker_threshold: int = 3
-    breaker_cooldown_s: float = 5.0
     watchdog_poll_s: float = 0.05
     watchdog_hang_s: float = 2.0
     wedge_s: float = 8.0
@@ -133,7 +123,6 @@ class ServiceConfig:
         for name, minimum in (
             ("queue_limit", 1), ("batch_max", 1), ("cache_capacity", 1),
             ("max_sweep_points", 1), ("max_body_bytes", 1),
-            ("breaker_threshold", 1),
         ):
             if getattr(self, name) < minimum:
                 raise SpecError(
@@ -141,8 +130,7 @@ class ServiceConfig:
                 )
         for name in (
             "batch_window_s", "default_deadline_s", "max_deadline_s",
-            "breaker_cooldown_s", "watchdog_poll_s", "watchdog_hang_s",
-            "wedge_s", "slo_p99_s",
+            "watchdog_poll_s", "watchdog_hang_s", "wedge_s", "slo_p99_s",
         ):
             if not getattr(self, name) > 0:
                 raise SpecError(
@@ -153,60 +141,6 @@ class ServiceConfig:
                 f"engine must be auto|compiled|interpreted, got "
                 f"{self.engine!r}"
             )
-
-
-class CircuitBreaker:
-    """Closed → open → half-open breaker over the compiled batch tier.
-
-    ``threshold`` consecutive failures trip it open; after
-    ``cooldown_s`` one probe is allowed through (half-open) and its
-    outcome decides between closing and re-opening.  Thread safe.
-    """
-
-    def __init__(self, threshold: int = 3, cooldown_s: float = 5.0,
-                 clock=time.monotonic) -> None:
-        self._threshold = int(threshold)
-        self._cooldown_s = float(cooldown_s)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures = 0
-        self._state = "closed"
-        self._opened_at = 0.0
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"``, or ``"half-open"``."""
-        with self._lock:
-            return self._state
-
-    def allow(self) -> bool:
-        """May the protected tier be attempted right now?"""
-        with self._lock:
-            if self._state == "closed" or self._state == "half-open":
-                return True
-            if self._clock() - self._opened_at >= self._cooldown_s:
-                self._state = "half-open"
-                return True
-            return False
-
-    def record_success(self) -> None:
-        with self._lock:
-            self._state = "closed"
-            self._failures = 0
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self._failures += 1
-            tripping = (
-                self._state == "half-open"
-                or self._failures >= self._threshold
-            )
-            if tripping and self._state != "open":
-                self._state = "open"
-                self._opened_at = self._clock()
-                _BREAKER_TRIPS.inc()
-            elif tripping:
-                self._opened_at = self._clock()
 
 
 class ResultCache:
@@ -333,11 +267,6 @@ class EvaluationService:
         self._clock = clock
         self.cache = ResultCache(
             self.config.cache_capacity, self.config.cache_path
-        )
-        self.breaker = CircuitBreaker(
-            self.config.breaker_threshold,
-            self.config.breaker_cooldown_s,
-            clock=clock,
         )
         self._cv = threading.Condition()
         self._queue: deque = deque()
@@ -480,25 +409,24 @@ class EvaluationService:
             if self._clock() >= deadline:
                 raise _deadline_error("sweep request")
 
-            def run(engine: str):
-                if request.param == "f":
-                    return sweep_fraction(
-                        request.soc, request.workload, request.ip_index,
-                        request.values, on_error=request.on_error,
-                        engine=engine,
-                    )
-                if request.param == "intensity":
-                    return sweep_intensity(
-                        request.soc, request.workload, request.ip_index,
-                        request.values, on_error=request.on_error,
-                        engine=engine,
-                    )
-                return sweep_memory_bandwidth(
+            engine = self.config.engine
+            if request.param == "f":
+                series = sweep_fraction(
+                    request.soc, request.workload, request.ip_index,
+                    request.values, on_error=request.on_error,
+                    engine=engine,
+                )
+            elif request.param == "intensity":
+                series = sweep_intensity(
+                    request.soc, request.workload, request.ip_index,
+                    request.values, on_error=request.on_error,
+                    engine=engine,
+                )
+            else:
+                series = sweep_memory_bandwidth(
                     request.soc, request.workload, request.values,
                     on_error=request.on_error, engine=engine,
                 )
-
-            series, engine = self._with_engine_fallback(run)
             return {
                 "kind": "sweep",
                 "parameter": series.parameter,
@@ -584,7 +512,6 @@ class EvaluationService:
             "inflight": inflight,
             "queued": queued,
             "queue_limit": self.config.queue_limit,
-            "breaker": self.breaker.state,
             "cache_entries": len(self.cache),
             "metrics": {
                 "requests": _REQUESTS.value,
@@ -593,7 +520,6 @@ class EvaluationService:
                 "batches": _BATCHES.value,
                 "batched_requests": _BATCHED.value,
                 "cache_hits": _CACHE_HITS.value,
-                "breaker_trips": _BREAKER_TRIPS.value,
                 "watchdog_recycles": _RECYCLES.value,
                 "faults_injected": _FAULTS.value,
             },
@@ -773,27 +699,6 @@ class EvaluationService:
         else:
             job.finish(payload=payload)
 
-    def _with_engine_fallback(self, run):
-        """Run ``run(engine)`` under the circuit breaker.
-
-        The preferred engine (the compiled tier allowed) is attempted
-        when the breaker admits it; a failure there records on the
-        breaker and the *same* work retries interpreted, so the
-        request that observed a compiled-tier fault still succeeds.
-        Returns ``(result, engine_used)``.
-        """
-        preferred = self.config.engine
-        if preferred != "interpreted" and self.breaker.allow():
-            try:
-                result = run(preferred)
-            except ReproError:
-                self.breaker.record_failure()
-                _BREAKER_FALLBACKS.inc()
-            else:
-                self.breaker.record_success()
-                return result, preferred
-        return run("interpreted"), "interpreted"
-
     def _run_group(self, jobs) -> None:
         """Coalesced scalar evaluations for one SoC; never raises.
 
@@ -811,24 +716,12 @@ class EvaluationService:
         intensities = np.array(
             [j.request.workload.intensities for j in jobs], dtype=float
         )
-        chaos = self.config.allow_fault_injection
-        inject_compiled = chaos and any(
-            j.request.fault == "compiled-crash" for j in jobs
-        )
-
-        def run(engine: str):
-            if inject_compiled and engine != "interpreted":
-                _FAULTS.inc()
-                raise SimulationError(
-                    "injected fault: compiled tier crashed"
-                )
-            return evaluate_batch(
+        engine = self.config.engine
+        try:
+            batch = evaluate_batch(
                 soc, fractions, intensities, on_error="record",
                 engine=engine,
             )
-
-        try:
-            batch, engine = self._with_engine_fallback(run)
         except ReproError as err:
             for job in jobs:
                 job.finish(error=err)

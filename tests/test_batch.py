@@ -350,11 +350,17 @@ class TestSweepBatchPath:
         return two_ip_soc, Workload.two_ip(f=0.8, i0=6, i1=2)
 
     @staticmethod
-    def _scalar(sweep, *args, **kwargs):
-        # A wrapper defeats the `evaluate_fn is evaluate` identity check
-        # and forces the per-point escape hatch.
-        return sweep(*args, evaluate_fn=lambda s, w: evaluate(s, w),
-                     **kwargs)
+    def _scalar(parameter, values, build):
+        """The per-point reference: build each point, evaluate it."""
+        from repro.explore import SweepPoint, SweepSeries
+
+        points = []
+        for value in values:
+            result = evaluate(*build(value))
+            points.append(
+                SweepPoint(float(value), result.attainable, result.bottleneck)
+            )
+        return SweepSeries(parameter, tuple(points))
 
     def _assert_same_series(self, fast, slow):
         assert fast.parameter == slow.parameter
@@ -371,8 +377,9 @@ class TestSweepBatchPath:
         batches = counter("explore.sweep.batches")
         fast = sweep_fraction(soc, workload, 1, F_GRID)
         assert batches.value == 1.0
-        slow = self._scalar(sweep_fraction, soc, workload, 1, F_GRID)
-        assert batches.value == 1.0  # escape hatch did not batch
+        slow = self._scalar(
+            "f[1]", F_GRID, lambda f: (soc, workload.with_fraction_at(1, f))
+        )
         self._assert_same_series(fast, slow)
 
     def test_intensity_sweep(self, setup):
@@ -382,7 +389,9 @@ class TestSweepBatchPath:
         values = [0.25, 1.0, 4.0, 64.0, math.inf]
         self._assert_same_series(
             sweep_intensity(soc, workload, 1, values),
-            self._scalar(sweep_intensity, soc, workload, 1, values),
+            self._scalar("I[1]", values, lambda i: (
+                soc, Workload(workload.fractions, (workload.intensities[0], i))
+            )),
         )
 
     def test_memory_bandwidth_sweep(self, setup):
@@ -392,7 +401,9 @@ class TestSweepBatchPath:
         values = [1 * GIGA, 10 * GIGA, 30 * GIGA]
         self._assert_same_series(
             sweep_memory_bandwidth(soc, workload, values),
-            self._scalar(sweep_memory_bandwidth, soc, workload, values),
+            self._scalar("Bpeak", values, lambda b: (
+                soc.with_memory_bandwidth(b), workload
+            )),
         )
 
     def test_ip_bandwidth_sweep(self, setup):
@@ -402,7 +413,9 @@ class TestSweepBatchPath:
         values = [1 * GIGA, 5 * GIGA, math.inf]
         self._assert_same_series(
             sweep_ip_bandwidth(soc, workload, 1, values),
-            self._scalar(sweep_ip_bandwidth, soc, workload, 1, values),
+            self._scalar("B[1]", values, lambda b: (
+                soc.with_ip(1, bandwidth=b), workload
+            )),
         )
 
     def test_acceleration_sweep(self, setup):
@@ -412,7 +425,9 @@ class TestSweepBatchPath:
         values = [0.5, 2.0, 8.0, 64.0]
         self._assert_same_series(
             sweep_acceleration(soc, workload, 1, values),
-            self._scalar(sweep_acceleration, soc, workload, 1, values),
+            self._scalar("A[1]", values, lambda a: (
+                soc.with_ip(1, acceleration=a), workload
+            )),
         )
 
     def test_sweep_error_parity(self, setup):

@@ -41,7 +41,6 @@ from repro.errors import (
 )
 from repro.io.json_codec import encode_result, encode_soc, encode_workload
 from repro.serve import (
-    CircuitBreaker,
     EvaluationService,
     GablesServer,
     ResultCache,
@@ -261,35 +260,6 @@ class TestResultCache:
         assert len(reborn) == 2
         assert reborn.get("k5") == {"v": 5}
         assert reborn.get("k0") is None
-
-
-class TestCircuitBreaker:
-    def test_trips_after_threshold_and_recovers(self):
-        clock = {"now": 0.0}
-        breaker = CircuitBreaker(threshold=2, cooldown_s=5.0,
-                                 clock=lambda: clock["now"])
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        clock["now"] = 6.0
-        assert breaker.allow()  # half-open probe
-        assert breaker.state == "half-open"
-        breaker.record_success()
-        assert breaker.state == "closed"
-
-    def test_half_open_failure_reopens(self):
-        clock = {"now": 0.0}
-        breaker = CircuitBreaker(threshold=1, cooldown_s=1.0,
-                                 clock=lambda: clock["now"])
-        breaker.record_failure()
-        clock["now"] = 2.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
 
 
 class TestServiceEval:
@@ -526,6 +496,62 @@ class TestCoalescer:
             assert within_contract(got, want)
 
 
+class TestServiceSweep:
+    """Served ``/sweep`` runs the offline drivers on the one batch path."""
+
+    def test_default_mode_sweep_is_bitwise_offline(self):
+        """The default ``"record"`` mode over a 3-IP SoC returns the
+        offline ``"raise"`` sweep's numbers bit for bit."""
+        from repro.explore.sweep import sweep_fraction
+
+        soc, (workload,) = wide_soc(0, 3, 1)
+        values = [k / 999 for k in range(1000)]
+        service = EvaluationService(ServiceConfig())
+        try:
+            payload = service.handle_sweep({
+                "soc": encode_soc(soc),
+                "workload": encode_workload(workload),
+                "param": "f",
+                "ip_index": 1,
+                "values": values,
+            })
+        finally:
+            service.drain(timeout_s=2.0)
+        offline = sweep_fraction(soc, workload, 1, values)
+        assert payload["errors"] == []
+        assert [a.hex() for a in payload["attainables"]] == [
+            a.hex() for a in offline.attainables()
+        ]
+        assert payload["bottlenecks"] == [
+            p.bottleneck for p in offline.points
+        ]
+
+    def test_client_errors_keep_the_configured_engine(self):
+        """Rejected sweeps are client errors: they do not move later
+        requests off the configured engine."""
+        service = EvaluationService(ServiceConfig(
+            engine="compiled", batch_window_s=0.001,
+        ))
+        document = {
+            "soc": encode_soc(SCENARIO.soc()),
+            "workload": encode_workload(SCENARIO.workload()),
+            "param": "f",
+            "ip_index": 1,
+            "values": [0.5, 1.5],
+            "on_error": "raise",
+        }
+        try:
+            for _ in range(3):
+                with pytest.raises(WorkloadError) as excinfo:
+                    service.handle_sweep(document)
+                assert excinfo.value.code == "WORKLOAD_INVALID"
+            payload = service.handle_eval(eval_document())
+        finally:
+            service.drain(timeout_s=2.0)
+        assert payload["meta"]["engine"] == "compiled"
+        assert payload["result"] == offline_result()
+
+
 class TestOverloadAndWatchdog:
     def test_overload_sheds_with_429_code(self):
         service = EvaluationService(ServiceConfig(
@@ -572,32 +598,6 @@ class TestOverloadAndWatchdog:
         payload = service.handle_eval(eval_document())
         assert payload["result"] == offline_result()
         assert service.health()["metrics"]["watchdog_recycles"] >= 1
-
-
-class TestCircuitBreakerFallback:
-    def test_compiled_crash_falls_back_and_trips(self):
-        service = EvaluationService(ServiceConfig(
-            engine="compiled",
-            breaker_threshold=1,
-            breaker_cooldown_s=60.0,
-            batch_window_s=0.001,
-            allow_fault_injection=True,
-        ))
-        try:
-            # The request that observes the compiled-tier fault still
-            # succeeds — served by the interpreted fallback.
-            payload = service.handle_eval(
-                eval_document(fault="compiled-crash")
-            )
-            assert payload["result"] == offline_result()
-            assert payload["meta"]["engine"] == "interpreted"
-            assert service.breaker.state == "open"
-            # While open, clean requests skip the compiled tier.
-            fresh = service.handle_eval(eval_document(FIGURE_6_SEQUENCE[2]))
-            assert fresh["meta"]["engine"] == "interpreted"
-            assert fresh["result"] == offline_result(FIGURE_6_SEQUENCE[2])
-        finally:
-            service.drain(timeout_s=2.0)
 
 
 class TestDrain:
