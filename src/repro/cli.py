@@ -527,12 +527,12 @@ def _cmd_bench_compare(args) -> int:
 
 
 def _cmd_fleet_run(args) -> int:
-    from .explore import fleet_bench_records, run_fleet_sweep
+    from .explore import run_fleet_sweep
     from .market import market_spec_population
     from .resilience import DEFAULT_RETRY_POLICY, RetryPolicy
 
     if args.grid:
-        return _fleet_grid_run(args)
+        return _fleet_run_tail(args, _fleet_grid_run(args))
     cases = market_spec_population(since=args.since, limit=args.specs)
     retry_policy = None
     if args.retries is not None:
@@ -570,32 +570,13 @@ def _cmd_fleet_run(args) -> int:
         )
     if result.errors:
         print(degraded_banner(result.errors, len(cases)))
-    if result.telemetry_dir:
-        print(f"telemetry shards under {result.telemetry_dir}")
-    if args.history:
-        records = fleet_bench_records(result)
-        try:
-            obs.append_history(args.history, records)
-        except OSError as err:
-            raise ReproError(
-                f"cannot write benchmark history: {err}"
-            ) from err
-        print(
-            f"appended {len(records)} throughput record(s) to {args.history}"
-        )
-    if args.dashboard:
-        if not args.telemetry:
-            raise ReproError("--dashboard requires --telemetry DIR")
-        obs.write_fleet_dashboard_html(
-            args.dashboard, args.telemetry, history_path=args.history or None
-        )
-        print(f"wrote {args.dashboard} (self-contained; open in any browser)")
-    return 0
+    return _fleet_run_tail(args, result)
 
 
-def _fleet_grid_run(args) -> int:
-    """``gables fleet run --grid N``: the sharded synthetic-grid sweep."""
-    from .explore import fleet_bench_records, run_fleet_grid_sweep
+def _fleet_grid_run(args):
+    """``gables fleet run --grid N``: run and print the sharded
+    synthetic-grid sweep; returns its result."""
+    from .explore import run_fleet_grid_sweep
     from .soc import generic_soc
 
     if args.fault_plan or args.checkpoint or args.retries is not None:
@@ -627,6 +608,14 @@ def _fleet_grid_run(args) -> int:
             f"pid {report.pid}): {report.points:,} points in "
             f"{report.cases} chunk(s), {report.heartbeats} heartbeat(s)"
         )
+    return result
+
+
+def _fleet_run_tail(args, result) -> int:
+    """What every ``gables fleet run`` ends with: the telemetry line,
+    the history append and the dashboard."""
+    from .explore import fleet_bench_records
+
     if result.telemetry_dir:
         print(f"telemetry shards under {result.telemetry_dir}")
     if args.history:
@@ -640,6 +629,13 @@ def _fleet_grid_run(args) -> int:
         print(
             f"appended {len(records)} throughput record(s) to {args.history}"
         )
+    if args.dashboard:
+        if not args.telemetry:
+            raise ReproError("--dashboard requires --telemetry DIR")
+        obs.write_fleet_dashboard_html(
+            args.dashboard, args.telemetry, history_path=args.history or None
+        )
+        print(f"wrote {args.dashboard} (self-contained; open in any browser)")
     return 0
 
 

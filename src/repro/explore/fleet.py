@@ -16,12 +16,15 @@ Structure:
   metric hooks (all free when disabled), optional fault
   injection + retry (:mod:`repro.resilience`), checkpoint reuse, and
   tolerant ``on_error`` modes.
-- :func:`run_fleet_sweep` shards a population round-robin over worker
+- :func:`run_fleet_sweep` (market cases) and :func:`run_fleet_grid_sweep`
+  (synthetic grids) shard their work round-robin and run every shard
+  through one lifecycle: inline for one worker, otherwise on worker
   *processes* (``spawn`` — no inherited tracer state, no fork/thread
-  hazards), propagates the parent's :class:`~repro.obs.context.TraceContext`
-  through ``GABLES_*`` environment variables, and has every worker
-  drain its telemetry into a :class:`~repro.obs.collect.ShardCollector`
-  directory for ``gables telemetry merge``.
+  hazards).  Each shard's :class:`~repro.obs.context.TraceContext`
+  travels in its pickled payload, and with a telemetry directory every
+  worker drains its telemetry into a
+  :class:`~repro.obs.collect.ShardCollector` directory for ``gables
+  telemetry merge``.
 
 Determinism is a hard contract, pinned by tests: cases are assigned
 ``indices[shard::workers]`` and reassembled by original index, and the
@@ -49,20 +52,8 @@ from ..errors import ObservabilityError, ReproError, SpecError
 from ..obs import reset_observability
 from ..obs.bench import make_record, new_run_id
 from ..obs.collect import ShardCollector
-from ..obs.context import (
-    TraceContext,
-    adopt_env_context,
-    env_propagation,
-    new_context,
-    reset_context,
-    set_context,
-)
-from ..obs.logging import (
-    configure_logging,
-    log_event,
-    logging_configured,
-    reset_logging,
-)
+from ..obs.context import context_scope, new_context
+from ..obs.logging import configure_logging, log_event, logging_configured
 from ..obs.metrics import counter as _counter
 from ..obs.trace import enable_tracing, span as _span, tracing_enabled
 from ..resilience.checkpoint import SweepCheckpoint, sample_key
@@ -293,62 +284,91 @@ def worker_checkpoint_path(checkpoint_path, worker_id: str):
     return f"{os.fspath(checkpoint_path)}.{worker_id}"
 
 
-def _shard_payload(
-    *, worker_id, shard, indices, cases, fleet_run_id, on_error, plan,
-    seed, retry_policy, checkpoint_path, telemetry_dir, heartbeat_every,
-) -> dict:
-    """Everything one worker needs, as a picklable dict."""
-    return {
-        "worker_id": worker_id,
-        "shard": shard,
-        "indices": indices,
-        "cases": cases,
-        "fleet_run_id": fleet_run_id,
-        "on_error": on_error,
-        "plan": plan,
-        "seed": seed,
-        "retry_policy": retry_policy,
-        "checkpoint_path": checkpoint_path,
-        "telemetry_dir": telemetry_dir,
-        "heartbeat_every": heartbeat_every,
-    }
-
-
-def _run_shard(payload: dict, parent_context: TraceContext | None) -> dict:
+def _run_shard(payload: dict) -> dict:
     """Execute one shard in the current process; returns a result dict.
+
+    The one shard lifecycle both drivers share.  The shard's trace
+    context (``payload["context"]``) is installed for its duration and
+    the previous one restored on exit; with a ``telemetry_dir`` the
+    shard gets a :class:`~repro.obs.collect.ShardCollector`, structured
+    logs, tracing and heartbeats.  ``payload["work"]`` — a module-level
+    body per driver, so the payload pickles — does the shard's work and
+    returns its result fields, ``elapsed_s`` among them.
 
     Assumes the process-global collectors are in the desired state:
     the worker entry (:func:`_fleet_worker`) resets them first, the
     inline (``workers=1``) path runs against the caller's own.
     """
-    context = (
-        parent_context
-        if parent_context is not None
-        else new_context(payload["fleet_run_id"])
-    ).child(worker_id=payload["worker_id"], shard=payload["shard"])
-    set_context(context)
-    collector = None
-    if payload["telemetry_dir"] is not None:
-        collector = ShardCollector(payload["telemetry_dir"], context)
-        configure_logging(collector.log_path)
-        enable_tracing()
+    context = payload["context"]
+    with context_scope(context):
+        collector = None
+        if payload["telemetry_dir"] is not None:
+            collector = ShardCollector(payload["telemetry_dir"], context)
+            configure_logging(collector.log_path)
+            enable_tracing()
+        heartbeat = collector.heartbeat if collector is not None else None
+        fields = payload["work"](payload, heartbeat)
+        if heartbeat is not None:
+            heartbeat()  # final liveness sample closes the wall window
+        if collector is not None:
+            collector.finalize()
+    return {
+        "worker_id": context.worker_id,
+        "shard": context.shard,
+        "pid": os.getpid(),
+        "heartbeats": collector.heartbeats_written if collector else 0,
+        **fields,
+    }
+
+
+def _fleet_worker(payload: dict) -> dict:
+    """Worker-process entry point (module-level for picklability).
+
+    Resets every process-global collector first — a pool process may
+    serve more than one shard — then runs the shard.
+    """
+    reset_observability()
+    return _run_shard(payload)
+
+
+def _run_shards(payloads: list, workers: int) -> list:
+    """Every shard's result, in payload order.
+
+    ``workers=1`` runs inline in the calling process; otherwise each
+    payload goes to a pool of ``spawn`` worker processes, all of which
+    have exited when this returns.
+    """
+    if workers == 1:
+        return [_run_shard(payload) for payload in payloads]
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(
+        max_workers=len(payloads), mp_context=spawn
+    ) as pool:
+        futures = [pool.submit(_fleet_worker, p) for p in payloads]
+        return [future.result() for future in futures]
+
+
+def _case_shard(payload: dict, heartbeat) -> dict:
+    """The case driver's shard body: its cases through
+    :func:`evaluate_population`, with the shard's fault injector and
+    checkpoint."""
+    context = payload["context"]
     injector = None
     if payload["plan"] is not None:
         injector = FaultInjector(
-            payload["plan"], seed=payload["seed"] + payload["shard"]
+            payload["plan"], seed=payload["seed"] + context.shard
         )
     checkpoint = None
     preloaded = 0
     path = worker_checkpoint_path(
-        payload["checkpoint_path"], payload["worker_id"]
+        payload["checkpoint_path"], context.worker_id
     )
     if path is not None:
         checkpoint = SweepCheckpoint(path)
         preloaded = len(checkpoint)
-    heartbeat = collector.heartbeat if collector is not None else None
     log_event(
         "info", "fleet.shard.start",
-        cases=len(payload["cases"]), shard=payload["shard"],
+        cases=len(payload["cases"]), shard=context.shard,
     )
     start = time.perf_counter()
     points, failures = evaluate_population(
@@ -362,43 +382,20 @@ def _run_shard(payload: dict, parent_context: TraceContext | None) -> dict:
         heartbeat_every=payload["heartbeat_every"],
     )
     elapsed = time.perf_counter() - start
-    if heartbeat is not None:
-        heartbeat()  # final liveness sample closes the wall window
     log_event(
         "info", "fleet.shard.done",
         points=len(points), failures=len(failures), elapsed_s=elapsed,
     )
-    fault_summary = injector.summary() if injector is not None else None
-    if collector is not None:
-        collector.finalize()
     return {
-        "worker_id": payload["worker_id"],
-        "shard": payload["shard"],
-        "pid": os.getpid(),
         "elapsed_s": elapsed,
-        "heartbeats": collector.heartbeats_written if collector else 0,
         "checkpoint_reused": preloaded,
         "points": [p.to_dict() for p in points],
         "failures": [
             {"coords": list(f.coords), "code": f.code, "message": f.message}
             for f in failures
         ],
-        "fault_summary": fault_summary,
+        "fault_summary": injector.summary() if injector is not None else None,
     }
-
-
-def _fleet_worker(payload: dict) -> dict:
-    """Worker-process entry point (module-level for picklability).
-
-    Resets every process-global collector first — a pool process may
-    serve more than one shard — then adopts the parent's trace context
-    from the ``GABLES_*`` environment the spawn inherited.
-    """
-    reset_observability()
-    reset_logging()
-    reset_context()
-    parent_context = adopt_env_context()
-    return _run_shard(payload, parent_context)
 
 
 def _report_from(result: dict, cases: int) -> WorkerReport:
@@ -443,7 +440,8 @@ def run_fleet_sweep(
     ``workers=1`` runs inline in the calling process (no spawn): same
     code path, same telemetry, and the caller's own collectors are
     *used, not reset* — enable tracing beforehand to keep
-    collecting into them.
+    collecting into them.  The caller's trace context is back in place
+    when the call returns.
     """
     cases = tuple(cases)
     if not cases:
@@ -464,34 +462,24 @@ def run_fleet_sweep(
     payloads = []
     for shard in range(workers):
         indices = tuple(range(len(cases)))[shard::workers]
-        payloads.append(_shard_payload(
-            worker_id=f"w{shard}",
-            shard=shard,
-            indices=indices,
-            cases=tuple(cases[i] for i in indices),
-            fleet_run_id=run_id,
-            on_error=on_error,
-            plan=plan,
-            seed=seed,
-            retry_policy=retry_policy,
-            checkpoint_path=(
+        payloads.append({
+            "work": _case_shard,
+            "context": context.child(worker_id=f"w{shard}", shard=shard),
+            "telemetry_dir": telemetry,
+            "indices": indices,
+            "cases": tuple(cases[i] for i in indices),
+            "on_error": on_error,
+            "plan": plan,
+            "seed": seed,
+            "retry_policy": retry_policy,
+            "checkpoint_path": (
                 os.fspath(checkpoint_path) if checkpoint_path is not None
                 else None
             ),
-            telemetry_dir=telemetry,
-            heartbeat_every=heartbeat_every,
-        ))
+            "heartbeat_every": heartbeat_every,
+        })
     start = time.perf_counter()
-    if workers == 1:
-        results = [_run_shard(payloads[0], context)]
-    else:
-        spawn = multiprocessing.get_context("spawn")
-        with env_propagation(context):
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=spawn
-            ) as pool:
-                futures = [pool.submit(_fleet_worker, p) for p in payloads]
-                results = [future.result() for future in futures]
+    results = _run_shards(payloads, workers)
     elapsed = time.perf_counter() - start
 
     by_index: dict = {}
@@ -681,41 +669,12 @@ def evaluate_grid_chunks(
     return tuple(summaries)
 
 
-def _grid_payload(
-    *, worker_id, shard, assignments, soc, variant, seed, engine,
-    fleet_run_id, telemetry_dir,
-) -> dict:
-    """Everything one grid worker needs, as a picklable dict."""
-    return {
-        "worker_id": worker_id,
-        "shard": shard,
-        "assignments": assignments,
-        "soc": soc,
-        "variant": variant,
-        "seed": seed,
-        "engine": engine,
-        "fleet_run_id": fleet_run_id,
-        "telemetry_dir": telemetry_dir,
-    }
-
-
-def _run_grid_shard(payload: dict, parent_context) -> dict:
-    """Execute one grid shard in the current process."""
-    context = (
-        parent_context
-        if parent_context is not None
-        else new_context(payload["fleet_run_id"])
-    ).child(worker_id=payload["worker_id"], shard=payload["shard"])
-    set_context(context)
-    collector = None
-    if payload["telemetry_dir"] is not None:
-        collector = ShardCollector(payload["telemetry_dir"], context)
-        configure_logging(collector.log_path)
-        enable_tracing()
-    heartbeat = collector.heartbeat if collector is not None else None
+def _grid_shard(payload: dict, heartbeat) -> dict:
+    """The grid driver's shard body: its chunks through
+    :func:`evaluate_grid_chunks`."""
     log_event(
         "info", "fleet.grid_shard.start",
-        chunks=len(payload["assignments"]), shard=payload["shard"],
+        chunks=len(payload["assignments"]), shard=payload["context"].shard,
         engine=payload["engine"],
     )
     start = time.perf_counter()
@@ -728,31 +687,14 @@ def _run_grid_shard(payload: dict, parent_context) -> dict:
         heartbeat=heartbeat,
     )
     elapsed = time.perf_counter() - start
-    if heartbeat is not None:
-        heartbeat()
     log_event(
         "info", "fleet.grid_shard.done",
         chunks=len(summaries), elapsed_s=elapsed,
     )
-    if collector is not None:
-        collector.finalize()
     return {
-        "worker_id": payload["worker_id"],
-        "shard": payload["shard"],
-        "pid": os.getpid(),
         "elapsed_s": elapsed,
-        "heartbeats": collector.heartbeats_written if collector else 0,
         "chunks": [s.to_dict() for s in summaries],
     }
-
-
-def _fleet_grid_worker(payload: dict) -> dict:
-    """Grid-worker process entry point (module-level for picklability)."""
-    reset_observability()
-    reset_logging()
-    reset_context()
-    parent_context = adopt_env_context()
-    return _run_grid_shard(payload, parent_context)
 
 
 def run_fleet_grid_sweep(
@@ -792,30 +734,18 @@ def run_fleet_grid_sweep(
         assignments = plan[shard::workers]
         if not assignments and shard > 0:
             continue  # fewer chunks than workers: idle shards are skipped
-        payloads.append(_grid_payload(
-            worker_id=f"w{shard}",
-            shard=shard,
-            assignments=assignments,
-            soc=soc,
-            variant=variant,
-            seed=seed,
-            engine=engine,
-            fleet_run_id=run_id,
-            telemetry_dir=telemetry,
-        ))
+        payloads.append({
+            "work": _grid_shard,
+            "context": context.child(worker_id=f"w{shard}", shard=shard),
+            "telemetry_dir": telemetry,
+            "assignments": assignments,
+            "soc": soc,
+            "variant": variant,
+            "seed": seed,
+            "engine": engine,
+        })
     start = time.perf_counter()
-    if workers == 1:
-        results = [_run_grid_shard(payloads[0], context)]
-    else:
-        spawn = multiprocessing.get_context("spawn")
-        with env_propagation(context):
-            with ProcessPoolExecutor(
-                max_workers=len(payloads), mp_context=spawn
-            ) as pool:
-                futures = [
-                    pool.submit(_fleet_grid_worker, p) for p in payloads
-                ]
-                results = [future.result() for future in futures]
+    results = _run_shards(payloads, workers)
     elapsed = time.perf_counter() - start
 
     by_index: dict = {}

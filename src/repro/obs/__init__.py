@@ -74,16 +74,11 @@ from .collect import (
 )
 from .context import (
     TraceContext,
-    adopt_env_context,
-    adopt_header_context,
     anchor_offset,
     clock_anchor,
     context_scope,
     current_context,
-    env_propagation,
-    extract_env,
     extract_headers,
-    inject_env,
     inject_headers,
     new_context,
     new_trace_id,
@@ -213,8 +208,6 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "WorkerHealth",
-    "adopt_env_context",
-    "adopt_header_context",
     "alert_records",
     "anchor_offset",
     "append_alerts",
@@ -236,13 +229,11 @@ __all__ = [
     "enable_provenance",
     "enable_tracing",
     "encode_metric_key",
-    "env_propagation",
     "evaluate_objective",
     "evaluate_slos",
     "explain",
     "explain_history",
     "exposition_content_type",
-    "extract_env",
     "extract_headers",
     "fleet_lanes_svg",
     "format_log_summary",
@@ -256,7 +247,6 @@ __all__ = [
     "histogram",
     "history_events",
     "host_fingerprint",
-    "inject_env",
     "inject_headers",
     "last_explain",
     "load_bench_file",
@@ -316,7 +306,7 @@ def reset_observability() -> None:
     The test-suite hook: tracing disabled and emptied,
     every metric zeroed in place (handles stay live), provenance
     capture off with an empty history, the structured logger closed
-    and removed, and the trace context dropped.
+    and removed, and this thread's trace context dropped.
     """
     reset_tracing()
     reset_metrics()

@@ -1,19 +1,21 @@
-"""Cross-process trace context: ids, env propagation, clock anchors.
+"""Trace context: ids, the current context, clock anchors.
 
 A single process correlates its telemetry implicitly — spans nest on a
 thread, metrics live in one registry.  A *fleet* of worker processes
 needs an explicit thread of identity: every shard of telemetry must
 say which trace it belongs to, which fleet run spawned it, and which
 worker produced it.  This module provides that identity as a frozen
-:class:`TraceContext` plus the two halves of W3C-style propagation,
-specialized to the only transport a ``multiprocessing`` worker reliably
-inherits: environment variables.
+:class:`TraceContext`, installed per thread with :func:`set_context`
+or :func:`context_scope` and read back by the structured logger and
+the service client (:func:`current_context`).
 
-- :func:`inject_env` serializes the active context into ``GABLES_*``
-  environment variables before workers are spawned;
-- :func:`extract_env` (and the convenience :func:`adopt_env_context`)
-  reads them back inside the child, so the child's telemetry carries
-  the parent's ``trace_id`` and the whole fleet merges into one trace.
+It travels explicitly, in the data the receiver gets: the fleet runner
+(:mod:`repro.explore.fleet`) pickles each shard's context into the
+shard's payload and installs it for the shard's duration, and the
+service propagates it across HTTP as ``X-Gables-*`` headers
+(:func:`inject_headers` / :func:`extract_headers`), so a child's
+telemetry carries its parent's ``trace_id`` and everything merges into
+one trace.
 
 Because spans are timed with ``time.perf_counter`` — a *per-process*
 monotonic clock with an arbitrary epoch — cross-process timestamps are
@@ -29,6 +31,7 @@ context is consulted when telemetry is *serialized*, not per event.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import time
 import uuid
@@ -37,20 +40,7 @@ from dataclasses import dataclass, replace
 
 from ..errors import ObservabilityError
 
-#: Environment variable names used for inject/extract, in spec order.
-ENV_TRACE_ID = "GABLES_TRACE_ID"
-ENV_PARENT_SPAN = "GABLES_PARENT_SPAN_ID"
-ENV_FLEET_RUN = "GABLES_FLEET_RUN_ID"
-ENV_WORKER_ID = "GABLES_WORKER_ID"
-ENV_SHARD = "GABLES_SHARD"
-
-#: All context-carrying environment variables (for cleanup).
-CONTEXT_ENV_VARS = (
-    ENV_TRACE_ID, ENV_PARENT_SPAN, ENV_FLEET_RUN, ENV_WORKER_ID, ENV_SHARD,
-)
-
-#: HTTP header names used for wire-level propagation, the header-borne
-#: analogue of the ``GABLES_*`` environment variables.  The service
+#: HTTP header names used for wire-level propagation.  The service
 #: client injects these on every request; the server adopts them so
 #: client and server spans join into one trace (``docs/monitoring.md``).
 HEADER_TRACE_ID = "X-Gables-Trace-Id"
@@ -122,33 +112,35 @@ def new_context(fleet_run_id: str = "") -> TraceContext:
     return TraceContext(trace_id=new_trace_id(), fleet_run_id=fleet_run_id)
 
 
-#: The process-current context (one per process, like the collectors).
-_CURRENT: TraceContext | None = None
+#: This thread's context.  A threaded server's handlers each hold their
+#: own, and a new thread starts with none.
+_CURRENT: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_trace_context", default=None
+)
 
 
 def current_context() -> TraceContext | None:
-    """The process-current :class:`TraceContext`, or ``None``."""
-    return _CURRENT
+    """This thread's :class:`TraceContext`, or ``None``."""
+    return _CURRENT.get()
 
 
 def set_context(context: TraceContext | None) -> TraceContext | None:
-    """Install ``context`` as process-current; returns the previous one."""
-    global _CURRENT
+    """Install ``context`` as this thread's; returns the previous one."""
     if context is not None and not isinstance(context, TraceContext):
         raise ObservabilityError("set_context needs a TraceContext or None")
-    previous = _CURRENT
-    _CURRENT = context
+    previous = _CURRENT.get()
+    _CURRENT.set(context)
     return previous
 
 
 def reset_context() -> None:
-    """Drop the process-current context (test-suite hook)."""
+    """Drop this thread's context (test-suite hook)."""
     set_context(None)
 
 
 @contextmanager
 def context_scope(context: TraceContext):
-    """Install ``context`` for the duration of a ``with`` block."""
+    """Install ``context`` as this thread's for a ``with`` block."""
     previous = set_context(context)
     try:
         yield context
@@ -157,116 +149,7 @@ def context_scope(context: TraceContext):
 
 
 # ---------------------------------------------------------------------
-# Environment-variable propagation
-# ---------------------------------------------------------------------
-
-
-def inject_env(context: TraceContext, env=None) -> dict:
-    """Serialize ``context`` into ``env`` (default: ``os.environ``).
-
-    Returns the mapping that was written.  Unset optional fields clear
-    any stale variable so a previous fleet run cannot leak identity
-    into the next.
-    """
-    if env is None:
-        env = os.environ
-    env[ENV_TRACE_ID] = context.trace_id
-    optional = {
-        ENV_PARENT_SPAN: (
-            None if context.parent_span_id is None
-            else str(context.parent_span_id)
-        ),
-        ENV_FLEET_RUN: context.fleet_run_id or None,
-        ENV_WORKER_ID: context.worker_id or None,
-        ENV_SHARD: None if context.shard is None else str(context.shard),
-    }
-    for name, value in optional.items():
-        if value is None:
-            env.pop(name, None)
-        else:
-            env[name] = value
-    return env
-
-
-def extract_env(env=None) -> TraceContext | None:
-    """Read a :class:`TraceContext` back out of ``env``.
-
-    Returns ``None`` when no trace id is present (the process was not
-    spawned by an instrumented parent).  Malformed numeric fields raise
-    :class:`~repro.errors.ObservabilityError` — a half-written context
-    is a bug worth surfacing, not guessing around.
-    """
-    if env is None:
-        env = os.environ
-    trace_id = env.get(ENV_TRACE_ID)
-    if not trace_id:
-        return None
-
-    def int_or_none(name: str):
-        raw = env.get(name)
-        if raw is None or raw == "":
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise ObservabilityError(
-                f"environment variable {name}={raw!r} is not an integer"
-            ) from None
-
-    return TraceContext(
-        trace_id=trace_id,
-        parent_span_id=int_or_none(ENV_PARENT_SPAN),
-        fleet_run_id=env.get(ENV_FLEET_RUN, ""),
-        worker_id=env.get(ENV_WORKER_ID, ""),
-        shard=int_or_none(ENV_SHARD),
-    )
-
-
-def clear_env(env=None) -> None:
-    """Remove every context variable from ``env`` (default: environ)."""
-    if env is None:
-        env = os.environ
-    for name in CONTEXT_ENV_VARS:
-        env.pop(name, None)
-
-
-def adopt_env_context(env=None) -> TraceContext | None:
-    """Extract the parent's context and install it process-current.
-
-    The worker-process entry hook: returns the adopted context, or
-    ``None`` (leaving the current context untouched) when the
-    environment carries no trace.
-    """
-    context = extract_env(env)
-    if context is not None:
-        set_context(context)
-    return context
-
-
-@contextmanager
-def env_propagation(context: TraceContext, env=None):
-    """Inject ``context`` into ``env`` for a ``with`` block, then restore.
-
-    The parent-side half of propagation: wrap worker spawning in this
-    scope so children inherit the ``GABLES_*`` variables, without the
-    parent's environment staying polluted afterwards.
-    """
-    if env is None:
-        env = os.environ
-    saved = {name: env.get(name) for name in CONTEXT_ENV_VARS}
-    inject_env(context, env)
-    try:
-        yield env
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                env.pop(name, None)
-            else:
-                env[name] = value
-
-
-# ---------------------------------------------------------------------
-# HTTP-header propagation (the wire-level half)
+# HTTP-header propagation
 # ---------------------------------------------------------------------
 
 
@@ -274,8 +157,7 @@ def inject_headers(context: TraceContext, headers=None,
                    *, parent_span_id=None) -> dict:
     """Serialize ``context`` into HTTP request ``headers``.
 
-    The wire analogue of :func:`inject_env`: writes
-    ``X-Gables-Trace-Id`` and, when known, ``X-Gables-Parent-Span``
+    Writes ``X-Gables-Trace-Id`` and, when known, ``X-Gables-Parent-Span``
     (``parent_span_id`` overrides the context's own, letting a client
     name its *live* request span as the parent).  Returns the mapping
     that was written.
@@ -298,8 +180,7 @@ def extract_headers(headers) -> TraceContext | None:
     ``headers`` is any mapping with ``.get`` (an
     ``http.server`` message object works, and is case-insensitive).
     Returns ``None`` when no trace id is present; a malformed parent
-    span id raises :class:`~repro.errors.ObservabilityError` just like
-    :func:`extract_env` does for the environment.
+    span id raises :class:`~repro.errors.ObservabilityError`.
     """
     trace_id = headers.get(HEADER_TRACE_ID)
     if not trace_id:
@@ -317,19 +198,6 @@ def extract_headers(headers) -> TraceContext | None:
             ) from None
     return TraceContext(trace_id=str(trace_id),
                         parent_span_id=parent_span_id)
-
-
-def adopt_header_context(headers) -> TraceContext | None:
-    """Extract a wire context and install it process-current.
-
-    The server-side entry hook, mirroring :func:`adopt_env_context`:
-    returns the adopted context, or ``None`` (leaving the current
-    context untouched) when the request carries no trace headers.
-    """
-    context = extract_headers(headers)
-    if context is not None:
-        set_context(context)
-    return context
 
 
 # ---------------------------------------------------------------------

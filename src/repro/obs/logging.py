@@ -10,7 +10,7 @@ that make cross-process debugging possible::
      "trace_id": "9f1c...", "span_id": 17, "worker_id": "w1",
      "fields": {"spec": "Qualcomm-2016-003"}}
 
-Correlation is automatic: every record stamps the process-current
+Correlation is automatic: every record stamps the calling thread's
 :class:`~repro.obs.context.TraceContext` (trace id, worker id) and the
 innermost *active* span id of the global tracer, so a merged log line
 can be joined back to the exact span that emitted it.

@@ -68,10 +68,9 @@ class ServiceClient:
         if document is not None:
             body = json.dumps(document, sort_keys=True).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        # Wire-level trace propagation: the request carries the active
-        # trace id (or starts a fresh trace) and, when tracing is on,
-        # names the live client span as the server span's parent — the
-        # HTTP analogue of env propagation into fleet workers.
+        # Wire-level trace propagation: the request carries this
+        # thread's trace id (or starts a fresh trace) and, when tracing
+        # is on, names the live client span as the server span's parent.
         context = current_context()
         if context is None:
             context = new_context()

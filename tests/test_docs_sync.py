@@ -191,9 +191,7 @@ def test_telemetry_doc_names_every_fleet_surface():
     anchors = (
         "TraceContext",
         "new_context",
-        "env_propagation",
-        "adopt_env_context",
-        "GABLES_TRACE_ID",
+        "context_scope",
         "clock_anchor",
         "configure_logging",
         "log_event",
@@ -302,7 +300,7 @@ def test_monitoring_doc_names_every_telemetry_plane_surface():
         "X-Gables-Parent-Span",
         "X-Gables-Request-Id",
         "extract_headers",
-        "adopt_header_context",
+        "context_scope",
         "SLObjective",
         "BurnWindow",
         "RequestWindow",

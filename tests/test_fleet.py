@@ -9,6 +9,7 @@ it evaluates to.
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -21,11 +22,27 @@ from repro.explore import (
     evaluate_grid_chunks,
     evaluate_population,
     fleet_bench_records,
+    run_fleet_grid_sweep,
     run_fleet_sweep,
     worker_checkpoint_path,
 )
 from repro.market import market_spec_population
 from repro.resilience import RetryPolicy
+
+#: Both fleet drivers run their shards through one lifecycle.
+DRIVERS = ("market", "grid")
+
+
+def _small_fleet(driver: str, workers: int, **kwargs):
+    """60 market specs, or 4,000 grid rows in 4 chunks."""
+    if driver == "market":
+        return run_fleet_sweep(
+            market_spec_population(limit=60), workers=workers, **kwargs
+        )
+    return run_fleet_grid_sweep(
+        FIGURE_6B.soc(), points=4_000, chunk=1_000, workers=workers,
+        **kwargs,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -164,40 +181,79 @@ class TestFleetResilience:
 
 
 class TestFleetTelemetry:
+    #: Per driver: the event that closes a shard's log, and the points
+    #: each of the two shards evaluates.
+    SHARD_DONE = {
+        "market": ("fleet.shard.done", 30),
+        "grid": ("fleet.grid_shard.done", 2_000),
+    }
+
     @pytest.fixture(scope="class")
-    def telemetry_run(self, tmp_path_factory):
-        cases = market_spec_population(limit=60)
-        root = tmp_path_factory.mktemp("telemetry")
-        result = run_fleet_sweep(cases, workers=2, telemetry_dir=root)
+    def telemetry_runs(self, tmp_path_factory):
+        """A 2-worker run of each driver with telemetry, plus the child
+        processes still alive when the call returned."""
+        runs = {}
+        for driver in DRIVERS:
+            root = tmp_path_factory.mktemp(f"telemetry-{driver}")
+            result = _small_fleet(driver, 2, telemetry_dir=root)
+            runs[driver] = (result, root, multiprocessing.active_children())
+        return runs
+
+    @pytest.fixture(scope="class")
+    def telemetry_run(self, telemetry_runs):
+        result, root, _ = telemetry_runs["market"]
         return result, root
 
-    def test_every_worker_leaves_a_shard(self, telemetry_run):
-        result, root = telemetry_run
-        shards = obs.load_shards(root)
-        assert {s.worker_id for s in shards} == {"w0", "w1"}
-        for shard in shards:
-            assert shard.context.trace_id == result.trace_id
-            assert shard.context.fleet_run_id == result.fleet_run_id
-            assert shard.spans, "worker must record its shard span"
-            assert shard.heartbeats
-            assert any(r.event == "fleet.shard.done" for r in shard.logs)
-            assert shard.metrics["explore.fleet.points"]["value"] == 30
+    def test_every_worker_leaves_a_shard(self, telemetry_runs):
+        for driver, (result, root, _) in telemetry_runs.items():
+            done_event, points = self.SHARD_DONE[driver]
+            shards = obs.load_shards(root)
+            assert {s.worker_id for s in shards} == {"w0", "w1"}, driver
+            for shard in shards:
+                # The payload's context: the fleet's trace, the
+                # worker's own provenance.
+                assert shard.context.trace_id == result.trace_id
+                assert shard.context.fleet_run_id == result.fleet_run_id
+                assert shard.context.worker_id == shard.worker_id
+                assert shard.context.shard == int(shard.worker_id[1:])
+                assert shard.spans, "worker must record its shard span"
+                assert shard.heartbeats
+                assert any(r.event == done_event for r in shard.logs)
+                assert shard.metrics["explore.fleet.points"]["value"] == (
+                    points
+                )
 
-    def test_merged_view_is_one_trace(self, telemetry_run):
-        result, root = telemetry_run
-        merged = obs.merge_telemetry(obs.load_shards(root))
-        assert merged.trace_id == result.trace_id
-        assert merged.fleet_run_id == result.fleet_run_id
-        assert merged.metrics["explore.fleet.points"]["value"] == 60
-        # Every log record carries the fleet's trace id — the
-        # cross-process correlation the layer exists for.
-        assert all(r.trace_id == result.trace_id for r in merged.logs)
-        assert {r.worker_id for r in merged.logs} == {"w0", "w1"}
-        reports = {r.worker_id: r for r in result.workers}
-        assert {
-            worker: len(beats)
-            for worker, beats in merged.heartbeats.items()
-        } == {w: reports[w].heartbeats for w in reports}
+    def test_merged_view_is_one_trace(self, telemetry_runs):
+        for driver, (result, root, _) in telemetry_runs.items():
+            merged = obs.merge_telemetry(obs.load_shards(root))
+            assert merged.trace_id == result.trace_id, driver
+            assert merged.fleet_run_id == result.fleet_run_id
+            assert merged.metrics["explore.fleet.points"]["value"] == (
+                2 * self.SHARD_DONE[driver][1]
+            )
+            # Every log record carries the fleet's trace id — the
+            # cross-process correlation the layer exists for.
+            assert all(r.trace_id == result.trace_id for r in merged.logs)
+            assert {r.worker_id for r in merged.logs} == {"w0", "w1"}
+            reports = {r.worker_id: r for r in result.workers}
+            assert {
+                worker: len(beats)
+                for worker, beats in merged.heartbeats.items()
+            } == {w: reports[w].heartbeats for w in reports}
+
+    def test_no_worker_process_outlives_the_call(self, telemetry_runs):
+        for driver, (_, _, alive) in telemetry_runs.items():
+            assert alive == [], driver
+
+    @pytest.mark.parametrize("installed", [False, True],
+                             ids=["from-none", "from-installed"])
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_inline_run_restores_the_callers_context(self, driver,
+                                                     installed):
+        before = obs.new_context("caller") if installed else None
+        obs.set_context(before)
+        _small_fleet(driver, 1)
+        assert obs.current_context() is before
 
     def test_shard_spans_carry_flat_attributes(self, telemetry_run):
         _, root = telemetry_run
@@ -326,9 +382,21 @@ class TestFleetCli:
 
     def test_dashboard_without_telemetry_is_an_error(self, tmp_path,
                                                      capsys):
-        code = main([
-            "fleet", "run", "--specs", "4", "--history", "",
-            "--dashboard", str(tmp_path / "x.html"),
-        ])
-        assert code != 0
-        assert "--telemetry" in capsys.readouterr().err
+        for run in ([], ["--grid", "2000", "--workers", "1"]):
+            code = main([
+                "fleet", "run", "--specs", "4", "--history", "", *run,
+                "--dashboard", str(tmp_path / "x.html"),
+            ])
+            assert code != 0, run
+            assert "--telemetry" in capsys.readouterr().err
+
+    def test_grid_run_renders_the_dashboard(self, tmp_path, capsys):
+        dashboard = tmp_path / "grid.html"
+        assert main([
+            "fleet", "run", "--grid", "4000", "--chunk", "1000",
+            "--workers", "1", "--history", "",
+            "--telemetry", str(tmp_path / "shards"),
+            "--dashboard", str(dashboard),
+        ]) == 0
+        assert f"wrote {dashboard}" in capsys.readouterr().out
+        assert "<h2>Fleet</h2>" in dashboard.read_text()

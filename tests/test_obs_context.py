@@ -1,8 +1,9 @@
-"""Cross-process trace context: ids, env propagation, clock anchors."""
+"""Trace context: ids, the per-thread current context, clock anchors."""
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import pytest
@@ -10,19 +11,17 @@ import pytest
 from repro.errors import ObservabilityError
 from repro.obs import (
     TraceContext,
-    adopt_env_context,
     anchor_offset,
     clock_anchor,
+    configure_logging,
     context_scope,
     current_context,
-    env_propagation,
-    extract_env,
-    inject_env,
+    log_event,
     new_context,
     new_trace_id,
+    read_log_jsonl,
     set_context,
 )
-from repro.obs.context import CONTEXT_ENV_VARS, clear_env
 
 
 class TestTraceContext:
@@ -66,79 +65,47 @@ class TestTraceContext:
         with pytest.raises(ObservabilityError, match="TraceContext"):
             set_context("not a context")
 
-
-class TestEnvPropagation:
-    def test_inject_extract_round_trip(self):
-        env: dict = {}
-        context = TraceContext(
-            trace_id="cd" * 16, parent_span_id=5,
-            fleet_run_id="run-3", worker_id="w2", shard=2,
+    def test_overlapping_thread_scopes_keep_their_own_context(
+        self, tmp_path
+    ):
+        """Two handler threads of a threaded server, interleaved: each
+        log record carries its own request id, and neither request's
+        context outlives it."""
+        path = tmp_path / "log.jsonl"
+        configure_logging(path)
+        a_in, b_in, a_logged, b_logged, a_out = (
+            threading.Event() for _ in range(5)
         )
-        inject_env(context, env)
-        assert extract_env(env) == context
 
-    def test_minimal_context_round_trips_without_optional_vars(self):
-        env: dict = {}
-        context = TraceContext(trace_id="ef" * 16)
-        inject_env(context, env)
-        # Only the trace id is present; nothing optional leaks.
-        assert set(env) == {"GABLES_TRACE_ID"}
-        assert extract_env(env) == context
+        def request(name, entered, log_after, logged, exit_after):
+            context = TraceContext(trace_id=new_trace_id(),
+                                   request_id=f"req-{name}")
+            with context_scope(context):
+                entered.set()
+                log_after.wait(5)
+                log_event("info", f"request.{name}")
+                logged.set()
+                exit_after.wait(5)
 
-    def test_inject_clears_stale_variables(self):
-        env: dict = {}
-        inject_env(TraceContext(trace_id="aa" * 16, worker_id="w9",
-                                shard=9), env)
-        inject_env(TraceContext(trace_id="bb" * 16), env)
-        extracted = extract_env(env)
-        assert extracted.worker_id == ""
-        assert extracted.shard is None
+        # A enters, B enters, A logs, B logs, A exits, B exits.
+        def request_a():
+            request("a", a_in, b_in, a_logged, b_logged)
+            a_out.set()
 
-    def test_extract_without_trace_returns_none(self):
-        assert extract_env({}) is None
+        def request_b():
+            a_in.wait(5)
+            request("b", b_in, a_logged, b_logged, a_out)
 
-    def test_extract_rejects_malformed_shard(self):
-        env = {"GABLES_TRACE_ID": "ab" * 16, "GABLES_SHARD": "two"}
-        with pytest.raises(ObservabilityError, match="GABLES_SHARD"):
-            extract_env(env)
-
-    def test_env_propagation_scope_restores_environment(self):
-        env = {"GABLES_TRACE_ID": "old", "UNRELATED": "kept"}
-        context = new_context("run-4")
-        with env_propagation(context, env):
-            assert env["GABLES_TRACE_ID"] == context.trace_id
-            assert env["GABLES_FLEET_RUN_ID"] == "run-4"
-        assert env == {"GABLES_TRACE_ID": "old", "UNRELATED": "kept"}
-
-    def test_env_propagation_restores_on_exception(self):
-        env: dict = {}
-        with pytest.raises(RuntimeError):
-            with env_propagation(new_context(), env):
-                raise RuntimeError("boom")
-        assert not any(name in env for name in CONTEXT_ENV_VARS)
-
-    def test_adopt_env_context_installs_current(self):
-        env: dict = {}
-        context = new_context("run-5").child(worker_id="w0", shard=0)
-        inject_env(context, env)
-        assert adopt_env_context(env) == context
-        assert current_context() == context
-
-    def test_adopt_without_trace_leaves_current_alone(self):
-        installed = new_context()
-        set_context(installed)
-        assert adopt_env_context({}) is None
-        assert current_context() is installed
-
-    def test_clear_env_removes_every_variable(self):
-        env: dict = {}
-        inject_env(
-            TraceContext(trace_id="ab" * 16, parent_span_id=1,
-                         fleet_run_id="r", worker_id="w", shard=0),
-            env,
-        )
-        clear_env(env)
-        assert env == {}
+        threads = [threading.Thread(target=request_a),
+                   threading.Thread(target=request_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        records = {r.event: r.request_id for r in read_log_jsonl(path)}
+        assert records == {"request.a": "req-a", "request.b": "req-b"}
+        assert current_context() is None
 
 
 class TestClockAnchor:
