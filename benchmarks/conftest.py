@@ -5,22 +5,20 @@ DESIGN.md's experiment index): the ``benchmark`` fixture times the
 regeneration, and plain asserts check the reproduction against the
 paper's published numbers and shapes.
 
-Every session also feeds the benchmark history: per-test call
-durations and the end-of-run metrics snapshot become normalized
-:class:`repro.obs.bench.BenchRecord` rows, written as the
-``BENCH_obs.json`` snapshot (schema 1) and *appended* to
-``BENCH_HISTORY.jsonl`` — the trajectory ``gables bench compare`` and
-the CI ``bench-history`` job check for regressions.
+Every session also feeds the benchmark history: each passing test's
+call duration becomes one ``bench.<test name>`` timing record
+(:class:`repro.obs.bench.BenchRecord`), and the session's records are
+*appended* to ``BENCH_HISTORY.jsonl`` under one run id, last — the run
+``gables bench compare`` and the CI ``bench-history`` job judge
+against the rolling baseline.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.obs import get_registry
 from repro.obs.bench import (
     append_history,
     git_revision,
@@ -31,11 +29,6 @@ from repro.obs.bench import (
 from repro.sim import simulated_snapdragon_835
 
 _ROOT = Path(__file__).resolve().parent.parent
-
-#: Where the end-of-run observability snapshot lands (repo root), so
-#: the metrics trajectory (evaluations run, sweep points, contention
-#: rounds, ...) is comparable across PRs alongside the timing numbers.
-OBS_SNAPSHOT = _ROOT / "BENCH_obs.json"
 
 #: The append-only benchmark trajectory (one JSONL record per metric
 #: per run); never truncated by the harness.
@@ -52,41 +45,20 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write the normalized snapshot and append to the history."""
+    """Append this session's timing records to the history."""
     run_id = new_run_id()
     git_rev = git_revision(_ROOT)
     host = host_fingerprint()
-
-    def record(name, value, unit, meta):
-        return make_record(
-            name, value, unit,
-            run_id=run_id, git_rev=git_rev, host=host, meta=meta,
-        )
-
-    records = []
-    for name, entry in get_registry().snapshot().items():
-        value = entry.get("value", entry.get("sum", 0.0))
-        records.append(record(
-            f"metrics.{name}",
-            value or 0.0,
-            "count" if entry["type"] == "counter" else "value",
-            {"type": entry["type"]},
-        ))
-    for nodeid, duration in sorted(_DURATIONS.items()):
-        records.append(record(
+    records = [
+        make_record(
             f"bench.{nodeid.split('::')[-1]}", duration, "s",
-            {"nodeid": nodeid},
-        ))
-    if not records:
-        return
-    OBS_SNAPSHOT.write_text(
-        json.dumps(
-            {"schema": 1, "records": [r.to_dict() for r in records]},
-            indent=2, sort_keys=True,
-        ) + "\n",
-        encoding="utf-8",
-    )
-    append_history(BENCH_HISTORY, records)
+            run_id=run_id, git_rev=git_rev, host=host,
+            meta={"nodeid": nodeid},
+        )
+        for nodeid, duration in sorted(_DURATIONS.items())
+    ]
+    if records:
+        append_history(BENCH_HISTORY, records)
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,13 @@ from repro.baselines import (
     optimal_allocation,
     speedup_over_uniform,
 )
-from repro.core import SoCSpec, Workload, evaluate
-from repro.core.extensions import evaluate_serialized
+from repro.core import (
+    SerializedVariant,
+    SoCSpec,
+    Workload,
+    evaluate,
+    evaluate_variant,
+)
 from repro.units import GIGA
 
 
@@ -79,7 +84,9 @@ def test_amdahl_limit_of_serialized_gables(benchmark):
         for f in (0.1, 0.5, 0.9, 0.99):
             workload = Workload(fractions=(1 - f, f),
                                 intensities=(math.inf, math.inf))
-            attained = evaluate_serialized(soc, workload).attainable
+            attained = evaluate_variant(
+                soc, workload, SerializedVariant()
+            ).attainable
             speedups.append((f, attained / (10 * GIGA)))
         return speedups
 

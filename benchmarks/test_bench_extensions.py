@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FIGURE_6B, FIGURE_6D, Workload, evaluate
-from repro.core.extensions import (
-    Bus,
-    InterconnectSpec,
-    MemorySideCache,
-    evaluate_serialized,
-    evaluate_with_buses,
-    evaluate_with_memory_side,
+from repro.core import (
+    FIGURE_6B,
+    FIGURE_6D,
+    InterconnectVariant,
+    MemorySideVariant,
+    SerializedVariant,
+    Workload,
+    evaluate,
+    evaluate_variant,
 )
+from repro.core.extensions import Bus, InterconnectSpec, MemorySideCache
 from repro.units import GIGA
 
 
@@ -34,8 +36,10 @@ def test_ablation_memory_side_sweep(benchmark):
 
     def sweep():
         return [
-            evaluate_with_memory_side(
-                soc, workload, MemorySideCache.uniform(2, miss)
+            evaluate_variant(
+                soc,
+                workload,
+                MemorySideVariant(MemorySideCache.uniform(2, miss)),
             )
             for miss in (1.0, 0.5, 0.2, 0.1, 0.05, 0.0)
         ]
@@ -61,7 +65,7 @@ def test_ablation_interconnect_vs_flat(benchmark):
 
     def run():
         flat = evaluate(soc, workload)
-        fabric = evaluate_with_buses(soc, workload, tight)
+        fabric = evaluate_variant(soc, workload, InterconnectVariant(tight))
         return flat, fabric
 
     flat, fabric = benchmark(run)
@@ -82,11 +86,13 @@ def test_ablation_concurrent_vs_serialized(benchmark):
         return {
             "balanced": (
                 evaluate(soc, balanced).attainable,
-                evaluate_serialized(soc, balanced).attainable,
+                evaluate_variant(
+                    soc, balanced, SerializedVariant()
+                ).attainable,
             ),
             "skewed": (
                 evaluate(soc, skewed).attainable,
-                evaluate_serialized(soc, skewed).attainable,
+                evaluate_variant(soc, skewed, SerializedVariant()).attainable,
             ),
         }
 
@@ -107,7 +113,7 @@ def test_ablation_serialized_memory_term(benchmark):
     workload = Workload.two_ip(f=0.5, i0=0.1, i1=0.1)
 
     def run():
-        return evaluate_serialized(soc, workload)
+        return evaluate_variant(soc, workload, SerializedVariant())
 
     result = benchmark(run)
     assert all(term.limiter == "memory" for term in result.ip_terms)

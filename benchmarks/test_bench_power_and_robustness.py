@@ -97,11 +97,8 @@ def test_ablation_synthesis_recovers_fig6d_sizing(benchmark):
 def test_ablation_multipath_doubles_fabric(benchmark):
     """Section V-B's deferred richer topology: two 5 GB/s fabrics with
     optimal splitting behave like one 10 GB/s fabric."""
-    from repro.core.extensions import (
-        Bus,
-        MultiPathInterconnect,
-        evaluate_with_multipath,
-    )
+    from repro.core import MultipathVariant, evaluate_variant
+    from repro.core.extensions import Bus, MultiPathInterconnect
 
     soc, workload = FIGURE_6B.soc(), FIGURE_6B.workload()
     multi = MultiPathInterconnect(
@@ -110,7 +107,7 @@ def test_ablation_multipath_doubles_fabric(benchmark):
         routes=((("hb",),), (("hb", "mm0"), ("hb", "mm1"))),
     )
     result = benchmark(
-        lambda: evaluate_with_multipath(soc, workload, multi)
+        lambda: evaluate_variant(soc, workload, MultipathVariant(multi))
     )
     # Fabric relieved back to the base model's memory bound.
     assert result.bottleneck == "memory"

@@ -15,7 +15,7 @@ Subcommands::
     gables trace summarize trace.jsonl
     gables trace export trace.jsonl --format chrome    (Perfetto)
     gables profile -- sweep --figure 6b --steps 99
-    gables bench compare --against rolling
+    gables bench compare --history BENCH_HISTORY.jsonl
     gables fleet run --workers 2 --telemetry shards/
     gables telemetry merge shards/ --dashboard fleet.html
     gables logs summarize shards/worker-w0/logs.jsonl --tail 10
@@ -502,18 +502,11 @@ def _cmd_profile(args) -> int:
 def _cmd_bench_compare(args) -> int:
     import os
 
-    records: list = []
-    if args.against == "rolling":
-        if not os.path.exists(args.history):
-            print(f"{args.history}: no benchmark history yet; "
-                  "nothing to compare")
-            return 0
-        records.extend(obs.read_history(args.history))
-    for path in args.files:
-        try:
-            records.extend(obs.load_bench_file(path))
-        except OSError as err:
-            raise ReproError(f"cannot read benchmark file: {err}") from err
+    if not os.path.exists(args.history):
+        print(f"{args.history}: no benchmark history yet; "
+              "nothing to compare")
+        return 0
+    records = obs.read_history(args.history)
     if not records:
         print("no benchmark records to compare")
         return 0
@@ -1108,15 +1101,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare the newest benchmark run against the rolling "
              "baseline",
     )
-    p_compare.add_argument(
-        "files", nargs="*",
-        help="extra BENCH_*.json snapshots folded in as the current run",
-    )
     p_compare.add_argument("--history", default="BENCH_HISTORY.jsonl",
                            help="JSONL benchmark history file")
-    p_compare.add_argument("--against", default="rolling",
-                           choices=("rolling",),
-                           help="baseline to compare against")
     p_compare.add_argument("--threshold", type=float, default=0.20,
                            help="regression bar as a fraction (0.20 = "
                                 "flag >= 20%% slower)")

@@ -587,55 +587,9 @@ def _compiled_call(
     )
 
 
-#: Identity-keyed prepare cache for the compiled engine: a sweep loop
-#: re-evaluates the same grid objects many times, and re-running
-#: coercion + validation costs as much as the fused kernel itself.
-#: Entries hold strong references to the keyed objects, so an id can
-#: never be recycled while it keys the cache; reuse stays hash-guarded
-#: through :meth:`PreparedBatch.as_tuple`.
-_PREP_CACHE_LIMIT = 8
-_PREP_CACHE: dict = {}
-
-
-def _prepared_cached(
-    soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-    ip_peaks, validate, on_error,
-):
-    """The `_prepare_batch` tuple via the compiled-path prepare cache."""
-    key = (
-        id(soc), id(fractions), id(intensities), id(memory_bandwidth),
-        id(ip_bandwidths), id(ip_peaks), validate, on_error,
-    )
-    entry = _PREP_CACHE.get(key)
-    if entry is not None:
-        anchors, prepared = entry
-        if (
-            anchors[0] is soc
-            and anchors[1] is fractions
-            and anchors[2] is intensities
-            and anchors[3] is memory_bandwidth
-            and anchors[4] is ip_bandwidths
-            and anchors[5] is ip_peaks
-        ):
-            return prepared.as_tuple(soc, validate, on_error)
-    prepared = prepare_batch(
-        soc, fractions, intensities, memory_bandwidth=memory_bandwidth,
-        ip_bandwidths=ip_bandwidths, ip_peaks=ip_peaks,
-        validate=validate, on_error=on_error,
-    )
-    if len(_PREP_CACHE) >= _PREP_CACHE_LIMIT:
-        _PREP_CACHE.clear()
-    _PREP_CACHE[key] = (
-        (soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-         ip_peaks),
-        prepared,
-    )
-    return prepared.as_tuple(soc, validate, on_error)
-
-
 def _prepared_inputs(
     soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-    ip_peaks, validate, on_error, use,
+    ip_peaks, validate, on_error,
 ):
     """Resolve raw arrays or a :class:`PreparedBatch` into the
     ``_prepare_batch`` result tuple."""
@@ -645,11 +599,6 @@ def _prepared_inputs(
                 "pass intensities=None when fractions is a PreparedBatch"
             )
         return fractions.as_tuple(soc, validate, on_error)
-    if use == "compiled":
-        return _prepared_cached(
-            soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-            ip_peaks, validate, on_error,
-        )
     return _prepare_batch(
         soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
         ip_peaks, validate, on_error,
@@ -783,7 +732,7 @@ def _evaluate(
         valid, failures, k,
     ) = _prepared_inputs(
         soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-        ip_peaks, validate, on_error, use,
+        ip_peaks, validate, on_error,
     )
     if phase is None:
         name = "core.evaluate_batch"

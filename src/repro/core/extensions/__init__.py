@@ -36,17 +36,6 @@ from .multipath import (
 from .phases import Phase, PhasedResult, PhasedUsecase, lower_phases
 from .serialized import lower_serialized
 
-# Deprecated legacy entry points; imported last so the shims can reach
-# the variant layer (which imports the submodules above) lazily.
-from ._compat import (  # noqa: E402  (deliberate ordering)
-    evaluate_phases,
-    evaluate_serialized,
-    evaluate_with_buses,
-    evaluate_with_coordination,
-    evaluate_with_memory_side,
-    evaluate_with_multipath,
-)
-
 __all__ = [
     "COORDINATION",
     "Bus",
@@ -58,13 +47,7 @@ __all__ = [
     "PhasedResult",
     "PhasedUsecase",
     "coordination_break_even_items",
-    "evaluate_phases",
-    "evaluate_serialized",
-    "evaluate_with_coordination",
     "max_item_rate_with_coordination",
-    "evaluate_with_buses",
-    "evaluate_with_memory_side",
-    "evaluate_with_multipath",
     "lower_coordination",
     "lower_interconnect",
     "lower_memory_side",

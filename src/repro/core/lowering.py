@@ -26,8 +26,9 @@ concrete), so one lowering serves a whole hardware sweep.  Two
 interchangeable backends execute it:
 
 - the scalar engine here (:func:`execute_lowered_phase`), which
-  replays the exact IEEE-754 operation order of the legacy
-  ``evaluate_with_*`` entry points (the equivalence suite pins bitwise
+  replays the exact IEEE-754 operation order of the per-extension
+  reference formulations (the ``legacy_*`` functions in
+  ``tests/test_variant_equivalence.py``, which pin bitwise
   agreement);
 - the vectorized backend in :mod:`repro.core.batch`
   (``evaluate_lowered_batch``), which evaluates a lowered phase over
@@ -203,11 +204,11 @@ def execute_lowered_phase(
 ) -> GablesResult:
     """The scalar backend: evaluate one lowered phase on one point.
 
-    Replays the legacy evaluators' exact operation order (same
+    Replays the reference formulations' exact operation order (same
     ``fsum`` reductions over the same operands, same dict insertion
     order into the bottleneck comparison), so lowered variants are
-    bitwise identical to the ``evaluate_with_*`` functions they
-    replace.
+    bitwise identical to the equivalence suite's ``legacy_*``
+    references.
     """
     if _TRACER.enabled:
         with _span("core.execute_lowered_phase"):

@@ -9,8 +9,8 @@ sweeps, report generation):
 - :mod:`.profile` — profiles as aggregated spans: ``summarize_spans``
   folds any span set into a self / cumulative timing tree, behind
   ``gables profile -- <subcommand>`` and ``gables trace summarize``;
-- :mod:`.metrics` — always-on named counters, gauges, histograms, and
-  block timers;
+- :mod:`.metrics` — always-on named counters, gauges and mergeable
+  bucket histograms;
 - :mod:`.provenance` — auditable *explain records* for every
   ``evaluate()``, cross-checked against
   :mod:`repro.analysis.bottleneck`;
@@ -52,7 +52,6 @@ from .bench import (
     detect_regressions,
     git_revision,
     host_fingerprint,
-    load_bench_file,
     make_record,
     new_run_id,
     read_history,
@@ -122,18 +121,14 @@ from .metrics import (
     BucketHistogram,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
-    Timer,
     bucket_histogram,
     counter,
     encode_metric_key,
     gauge,
     get_registry,
-    histogram,
     merge_snapshots,
     reset_metrics,
-    timer,
 )
 from .profile import (
     ProfileNode,
@@ -191,7 +186,6 @@ __all__ = [
     "Counter",
     "ExplainRecord",
     "Gauge",
-    "Histogram",
     "LogRecord",
     "MergedTelemetry",
     "MetricsRegistry",
@@ -204,7 +198,6 @@ __all__ = [
     "StructuredLogger",
     "TelemetryShard",
     "TermExplain",
-    "Timer",
     "TraceContext",
     "Tracer",
     "WorkerHealth",
@@ -244,12 +237,10 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "git_revision",
-    "histogram",
     "history_events",
     "host_fingerprint",
     "inject_headers",
     "last_explain",
-    "load_bench_file",
     "load_shards",
     "log_event",
     "logging_configured",
@@ -286,7 +277,6 @@ __all__ = [
     "summarize_logs",
     "summarize_spans",
     "tail_logs",
-    "timer",
     "trace_total_seconds",
     "tracing_enabled",
     "write_dashboard_html",

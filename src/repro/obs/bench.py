@@ -1,18 +1,13 @@
 """Benchmark history: append-only run records with regression detection.
 
-Benchmark snapshots used to be one-shot files with ad-hoc schemas
-(``BENCH_obs.json`` was a raw metrics snapshot, ``BENCH_variants.json``
-a bespoke timing dict), so nothing could answer "did this PR make the
-hot path slower?".  This module defines one normalized record shape —
-:class:`BenchRecord`: a named scalar plus host fingerprint, git
-revision, run id, and timestamp — and three capabilities on top of it:
+One normalized record shape — :class:`BenchRecord`: a named scalar
+plus host fingerprint, git revision, run id, and timestamp — and two
+capabilities on top of it:
 
 - **history**: every benchmark run appends its records to
   ``BENCH_HISTORY.jsonl`` (:func:`append_history`), a greppable JSONL
-  trajectory that survives across PRs and CI runs;
-- **legacy reading**: :func:`load_bench_file` still understands the
-  pre-history ``BENCH_*.json`` schemas for one release, converting
-  them into records so old snapshots join the comparison;
+  trajectory that survives across PRs and CI runs, and the one
+  benchmark-record format;
 - **regression detection**: :func:`detect_regressions` compares the
   latest run against a rolling-median baseline with a MAD noise gate,
   flagging timing metrics that got >= 20% slower — the check behind
@@ -61,7 +56,7 @@ class BenchRecord:
     judges — bigger is worse), ``"count"``/``"x"``/... for everything
     else.  ``run_id`` groups the records of one benchmark-suite
     invocation; ``meta`` carries free-form context (grid size, variant
-    name, legacy-schema origin).
+    name, pytest node id).
 
     ``worker_id``/``shard``/``fleet_run_id`` are fleet provenance for
     records produced by sharded runs (``gables fleet run``), and
@@ -252,69 +247,6 @@ def read_history(path) -> tuple:
         BenchRecord.from_dict,
         error=ObservabilityError,
         label="benchmark record",
-    )
-
-
-def load_bench_file(path) -> tuple:
-    """Read any ``BENCH_*.json`` snapshot as records.
-
-    Understands three shapes:
-
-    - the normalized schema: ``{"schema": 1, "records": [...]}``;
-    - the legacy variant-sweep snapshot
-      (``{"variant", "points", "scalar_seconds", "batch_seconds",
-      "speedup"}``), mapped to ``variants.<name>.*`` timing records;
-    - the legacy raw metrics snapshot (name -> ``{"type", ...}``),
-      mapped to ``"count"``-unit records.
-
-    The legacy readers exist for one release; regenerate snapshots to
-    drop them.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except ValueError as err:
-            raise ObservabilityError(
-                f"{path}: not a JSON benchmark snapshot ({err})"
-            ) from None
-    if not isinstance(data, dict):
-        raise ObservabilityError(
-            f"{path}: benchmark snapshot must be a JSON object"
-        )
-    if data.get("schema") == SCHEMA_VERSION and "records" in data:
-        return tuple(
-            BenchRecord.from_dict(entry) for entry in data["records"]
-        )
-    if "scalar_seconds" in data and "batch_seconds" in data:
-        variant = str(data.get("variant", "unknown"))
-        meta = {"legacy": "variants", "points": data.get("points")}
-        return (
-            BenchRecord(name=f"variants.{variant}.scalar_seconds",
-                        value=float(data["scalar_seconds"]), unit="s",
-                        meta=dict(meta)),
-            BenchRecord(name=f"variants.{variant}.batch_seconds",
-                        value=float(data["batch_seconds"]), unit="s",
-                        meta=dict(meta)),
-            BenchRecord(name=f"variants.{variant}.speedup",
-                        value=float(data.get("speedup", 0.0)), unit="x",
-                        meta=dict(meta)),
-        )
-    if data and all(
-        isinstance(entry, dict) and "type" in entry
-        for entry in data.values()
-    ):
-        records = []
-        for name, entry in sorted(data.items()):
-            value = entry.get("value", entry.get("mean", 0.0))
-            records.append(BenchRecord(
-                name=name,
-                value=float(value or 0.0),
-                unit="count" if entry["type"] == "counter" else "value",
-                meta={"legacy": "metrics", "type": entry["type"]},
-            ))
-        return tuple(records)
-    raise ObservabilityError(
-        f"{path}: unrecognized benchmark snapshot schema"
     )
 
 

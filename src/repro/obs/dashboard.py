@@ -16,10 +16,9 @@ module must lazy-import ``viz`` inside functions to avoid a cycle.
 from __future__ import annotations
 
 import html as _html
-import math
 
 from .bench import read_history
-from .metrics import get_registry
+from .metrics import bucket_quantile, get_registry
 from .profile import format_profile, summarize_spans
 from .trace import enable_tracing, get_tracer
 
@@ -163,43 +162,22 @@ def sparkline_svg(values, width: int = 180, height: int = 40,
     return canvas.to_string()
 
 
-def _bucket_quantile(entry: dict, q: float):
-    """Upper-bound quantile estimate from a bucket_histogram entry."""
-    count = entry.get("count", 0)
-    buckets = entry.get("buckets", ())
-    if not count or not buckets:
-        return None
-    rank = max(1, math.ceil(q * count))
-    cumulative = 0
-    bounds = entry.get("bounds", ())
-    for index, bucket_count in enumerate(buckets):
-        cumulative += bucket_count
-        if cumulative >= rank:
-            if index < len(bounds):
-                return bounds[index]
-            return entry.get("max")
-    return entry.get("max")
-
-
 def _metrics_section(snapshot) -> str:
     if not snapshot:
         return '<p class="empty">no metrics collected</p>'
     rows = []
     for name, entry in sorted(snapshot.items()):
         kind = entry.get("type", "?")
-        if kind == "histogram":
+        if kind == "bucket_histogram":
             count = entry.get("count", 0)
-            total = entry.get("sum", 0.0)
-            mean = entry.get("mean", total / count if count else 0.0)
-            value = f"n={count} sum={total:.6g} mean={mean:.6g}"
-            if "p95" in entry:
-                value += f" p50={entry['p50']:.6g} p95={entry['p95']:.6g}"
-        elif kind == "bucket_histogram":
-            value = (f"n={entry.get('count', 0)} "
-                     f"sum={entry.get('sum', 0.0):.6g}")
-            p50 = _bucket_quantile(entry, 0.50)
-            p99 = _bucket_quantile(entry, 0.99)
-            if p50 is not None and p99 is not None:
+            buckets = entry.get("buckets", ())
+            value = f"n={count} sum={entry.get('sum', 0.0):.6g}"
+            if count and buckets:  # no quantiles without observations
+                p50, p99 = (
+                    bucket_quantile(entry.get("bounds", ()), buckets,
+                                    count, entry.get("max"), q)
+                    for q in (0.50, 0.99)
+                )
                 value += f" p50<={p50:.6g} p99<={p99:.6g}"
         else:
             value = f"{entry.get('value', 0):.6g}"

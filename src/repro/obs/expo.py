@@ -21,10 +21,7 @@ Mapping rules:
 - :class:`~repro.obs.metrics.BucketHistogram` becomes a native
   Prometheus ``histogram``: cumulative ``_bucket{le="..."}`` series
   (the exposition is cumulative even though the registry stores
-  per-bucket counts), plus ``_sum`` and ``_count``;
-- the sampled-window :class:`~repro.obs.metrics.Histogram` becomes a
-  ``summary``: ``{quantile="0.5"}``/``{quantile="0.95"}`` series from
-  its windowed percentiles, plus exact ``_sum``/``_count``.
+  per-bucket counts), plus ``_sum`` and ``_count``.
 
 :func:`parse_exposition` is the inverse used by the round-trip tests
 and the CI scrape check: it rebuilds a snapshot-shaped mapping (keys
@@ -145,27 +142,6 @@ def render_exposition(snapshot=None) -> str:
                 for _, entry in entries
             ]
             _render_family(lines, base, kind, series)
-        elif kind == "histogram":
-            series = []
-            for _, entry in entries:
-                labels = dict(entry.get("labels") or {})
-                for quantile, field in (("0.5", "p50"), ("0.95", "p95")):
-                    if field in entry:
-                        q_labels = dict(labels)
-                        q_labels["quantile"] = quantile
-                        series.append(
-                            f"{base}{_format_labels(q_labels)} "
-                            f"{_format_value(entry[field])}"
-                        )
-                tail = _format_labels(labels)
-                series.append(
-                    f"{base}_sum{tail} {_format_value(entry.get('sum', 0.0))}"
-                )
-                series.append(
-                    f"{base}_count{tail} "
-                    f"{_format_value(entry.get('count', 0))}"
-                )
-            _render_family(lines, base, "summary", series)
         elif kind == "bucket_histogram":
             series = []
             for _, entry in entries:
@@ -281,8 +257,9 @@ def parse_exposition(text: str) -> dict:
     The result maps ``name{labels}`` keys (sanitized names) to entries
     with the same fields :func:`render_exposition` consumed:
     counters/gauges carry ``value``; histograms carry ``count``,
-    ``sum``, ``bounds`` and per-bucket ``buckets``; summaries carry
-    ``count``/``sum`` plus any ``p50``/``p95`` quantiles.
+    ``sum``, ``bounds`` and per-bucket ``buckets``.  A ``summary``
+    family (the registry renders none) or any unknown type is
+    malformed.
     """
     types: dict = {}
     samples: list = []
@@ -294,7 +271,7 @@ def parse_exposition(text: str) -> dict:
             parts = line.split()
             if len(parts) >= 4 and parts[1] == "TYPE":
                 if parts[3] not in ("counter", "gauge", "histogram",
-                                    "summary", "untyped"):
+                                    "untyped"):
                     raise ObservabilityError(
                         f"unknown metric type in exposition line {line!r}",
                         code="OBS_EXPOSITION_MALFORMED",
@@ -316,7 +293,7 @@ def parse_exposition(text: str) -> dict:
         for suffix, role in (("_bucket", "bucket"), ("_sum", "sum"),
                              ("_count", "count")):
             base = name[: -len(suffix)] if name.endswith(suffix) else None
-            if base and types.get(base) in ("histogram", "summary"):
+            if base and types.get(base) == "histogram":
                 return base, role
         return name, "value"
 
@@ -333,12 +310,11 @@ def parse_exposition(text: str) -> dict:
                 entry["labels"] = dict(labels)
             result[key] = entry
         else:
-            plain = {k: v for k, v in labels.items()
-                     if k not in ("le", "quantile")}
+            plain = {k: v for k, v in labels.items() if k != "le"}
             key = encode_metric_key(base, plain)
             slot = histograms.setdefault(
-                key, {"kind": kind, "labels": plain, "buckets": [],
-                      "quantiles": {}, "sum": 0.0, "count": 0}
+                key, {"labels": plain, "buckets": [], "sum": 0.0,
+                      "count": 0}
             )
             if role == "bucket":
                 if "le" not in labels:
@@ -353,47 +329,35 @@ def parse_exposition(text: str) -> dict:
                 slot["sum"] = value
             elif role == "count":
                 slot["count"] = int(value)
-            elif "quantile" in labels:
-                slot["quantiles"][labels["quantile"]] = value
             else:
                 raise ObservabilityError(
                     f"unexpected bare sample {name!r} in {kind} family",
                     code="OBS_EXPOSITION_MALFORMED",
                 )
     for key, slot in histograms.items():
-        if slot["kind"] == "summary":
-            entry = {
-                "type": "histogram",
-                "count": slot["count"],
-                "sum": slot["sum"],
-            }
-            for quantile, field in (("0.5", "p50"), ("0.95", "p95")):
-                if quantile in slot["quantiles"]:
-                    entry[field] = slot["quantiles"][quantile]
-        else:
-            ordered = sorted(slot["buckets"], key=lambda pair: pair[0])
-            if not ordered or not math.isinf(ordered[-1][0]):
-                raise ObservabilityError(
-                    f"histogram {key!r} exposition lacks a +Inf bucket",
-                    code="OBS_EXPOSITION_MALFORMED",
-                )
-            bounds = [bound for bound, _ in ordered[:-1]]
-            cumulative = [int(count) for _, count in ordered]
-            buckets = [cumulative[0]] + [
-                b - a for a, b in zip(cumulative, cumulative[1:])
-            ]
-            if any(count < 0 for count in buckets):
-                raise ObservabilityError(
-                    f"histogram {key!r} bucket counts are not cumulative",
-                    code="OBS_EXPOSITION_MALFORMED",
-                )
-            entry = {
-                "type": "bucket_histogram",
-                "count": slot["count"],
-                "sum": slot["sum"],
-                "bounds": bounds,
-                "buckets": buckets,
-            }
+        ordered = sorted(slot["buckets"], key=lambda pair: pair[0])
+        if not ordered or not math.isinf(ordered[-1][0]):
+            raise ObservabilityError(
+                f"histogram {key!r} exposition lacks a +Inf bucket",
+                code="OBS_EXPOSITION_MALFORMED",
+            )
+        bounds = [bound for bound, _ in ordered[:-1]]
+        cumulative = [int(count) for _, count in ordered]
+        buckets = [cumulative[0]] + [
+            b - a for a, b in zip(cumulative, cumulative[1:])
+        ]
+        if any(count < 0 for count in buckets):
+            raise ObservabilityError(
+                f"histogram {key!r} bucket counts are not cumulative",
+                code="OBS_EXPOSITION_MALFORMED",
+            )
+        entry = {
+            "type": "bucket_histogram",
+            "count": slot["count"],
+            "sum": slot["sum"],
+            "bounds": bounds,
+            "buckets": buckets,
+        }
         if slot["labels"]:
             entry["labels"] = dict(slot["labels"])
         result[key] = entry

@@ -1,4 +1,4 @@
-"""Named counters, gauges, and histograms in a process-global registry.
+"""Named counters, gauges, and bucket histograms in a process-global registry.
 
 Instrumented library code records *what happened* (how many DRAM
 arbitration rounds, how many sweep points, how many Pareto candidates)
@@ -34,9 +34,10 @@ Two extensions serve the cross-process telemetry layer
   ``name{key=value,...}``.  The unlabeled API is unchanged.
 - **mergeable snapshots** — :func:`merge_snapshots` combines worker
   snapshots under the addition laws: counter values and histogram
-  count/sum add, histogram min/max take extremes, gauges keep the last
-  writer (they have no meaningful sum).  Percentiles are dropped on
-  merge — sample windows are not mergeable without loss, totals are.
+  count, sum and per-bucket counts add, histogram min/max take
+  extremes, gauges keep the last writer (they have no meaningful sum).
+  The merged histogram is exactly the histogram of every worker's
+  observations, so its quantiles lose nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-import time
 
 from ..errors import ObservabilityError
 
@@ -125,95 +125,33 @@ class Gauge:
         return data
 
 
-class Histogram:
-    """Aggregate distribution: count/sum/min/max plus a sample window.
+def bucket_quantile(bounds, buckets, count: int, maximum, q: float):
+    """Upper bound of the bucket holding the ``q``-th of ``count``
+    observations (``buckets`` per-bucket, one more than ``bounds``).
 
-    Keeps the most recent ``max_samples`` observations (a ring buffer)
-    so :meth:`percentile` stays O(window) without unbounded memory on
-    long runs; count/sum/min/max always cover *every* observation.
+    An over-estimate by at most one bucket width; the overflow bucket
+    reports ``maximum``, the exact observed max.  The one quantile rule
+    behind :meth:`BucketHistogram.quantile` and the dashboard's rows.
     """
-
-    __slots__ = ("name", "count", "total", "min", "max", "labels",
-                 "_samples", "_max_samples", "_next")
-
-    def __init__(self, name: str, max_samples: int = 4096,
-                 labels=None) -> None:
-        if max_samples < 1:
-            raise ObservabilityError(
-                f"histogram {name!r} needs max_samples >= 1"
-            )
-        self.name = name
-        self.labels = dict(labels) if labels else None
-        self._max_samples = max_samples
-        self._init_state()
-
-    def _init_state(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
-        self._samples = []
-        self._next = 0
-
-    def record(self, value: float) -> None:
-        """Observe one value."""
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if len(self._samples) < self._max_samples:
-            self._samples.append(value)
-        else:
-            self._samples[self._next] = value
-            self._next = (self._next + 1) % self._max_samples
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, p: float) -> float:
-        """Nearest-rank percentile over the retained sample window."""
-        if not 0 <= p <= 100:
-            raise ObservabilityError(f"percentile must be in [0, 100], got {p!r}")
-        if not self._samples:
-            raise ObservabilityError(
-                f"histogram {self.name!r} has no observations"
-            )
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[min(rank, len(ordered)) - 1]
-
-    def reset(self) -> None:
-        self._init_state()
-
-    def to_dict(self) -> dict:
-        data = {
-            "type": "histogram",
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-        }
-        if self._samples:
-            data["p50"] = self.percentile(50)
-            data["p95"] = self.percentile(95)
-        if self.labels:
-            data["labels"] = dict(self.labels)
-        return data
+    rank = max(1, math.ceil(q * count))
+    cumulative = 0
+    for index, bucket_count in enumerate(buckets):
+        cumulative += bucket_count
+        if cumulative >= rank:
+            if index < len(bounds):
+                return bounds[index]
+            return maximum
+    return maximum
 
 
 class BucketHistogram:
     """Fixed log-bucketed distribution with *exact* merge laws.
 
-    The sampled-window :class:`Histogram` biases its percentiles once
-    the window wraps under load; this instrument trades per-sample
-    fidelity for bucket counts that merge bitwise across processes:
-    merging two bucket histograms (same bounds) yields exactly the
-    histogram of the union of their observations.  Upper bounds use
+    The one distribution instrument: it trades per-sample fidelity for
+    bucket counts that merge bitwise across processes, and its memory
+    stays fixed however long a run records.  Merging two bucket
+    histograms (same bounds) yields exactly the histogram of the union
+    of their observations, quantiles included.  Upper bounds use
     ``le`` semantics (a value lands in the first bucket whose bound is
     >= value); values above the last bound land in the implicit
     ``+Inf`` overflow bucket.
@@ -276,15 +214,9 @@ class BucketHistogram:
             raise ObservabilityError(
                 f"bucket histogram {self.name!r} has no observations"
             )
-        rank = max(1, math.ceil(q * self.count))
-        cumulative = 0
-        for index, bucket_count in enumerate(self.buckets):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.max
-        return self.max
+        return bucket_quantile(
+            self.bounds, self.buckets, self.count, self.max, q
+        )
 
     def reset(self) -> None:
         self._init_state()
@@ -303,39 +235,6 @@ class BucketHistogram:
         if self.labels:
             data["labels"] = dict(self.labels)
         return data
-
-
-class Timer:
-    """Context manager recording elapsed seconds into a histogram.
-
-    Each entry/exit observes one duration, so the backing histogram
-    reports count/sum/min/max (always) and p50/p95 (over the retained
-    sample window) of the timed block::
-
-        with timer("ert.fit.seconds"):
-            fitted = fit_roofline(sweep)
-
-    Re-enterable and reusable: ``timer(name)`` hands out a fresh
-    ``Timer`` over the shared named histogram, so concurrent or nested
-    uses never clobber each other's start marks.
-    """
-
-    __slots__ = ("histogram", "_clock", "_start")
-
-    def __init__(self, histogram: Histogram, clock=time.perf_counter) -> None:
-        self.histogram = histogram
-        self._clock = clock
-        self._start = None
-
-    def __enter__(self) -> "Timer":
-        self._start = self._clock()
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        if self._start is not None:
-            self.histogram.record(self._clock() - self._start)
-            self._start = None
-        return False
 
 
 class MetricsRegistry:
@@ -370,15 +269,8 @@ class MetricsRegistry:
     def gauge(self, name: str, labels=None) -> Gauge:
         return self._get_or_create(name, Gauge, labels)
 
-    def histogram(self, name: str, labels=None) -> Histogram:
-        return self._get_or_create(name, Histogram, labels)
-
     def bucket_histogram(self, name: str, labels=None) -> BucketHistogram:
         return self._get_or_create(name, BucketHistogram, labels)
-
-    def timer(self, name: str, labels=None) -> Timer:
-        """A fresh :class:`Timer` over the named histogram."""
-        return Timer(self._get_or_create(name, Histogram, labels))
 
     def names(self) -> tuple:
         """Registered metric names, sorted."""
@@ -424,19 +316,9 @@ def gauge(name: str, labels=None) -> Gauge:
     return _REGISTRY.gauge(name, labels)
 
 
-def histogram(name: str, labels=None) -> Histogram:
-    """Get or create a histogram in the global registry."""
-    return _REGISTRY.histogram(name, labels)
-
-
 def bucket_histogram(name: str, labels=None) -> BucketHistogram:
     """Get or create a bucket histogram in the global registry."""
     return _REGISTRY.bucket_histogram(name, labels)
-
-
-def timer(name: str, labels=None) -> Timer:
-    """A :class:`Timer` over a histogram in the global registry."""
-    return _REGISTRY.timer(name, labels)
 
 
 def reset_metrics() -> None:
@@ -460,22 +342,6 @@ def _merge_entry(merged: dict, entry: dict, key: str) -> dict:
         merged["value"] = merged.get("value", 0.0) + entry.get("value", 0.0)
     elif kind == "gauge":
         merged["value"] = entry.get("value", 0.0)  # last writer wins
-    elif kind == "histogram":
-        merged["count"] = merged.get("count", 0) + entry.get("count", 0)
-        merged["sum"] = merged.get("sum", 0.0) + entry.get("sum", 0.0)
-        for field, pick in (("min", min), ("max", max)):
-            a, b = merged.get(field), entry.get(field)
-            if a is None:
-                merged[field] = b
-            elif b is not None:
-                merged[field] = pick(a, b)
-        merged["mean"] = (
-            merged["sum"] / merged["count"] if merged["count"] else 0.0
-        )
-        # Percentiles are window statistics; windows do not merge
-        # without loss, so the merged entry carries none.
-        merged.pop("p50", None)
-        merged.pop("p95", None)
     elif kind == "bucket_histogram":
         if list(merged.get("bounds", ())) != list(entry.get("bounds", ())):
             raise ObservabilityError(
@@ -508,9 +374,9 @@ def _merge_entry(merged: dict, entry: dict, key: str) -> dict:
 def merge_snapshots(*snapshots) -> dict:
     """Combine metric snapshots under the addition laws, keys sorted.
 
-    Counters and histogram count/sum add exactly (the union of the
-    inputs); histogram min/max take the extremes; gauges keep the last
-    snapshot's value.  Type conflicts for the same key raise — a
+    Counters and histogram count/sum/buckets add exactly (the union of
+    the inputs); histogram min/max take the extremes; gauges keep the
+    last snapshot's value.  Type conflicts for the same key raise — a
     counter in one worker and a gauge in another is a bug, not data.
     """
     merged: dict = {}
@@ -518,10 +384,7 @@ def merge_snapshots(*snapshots) -> dict:
         for key, entry in snapshot.items():
             if key not in merged:
                 merged[key] = dict(entry)
-                if merged[key].get("type") == "histogram":
-                    merged[key].pop("p50", None)
-                    merged[key].pop("p95", None)
-                elif merged[key].get("type") == "bucket_histogram":
+                if merged[key].get("type") == "bucket_histogram":
                     # Detach mutable fields from the input snapshot.
                     merged[key]["bounds"] = list(entry.get("bounds", ()))
                     merged[key]["buckets"] = list(entry.get("buckets", ()))

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 from .._validation import require_finite_positive, require_nonnegative
 from ..errors import SimulationError, SpecError
+from ..obs.metrics import bucket_histogram as _bucket_histogram
 from ..obs.metrics import counter as _counter
-from ..obs.metrics import histogram as _histogram
 from ..obs.trace import span as _span
 from ..units import GIGA, KIB, MIB
 from .contention import contention_efficiency, max_min_fair, weighted_fair
@@ -41,7 +41,7 @@ from .thermal import ThermalSpec, ThermalState
 
 #: Simulator telemetry (see docs/observability.md for the name scheme).
 _KERNEL_RUNS = _counter("sim.kernel.runs")
-_KERNEL_RUNTIME = _histogram("sim.kernel.runtime_s")
+_KERNEL_RUNTIME = _bucket_histogram("sim.kernel.runtime_s")
 _THROTTLE_EVENTS = _counter("sim.thermal.throttle_events")
 _CONTENTION_ROUNDS = _counter("sim.dram.contention_rounds")
 _CONCURRENT_RUNS = _counter("sim.concurrent.runs")

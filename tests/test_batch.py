@@ -246,6 +246,46 @@ class TestBatchValidation:
             batch.result(1)
 
 
+class TestInPlaceMutation:
+    """Every call coerces and validates the arrays it is given.
+
+    A caller that reuses its own list or array objects and edits them
+    in place between calls must get the numbers (and errors) of the
+    edited values, on every engine.
+    """
+
+    def test_nested_list_edit_is_seen_by_the_next_call(self, generic_spec):
+        n, k = generic_spec.n_ips, 5
+        fractions = [[1.0 / n] * n for _ in range(k)]
+        intensities = [[1.0] * n for _ in range(k)]
+        first = evaluate_batch(generic_spec, fractions, intensities)
+        intensities[1] = [100.0] * n
+        again = evaluate_batch(generic_spec, fractions, intensities)
+        fresh = evaluate_batch(
+            generic_spec, [list(row) for row in fractions],
+            [list(row) for row in intensities],
+        )
+        interpreted = evaluate_batch(
+            generic_spec, fractions, intensities, engine="interpreted"
+        )
+        assert again.attainables[1] != first.attainables[1]
+        assert again.attainables[1] == fresh.attainables[1]
+        assert again.attainables[1] == interpreted.attainables[1]
+        assert again.attainables[0] == first.attainables[0]
+
+    @pytest.mark.parametrize("engine", ENGINE_CHOICES)
+    def test_array_edit_is_validated_by_the_next_call(self, generic_spec,
+                                                      engine):
+        n, k = generic_spec.n_ips, 5
+        fractions = np.full((k, n), 1.0 / n)
+        intensities = np.ones((k, n))
+        evaluate_batch(generic_spec, fractions, intensities, engine=engine)
+        fractions[1] = -5.0
+        with pytest.raises(WorkloadError, match=r"finite values in \[0, 1\]"):
+            evaluate_batch(generic_spec, fractions, intensities,
+                           engine=engine)
+
+
 class TestFractionGrid:
     """The vectorized ``with_fraction_at`` builds identical rows."""
 

@@ -1,8 +1,6 @@
-"""Benchmark history: records, legacy readers, regression detection."""
+"""Benchmark history: records, the JSONL store, regression detection."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -14,7 +12,6 @@ from repro.obs.bench import (
     compare_runs,
     detect_regressions,
     host_fingerprint,
-    load_bench_file,
     make_record,
     new_run_id,
     read_history,
@@ -99,54 +96,6 @@ class TestHistoryFile:
             handle.write("\n\n")
         append_history(path, [_timing("bench.a", 0.2, "r2")])
         assert len(read_history(path)) == 2
-
-
-class TestLoadBenchFile:
-    def test_normalized_schema(self, tmp_path):
-        path = tmp_path / "BENCH_obs.json"
-        records = [_timing("bench.a", 0.5, "r1")]
-        path.write_text(json.dumps(
-            {"schema": 1, "records": [r.to_dict() for r in records]}
-        ))
-        assert load_bench_file(path) == tuple(records)
-
-    def test_legacy_variants_snapshot(self, tmp_path):
-        path = tmp_path / "BENCH_variants.json"
-        path.write_text(json.dumps({
-            "variant": "interconnect", "points": 10_000,
-            "scalar_seconds": 1.5, "batch_seconds": 0.1, "speedup": 15.0,
-        }))
-        records = load_bench_file(path)
-        by_name = {r.name: r for r in records}
-        assert by_name["variants.interconnect.scalar_seconds"].value == 1.5
-        assert by_name["variants.interconnect.batch_seconds"].unit == "s"
-        assert by_name["variants.interconnect.speedup"].unit == "x"
-        assert all(r.meta["legacy"] == "variants" for r in records)
-
-    def test_legacy_metrics_snapshot(self, tmp_path):
-        path = tmp_path / "BENCH_obs.json"
-        path.write_text(json.dumps({
-            "core.evaluations": {"type": "counter", "value": 41},
-            "ert.residual": {"type": "gauge", "value": 0.02},
-        }))
-        records = load_bench_file(path)
-        by_name = {r.name: r for r in records}
-        assert by_name["core.evaluations"].unit == "count"
-        assert by_name["core.evaluations"].value == 41
-        assert by_name["ert.residual"].unit == "value"
-        assert all(r.meta["legacy"] == "metrics" for r in records)
-
-    def test_unknown_schema_rejected(self, tmp_path):
-        path = tmp_path / "weird.json"
-        path.write_text(json.dumps({"something": "else"}))
-        with pytest.raises(ObservabilityError, match="unrecognized"):
-            load_bench_file(path)
-
-    def test_non_json_rejected(self, tmp_path):
-        path = tmp_path / "weird.json"
-        path.write_text("][")
-        with pytest.raises(ObservabilityError, match="not a JSON"):
-            load_bench_file(path)
 
 
 class TestRollingBaseline:
@@ -262,20 +211,3 @@ class TestBenchCompareCli:
         assert main(["bench", "compare", "--history", str(path)]) == 0
         assert main(["bench", "compare", "--history", str(path),
                      "--threshold", "0.10"]) == 1
-
-    def test_extra_snapshot_files_join_as_current_run(self, tmp_path,
-                                                      capsys):
-        history = self._write_history(tmp_path, [1.0, 1.0, 1.0])
-        snapshot = tmp_path / "BENCH_now.json"
-        record = _timing("bench.sweep", 1.5, "snapshot-run")
-        snapshot.write_text(json.dumps(
-            {"schema": 1, "records": [record.to_dict()]}
-        ))
-        assert main(["bench", "compare", str(snapshot),
-                     "--history", str(history)]) == 1
-        assert "snapshot-run" in capsys.readouterr().out
-
-    def test_unreadable_snapshot_fails_cleanly(self, tmp_path, capsys):
-        assert main(["bench", "compare",
-                     str(tmp_path / "nope.json")]) != 0
-        assert capsys.readouterr().err

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FIGURE_6D, Workload, evaluate
+from repro.core import (
+    FIGURE_6D,
+    CoordinationVariant,
+    Workload,
+    evaluate,
+    evaluate_variant,
+)
 from repro.core.extensions import (
     COORDINATION,
     CoordinationModel,
     coordination_break_even_items,
-    evaluate_with_coordination,
     max_item_rate_with_coordination,
 )
 from repro.errors import SpecError, WorkloadError
@@ -44,7 +49,7 @@ class TestCoordinationModel:
     def test_mismatched_sizes_rejected(self, soc, workload):
         model = CoordinationModel((0.0,), ops_per_item=1e9)
         with pytest.raises(WorkloadError):
-            evaluate_with_coordination(soc, workload, model)
+            evaluate_variant(soc, workload, CoordinationVariant(model))
 
     def test_negative_dispatch_rejected(self):
         with pytest.raises(SpecError):
@@ -56,7 +61,7 @@ class TestEvaluation:
         """Deep buffers amortize dispatch: the answer matches base
         Gables."""
         model = CoordinationModel((0.0, 50e-6), ops_per_item=1e12)
-        result = evaluate_with_coordination(soc, workload, model)
+        result = evaluate_variant(soc, workload, CoordinationVariant(model))
         base = evaluate(soc, workload)
         assert result.attainable == pytest.approx(base.attainable, rel=1e-3)
         assert result.bottleneck != COORDINATION
@@ -65,7 +70,7 @@ class TestEvaluation:
         """Shallow buffers at high rates: the host's interrupt mill
         becomes the bottleneck — Section II-B's third failure mode."""
         model = CoordinationModel((0.0, 50e-6), ops_per_item=1e6)
-        result = evaluate_with_coordination(soc, workload, model)
+        result = evaluate_variant(soc, workload, CoordinationVariant(model))
         base = evaluate(soc, workload)
         assert result.attainable < base.attainable / 8
         assert result.bottleneck in (COORDINATION, "CPU")
@@ -79,14 +84,14 @@ class TestEvaluation:
         workload binds on the CPU *earlier* with dispatch costs."""
         workload = Workload.two_ip(f=0.5, i0=8, i1=8)
         model = CoordinationModel((0.0, 1e-6), ops_per_item=10e6)
-        result = evaluate_with_coordination(soc, workload, model)
+        result = evaluate_variant(soc, workload, CoordinationVariant(model))
         host_time = result.component_times()["CPU"]
         base_host_time = evaluate(soc, workload).component_times()["CPU"]
         assert host_time > base_host_time
 
     def test_zero_dispatch_reduces_to_base(self, soc, workload):
         model = CoordinationModel.uniform(2, 0.0, ops_per_item=1e9)
-        result = evaluate_with_coordination(soc, workload, model)
+        result = evaluate_variant(soc, workload, CoordinationVariant(model))
         base = evaluate(soc, workload)
         assert result.attainable == pytest.approx(base.attainable)
         assert COORDINATION not in result.extra_times
@@ -100,8 +105,12 @@ class TestBreakEven:
                                         ops_per_item=ops_star * 10)
         model_below = CoordinationModel((0.0, 50e-6),
                                         ops_per_item=ops_star / 10)
-        above = evaluate_with_coordination(soc, workload, model_above)
-        below = evaluate_with_coordination(soc, workload, model_below)
+        above = evaluate_variant(
+            soc, workload, CoordinationVariant(model_above)
+        )
+        below = evaluate_variant(
+            soc, workload, CoordinationVariant(model_below)
+        )
         base = evaluate(soc, workload).attainable
         assert above.attainable > base * 0.9
         assert below.attainable < base * 0.2

@@ -114,6 +114,19 @@ class TestRenderDashboard:
         assert "page.evals" in html
         assert "bench.sweep" in html
 
+    def test_bucket_histogram_row_uses_the_histogram_quantiles(self):
+        latency = obs.bucket_histogram("page.latency_s")
+        for value in (0.003, 0.004, 0.02, 7.5):
+            latency.record(value)
+        obs.bucket_histogram("page.idle_s")
+        html = render_dashboard(metrics=obs.get_registry().snapshot())
+        assert (f"n=4 sum={latency.total:.6g} "
+                f"p50&lt;={latency.quantile(0.5):.6g} "
+                f"p99&lt;={latency.quantile(0.99):.6g}") in html
+        # An empty histogram has no quantiles to show.
+        assert ("<td>page.idle_s</td><td>bucket_histogram</td>"
+                '<td class="num">n=0 sum=0</td>') in html
+
     def test_profile_defaults_to_the_summary_of_the_spans(self):
         obs.enable_tracing()
         with obs.span("page.root"):

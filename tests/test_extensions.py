@@ -6,17 +6,22 @@ import math
 
 import pytest
 
-from repro.core import SoCSpec, Workload, evaluate
+from repro.core import (
+    InterconnectVariant,
+    MemorySideVariant,
+    PhasedVariant,
+    SerializedVariant,
+    SoCSpec,
+    Workload,
+    evaluate,
+    evaluate_variant,
+)
 from repro.core.extensions import (
     Bus,
     InterconnectSpec,
     MemorySideCache,
     Phase,
     PhasedUsecase,
-    evaluate_phases,
-    evaluate_serialized,
-    evaluate_with_buses,
-    evaluate_with_memory_side,
 )
 from repro.core.extensions.interconnect import bus_times
 from repro.core.extensions.memory_side import miss_ratio_for_capacity
@@ -41,8 +46,8 @@ class TestMemorySide:
     def test_filtering_relieves_memory_bottleneck(self, soc, workload):
         base = evaluate(soc, workload)
         assert base.bottleneck == "memory"
-        cached = evaluate_with_memory_side(
-            soc, workload, MemorySideCache.uniform(2, 0.1)
+        cached = evaluate_variant(
+            soc, workload, MemorySideVariant(MemorySideCache.uniform(2, 0.1))
         )
         assert cached.attainable > base.attainable
         # The GPU's link (unfiltered) becomes the new bottleneck.
@@ -51,24 +56,24 @@ class TestMemorySide:
     def test_ip_link_times_unchanged(self, soc, workload):
         """The SRAM is memory-side: every reference still crosses Bi."""
         base = evaluate(soc, workload)
-        cached = evaluate_with_memory_side(
-            soc, workload, MemorySideCache.uniform(2, 0.0)
+        cached = evaluate_variant(
+            soc, workload, MemorySideVariant(MemorySideCache.uniform(2, 0.0))
         )
         for before, after in zip(base.ip_terms, cached.ip_terms):
             assert after.transfer_time == before.transfer_time
             assert after.time == before.time
 
     def test_perfect_capture_zeroes_memory_time(self, soc, workload):
-        cached = evaluate_with_memory_side(
-            soc, workload, MemorySideCache.uniform(2, 0.0)
+        cached = evaluate_variant(
+            soc, workload, MemorySideVariant(MemorySideCache.uniform(2, 0.0))
         )
         assert cached.memory_time == 0.0
         assert math.isinf(cached.memory_perf_bound)
 
     def test_per_ip_ratios(self, soc, workload):
         """Filtering only the GPU's traffic (the big consumer)."""
-        cached = evaluate_with_memory_side(
-            soc, workload, MemorySideCache((1.0, 0.01))
+        cached = evaluate_variant(
+            soc, workload, MemorySideVariant(MemorySideCache((1.0, 0.01)))
         )
         expected_bytes = 0.25 / 8 + 0.01 * (0.75 / 0.1)
         assert cached.memory_time == pytest.approx(
@@ -77,8 +82,10 @@ class TestMemorySide:
 
     def test_mismatched_ip_count_rejected(self, soc, workload):
         with pytest.raises(WorkloadError):
-            evaluate_with_memory_side(
-                soc, workload, MemorySideCache.uniform(3, 0.5)
+            evaluate_variant(
+                soc,
+                workload,
+                MemorySideVariant(MemorySideCache.uniform(3, 0.5)),
             )
 
     @pytest.mark.parametrize("ratio", [-0.1, 1.1, math.nan])
@@ -114,7 +121,9 @@ class TestInterconnect:
         assert times["mm-fabric"] == pytest.approx(gpu_bytes / (5 * GIGA))
 
     def test_slow_bus_becomes_bottleneck(self, soc, workload, interconnect):
-        result = evaluate_with_buses(soc, workload, interconnect)
+        result = evaluate_variant(
+            soc, workload, InterconnectVariant(interconnect)
+        )
         # mm-fabric carries 7.5 bytes/unit at 5 GB/s -> 0.667 Gops/s,
         # below the base model's 1.33 memory bound.
         assert result.bottleneck == "mm-fabric"
@@ -125,7 +134,7 @@ class TestInterconnect:
             buses=(Bus("wide", math.inf),), usage=((0,), (0,))
         )
         base = evaluate(soc, workload)
-        with_buses = evaluate_with_buses(soc, workload, wide)
+        with_buses = evaluate_variant(soc, workload, InterconnectVariant(wide))
         assert with_buses.attainable == pytest.approx(base.attainable)
         assert with_buses.bottleneck == base.bottleneck
 
@@ -154,12 +163,12 @@ class TestInterconnect:
             buses=(Bus("CPU", 1 * GIGA),), usage=((0,), (0,))
         )
         with pytest.raises(SpecError, match="collide"):
-            evaluate_with_buses(soc, workload, colliding)
+            evaluate_variant(soc, workload, InterconnectVariant(colliding))
 
     def test_usage_count_mismatch_rejected(self, soc, workload):
         spec = InterconnectSpec(buses=(Bus("a", 1e9),), usage=((0,),))
         with pytest.raises(WorkloadError):
-            evaluate_with_buses(soc, workload, spec)
+            evaluate_variant(soc, workload, InterconnectVariant(spec))
 
     def test_from_fabric_graph(self, generic_description):
         spec = generic_description.interconnect_spec()
@@ -176,7 +185,7 @@ class TestInterconnect:
 class TestSerialized:
     def test_serialized_sums_times(self, soc):
         workload = Workload.two_ip(f=0.5, i0=8, i1=8)
-        result = evaluate_serialized(soc, workload)
+        result = evaluate_variant(soc, workload, SerializedVariant())
         # CPU: max(0.5/80e9 [dram], 0.5/48e9 [link], 0.5/40e9 [compute])
         cpu_time = max(
             (0.5 / 8) / (10 * GIGA), (0.5 / 8) / (6 * GIGA), 0.5 / (40 * GIGA)
@@ -191,7 +200,7 @@ class TestSerialized:
         """Equation 18's new Di/Bpeak term can dominate."""
         soc = SoCSpec.two_ip(100 * GIGA, 1 * GIGA, 1, 50 * GIGA, 50 * GIGA)
         workload = Workload.two_ip(f=0.5, i0=0.1, i1=0.1)
-        result = evaluate_serialized(soc, workload)
+        result = evaluate_variant(soc, workload, SerializedVariant())
         for term in result.ip_terms:
             assert term.limiter == "memory"
 
@@ -207,13 +216,13 @@ class TestSerialized:
         f = 0.6
         workload = Workload(fractions=(1 - f, f),
                             intensities=(math.inf, math.inf))
-        serialized = evaluate_serialized(soc, workload)
+        serialized = evaluate_variant(soc, workload, SerializedVariant())
         baseline = 10 * GIGA  # all work on IP[0] at Ppeak
         speedup = serialized.attainable / baseline
         assert speedup == pytest.approx(amdahl_speedup(f, acceleration))
 
     def test_result_conventions(self, soc, workload):
-        result = evaluate_serialized(soc, workload)
+        result = evaluate_variant(soc, workload, SerializedVariant())
         assert result.memory_time == 0.0
         assert math.isinf(result.memory_perf_bound)
         assert result.bottleneck in ("CPU", "GPU")
@@ -222,7 +231,7 @@ class TestSerialized:
 class TestPhases:
     def test_single_phase_equals_base(self, soc, workload):
         usecase = PhasedUsecase.single(workload)
-        phased = evaluate_phases(soc, usecase)
+        phased = evaluate_variant(soc, None, PhasedVariant(usecase))
         assert phased.attainable == pytest.approx(
             evaluate(soc, workload).attainable
         )
@@ -232,7 +241,9 @@ class TestPhases:
         Bpeak-vs-Bi distinction collapse."""
         phase_cpu = Phase(0.5, Workload.two_ip(f=0.0, i0=8, i1=8), "cpu")
         phase_gpu = Phase(0.5, Workload.two_ip(f=1.0, i0=8, i1=8), "gpu")
-        result = evaluate_phases(soc, PhasedUsecase((phase_cpu, phase_gpu)))
+        result = evaluate_variant(
+            soc, None, PhasedVariant(PhasedUsecase((phase_cpu, phase_gpu)))
+        )
         t_cpu = 0.5 / evaluate(soc, phase_cpu.workload).attainable
         t_gpu = 0.5 / evaluate(soc, phase_gpu.workload).attainable
         assert result.attainable == pytest.approx(1.0 / (t_cpu + t_gpu))
@@ -260,7 +271,9 @@ class TestPhases:
             Phase(0.9, Workload.two_ip(0.0, 8, 8), "big"),
             Phase(0.1, Workload.two_ip(1.0, 8, 8), "small"),
         )
-        result = evaluate_phases(soc, PhasedUsecase(phases))
+        result = evaluate_variant(
+            soc, None, PhasedVariant(PhasedUsecase(phases))
+        )
         shares = result.phase_share()
         assert shares["big"] + shares["small"] == pytest.approx(1.0)
         assert shares["big"] > shares["small"]
@@ -270,4 +283,4 @@ class TestPhases:
             Workload(fractions=(1.0,), intensities=(1.0,))
         )
         with pytest.raises(WorkloadError):
-            evaluate_phases(soc, usecase)
+            evaluate_variant(soc, None, PhasedVariant(usecase))

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SoCSpec, Workload, evaluate
-from repro.core.extensions import (
-    MemorySideCache,
-    evaluate_serialized,
-    evaluate_with_memory_side,
+from repro.core import (
+    MemorySideVariant,
+    PhasedVariant,
+    SerializedVariant,
+    SoCSpec,
+    Workload,
+    evaluate,
+    evaluate_variant,
 )
+from repro.core.extensions import MemorySideCache
 from repro.core.gables import attainable_performance_dual
 
 positive = st.floats(min_value=1e6, max_value=1e14, allow_nan=False,
@@ -122,7 +126,9 @@ def test_concurrent_never_slower_than_serialized(pair):
     """max(times) <= sum(times'): concurrency can only help."""
     soc, workload = pair
     concurrent = evaluate(soc, workload).attainable
-    serialized = evaluate_serialized(soc, workload).attainable
+    serialized = evaluate_variant(
+        soc, workload, SerializedVariant()
+    ).attainable
     assert concurrent >= serialized * (1 - 1e-9)
 
 
@@ -132,11 +138,15 @@ def test_memory_side_cache_bounded_by_extremes(pair, miss):
     """A uniform-m cache interpolates between base and traffic-free."""
     soc, workload = pair
     base = evaluate(soc, workload).attainable
-    perfect = evaluate_with_memory_side(
-        soc, workload, MemorySideCache.uniform(soc.n_ips, 0.0)
+    perfect = evaluate_variant(
+        soc,
+        workload,
+        MemorySideVariant(MemorySideCache.uniform(soc.n_ips, 0.0)),
     ).attainable
-    cached = evaluate_with_memory_side(
-        soc, workload, MemorySideCache.uniform(soc.n_ips, miss)
+    cached = evaluate_variant(
+        soc,
+        workload,
+        MemorySideVariant(MemorySideCache.uniform(soc.n_ips, miss)),
     ).attainable
     assert base * (1 - 1e-9) <= cached <= perfect * (1 + 1e-9)
 
@@ -147,8 +157,8 @@ def test_disabled_memory_side_cache_equals_base(pair):
     """mi = 1 everywhere reduces Equation 15 to Equation 10."""
     soc, workload = pair
     base = evaluate(soc, workload)
-    disabled = evaluate_with_memory_side(
-        soc, workload, MemorySideCache.disabled(soc.n_ips)
+    disabled = evaluate_variant(
+        soc, workload, MemorySideVariant(MemorySideCache.disabled(soc.n_ips))
     )
     assert disabled.attainable == pytest.approx(base.attainable, rel=1e-12)
     assert disabled.memory_time == pytest.approx(base.memory_time, rel=1e-12)
@@ -161,12 +171,7 @@ def test_singleton_phases_equal_serialized(pair):
     serialized model: per singleton phase, base Gables' max(Di/Bi, Ci,
     sum(D)/Bpeak) collapses to Equation 18's T'_IP[i], and the phase
     sum is Equation 19's denominator."""
-    from repro.core.extensions import (
-        Phase,
-        PhasedUsecase,
-        evaluate_phases,
-        evaluate_serialized,
-    )
+    from repro.core.extensions import Phase, PhasedUsecase
     from repro.core.params import Workload
 
     soc, workload = pair
@@ -189,8 +194,10 @@ def test_singleton_phases_equal_serialized(pair):
         Phase(work=p.work / total, workload=p.workload, name=p.name)
         for p in phases
     ]
-    phased = evaluate_phases(soc, PhasedUsecase(tuple(phases)))
-    serialized = evaluate_serialized(soc, workload)
+    phased = evaluate_variant(
+        soc, None, PhasedVariant(PhasedUsecase(tuple(phases)))
+    )
+    serialized = evaluate_variant(soc, workload, SerializedVariant())
     assert phased.attainable == pytest.approx(
         serialized.attainable, rel=1e-9
     )

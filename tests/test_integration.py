@@ -11,12 +11,15 @@ import xml.dom.minidom
 
 import pytest
 
-from repro.core import SoCSpec, Workload, evaluate
-from repro.core.extensions import (
-    MemorySideCache,
-    evaluate_with_buses,
-    evaluate_with_memory_side,
+from repro.core import (
+    InterconnectVariant,
+    MemorySideVariant,
+    SoCSpec,
+    Workload,
+    evaluate,
+    evaluate_variant,
 )
+from repro.core.extensions import MemorySideCache
 from repro.explore import (
     UsecaseRequirement,
     minimum_sufficient_bandwidth,
@@ -201,8 +204,10 @@ class TestUsecasePortfolio:
         isp_index = generic_spec.ip_index("ISP")
         ratios = [1.0] * generic_spec.n_ips
         ratios[isp_index] = 0.2  # SRAM captures the reference re-reads
-        cached = evaluate_with_memory_side(
-            generic_spec, workload, MemorySideCache(tuple(ratios))
+        cached = evaluate_variant(
+            generic_spec,
+            workload,
+            MemorySideVariant(MemorySideCache(tuple(ratios))),
         )
         base_rate = base.attainable / dataflow.total_ops_per_item()
         cached_rate = cached.attainable / dataflow.total_ops_per_item()
@@ -226,7 +231,9 @@ class TestUsecasePortfolio:
             for bus in interconnect.buses
         )
         tight = InterconnectSpec(buses, interconnect.usage)
-        result = evaluate_with_buses(generic_spec, workload, tight)
+        result = evaluate_variant(
+            generic_spec, workload, InterconnectVariant(tight)
+        )
         assert result.bottleneck == "multimedia"
 
 

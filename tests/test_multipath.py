@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FIGURE_6B, Workload, evaluate
+from repro.core import (
+    FIGURE_6B,
+    InterconnectVariant,
+    MultipathVariant,
+    Workload,
+    evaluate,
+    evaluate_variant,
+)
 from repro.core.extensions import (
     Bus,
     InterconnectSpec,
     MultiPathInterconnect,
-    evaluate_with_buses,
-    evaluate_with_multipath,
     optimal_route_split,
 )
 from repro.errors import SpecError, WorkloadError
@@ -33,8 +38,8 @@ class TestSingleRouteEquivalence:
         buses = (Bus("a", 20 * GIGA), Bus("b", 5 * GIGA))
         multi = MultiPathInterconnect(buses, routes=(((0,),), ((0, 1),)))
         single = InterconnectSpec(buses, usage=((0,), (0, 1)))
-        r_multi = evaluate_with_multipath(soc, workload, multi)
-        r_single = evaluate_with_buses(soc, workload, single)
+        r_multi = evaluate_variant(soc, workload, MultipathVariant(multi))
+        r_single = evaluate_variant(soc, workload, InterconnectVariant(single))
         assert r_multi.attainable == pytest.approx(r_single.attainable)
         assert r_multi.bottleneck == r_single.bottleneck
         for name in ("a", "b"):
@@ -47,7 +52,7 @@ class TestSingleRouteEquivalence:
         multi = MultiPathInterconnect(
             (Bus("slow", 0.1 * GIGA),), routes=(((),), ((),))
         )
-        result = evaluate_with_multipath(soc, workload, multi)
+        result = evaluate_variant(soc, workload, MultipathVariant(multi))
         assert result.attainable == pytest.approx(
             evaluate(soc, workload).attainable
         )
@@ -67,7 +72,7 @@ class TestLoadBalancing:
         assert splits[1][0] == pytest.approx(0.5, abs=1e-6)
         assert splits[1][1] == pytest.approx(0.5, abs=1e-6)
         assert times["b"] == pytest.approx(times["c"])
-        result = evaluate_with_multipath(soc, workload, multi)
+        result = evaluate_variant(soc, workload, MultipathVariant(multi))
         # Fabric relieved: memory binds again at the Fig. 6b value.
         assert result.bottleneck == "memory"
         assert result.attainable == pytest.approx(1.3278 * GIGA, rel=1e-3)
@@ -99,10 +104,14 @@ class TestLoadBalancing:
         multi = MultiPathInterconnect(
             buses, routes=(((),), (("x",), ("y",)))
         )
-        best = evaluate_with_multipath(soc, workload, multi).attainable
+        best = evaluate_variant(
+            soc, workload, MultipathVariant(multi)
+        ).attainable
         for forced in ("x", "y"):
             single = InterconnectSpec(buses, usage=((), (forced,)))
-            fixed = evaluate_with_buses(soc, workload, single).attainable
+            fixed = evaluate_variant(
+                soc, workload, InterconnectVariant(single)
+            ).attainable
             assert best >= fixed * (1 - 1e-9)
 
 
@@ -118,14 +127,14 @@ class TestValidation:
     def test_ip_count_mismatch_rejected(self, soc, workload):
         multi = MultiPathInterconnect((Bus("a", 1e9),), routes=(((0,),),))
         with pytest.raises(WorkloadError):
-            evaluate_with_multipath(soc, workload, multi)
+            evaluate_variant(soc, workload, MultipathVariant(multi))
 
     def test_name_collision_rejected(self, soc, workload):
         multi = MultiPathInterconnect(
             (Bus("CPU", 1e9),), routes=(((0,),), ((0,),))
         )
         with pytest.raises(SpecError, match="collide"):
-            evaluate_with_multipath(soc, workload, multi)
+            evaluate_variant(soc, workload, MultipathVariant(multi))
 
     def test_duplicate_bus_names_rejected(self):
         with pytest.raises(SpecError):

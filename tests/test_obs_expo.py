@@ -4,8 +4,7 @@ The load-bearing contracts:
 
 - :class:`~repro.obs.metrics.BucketHistogram` merges *exactly* — the
   merged snapshot of two histograms is bitwise the histogram of the
-  union of their observations (a hypothesis property, since the
-  sampled-window :class:`Histogram` explicitly cannot promise this);
+  union of their observations (a hypothesis property);
 - :func:`~repro.obs.expo.render_exposition` round-trips through
   :func:`~repro.obs.expo.parse_exposition`, so the CI scrape job can
   assert on what a real Prometheus would ingest.
@@ -33,7 +32,6 @@ from repro.obs.metrics import (
     counter,
     gauge,
     get_registry,
-    histogram,
     merge_snapshots,
 )
 
@@ -174,16 +172,6 @@ class TestExposition:
         assert entry["buckets"] == h.to_dict()["buckets"]
         assert entry["bounds"] == list(h.bounds)
 
-    def test_sampled_histogram_renders_as_summary(self):
-        for v in (0.1, 0.2, 0.3):
-            histogram("eval.seconds").record(v)
-        text = render_exposition()
-        assert "# TYPE eval_seconds summary" in text
-        assert 'quantile="0.5"' in text
-        parsed = parse_exposition(text)
-        assert parsed["eval_seconds"]["count"] == 3
-        assert parsed["eval_seconds"]["type"] == "histogram"
-
     def test_names_are_sanitized(self):
         counter("weird.name-with/slash").inc()
         text = render_exposition()
@@ -199,11 +187,16 @@ class TestExposition:
         assert parsed[key]["labels"]["path"] == 'a"b\\c\nd'
 
     def test_parse_rejects_garbage(self):
-        for bad in ("what even is this line",
+        for bad in ("# TYPE m histogram\nwhat even is this line",
+                    "# TYPE m histogram\n"
                     'm_bucket{le="+Inf"} 1\nm_bucket{le="0.1"} 2\n'
-                    "m_sum 1\nm_count 1"):
+                    "m_sum 1\nm_count 1",
+                    # The registry renders no summaries, so a summary
+                    # family is not exposition this parser accepts.
+                    '# TYPE m summary\nm{quantile="0.5"} 0.2\n'
+                    "m_sum 0.6\nm_count 3"):
             with pytest.raises(ObservabilityError) as excinfo:
-                parse_exposition("# TYPE m histogram\n" + bad)
+                parse_exposition(bad)
             assert excinfo.value.code == "OBS_EXPOSITION_MALFORMED"
 
     def test_parse_rejects_histogram_without_inf_bucket(self):

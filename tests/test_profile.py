@@ -327,32 +327,3 @@ class TestProfileCli:
         assert root.name == "cli.eval"
         assert [c.name for c in root.children] == ["core.evaluate"]
 
-
-class TestTimerMetric:
-    def test_timer_records_into_histogram(self):
-        clock = FakeClock(step=2.0)
-        from repro.obs.metrics import Histogram, Timer
-
-        hist = Histogram("t")
-        with Timer(hist, clock=clock):
-            pass
-        assert hist.count == 1
-        assert hist.total == pytest.approx(2.0)
-
-    def test_global_timer_snapshot_shape(self):
-        for _ in range(3):
-            with obs.timer("stage.seconds"):
-                pass
-        snapshot = obs.get_registry().snapshot()["stage.seconds"]
-        assert snapshot["type"] == "histogram"
-        assert snapshot["count"] == 3
-        assert {"sum", "min", "max", "p50", "p95"} <= set(snapshot)
-
-    def test_timer_reusable_and_exception_safe(self):
-        t = obs.timer("reused.seconds")
-        with pytest.raises(RuntimeError):
-            with t:
-                raise RuntimeError("boom")
-        with t:
-            pass
-        assert obs.get_registry().snapshot()["reused.seconds"]["count"] == 2

@@ -105,13 +105,10 @@ def metric_snapshots(draw):
     for key in draw(st.sets(st.sampled_from(["a", "b", "c"]))):
         snapshot[key] = {"type": "counter", "value": draw(finite)}
     if draw(st.booleans()):
-        count = draw(st.integers(min_value=1, max_value=50))
-        values = draw(st.lists(finite, min_size=count, max_size=count))
-        snapshot["h"] = {
-            "type": "histogram", "count": count, "sum": sum(values),
-            "mean": sum(values) / count, "min": min(values),
-            "max": max(values), "p50": values[0], "p95": values[-1],
-        }
+        histogram = obs.BucketHistogram("h")
+        for value in draw(st.lists(finite, min_size=1, max_size=50)):
+            histogram.record(value)
+        snapshot["h"] = histogram.to_dict()
     return snapshot
 
 
@@ -170,8 +167,12 @@ class TestMergeProperties:
             )
             assert merged["h"]["min"] == min(h["min"] for h in histograms)
             assert merged["h"]["max"] == max(h["max"] for h in histograms)
-            # Percentiles are window statistics; the merge drops them.
-            assert "p50" not in merged["h"] and "p95" not in merged["h"]
+            # Bucket counts add element-wise: the merge is exactly the
+            # histogram of every shard's observations.
+            assert merged["h"]["buckets"] == [
+                sum(column) for column in zip(*(h["buckets"]
+                                                for h in histograms))
+            ]
 
     @settings(max_examples=60, deadline=None)
     @given(fleets())
