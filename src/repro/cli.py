@@ -1124,7 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet_run.add_argument(
         "--workers", type=int, default=2,
-        help="worker processes (1 runs inline, no spawn)",
+        help="worker processes (1 runs inline in this process)",
     )
     p_fleet_run.add_argument(
         "--specs", type=int, default=None, metavar="N",

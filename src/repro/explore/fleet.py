@@ -19,12 +19,20 @@ Structure:
 - :func:`run_fleet_sweep` (market cases) and :func:`run_fleet_grid_sweep`
   (synthetic grids) shard their work round-robin and run every shard
   through one lifecycle: inline for one worker, otherwise on worker
-  *processes* (``spawn`` — no inherited tracer state, no fork/thread
-  hazards).  Each shard's :class:`~repro.obs.context.TraceContext`
+  *processes*.  Each shard's :class:`~repro.obs.context.TraceContext`
   travels in its pickled payload, and with a telemetry directory every
   worker drains its telemetry into a
   :class:`~repro.obs.collect.ShardCollector` directory for ``gables
   telemetry merge``.
+
+Workers are *forked* from the caller on Linux when the caller runs no
+other Python thread, and *spawned* otherwise.  A forked worker starts
+with the caller's numpy and ``repro`` already imported, so no call pays
+an interpreter start; it also starts with the caller's memory —
+collectors and monkeypatches included — which is why the worker entry
+resets every collector first.  Fork is unsafe while another thread may
+hold a lock, and on platforms whose system libraries do not survive it;
+there a spawned worker imports what it needs in a fresh interpreter.
 
 Determinism is a hard contract, pinned by tests: cases are assigned
 ``indices[shard::workers]`` and reassembled by original index, and the
@@ -37,11 +45,14 @@ a surviving result.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
+import sys
+import threading
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -324,27 +335,53 @@ def _run_shard(payload: dict) -> dict:
 def _fleet_worker(payload: dict) -> dict:
     """Worker-process entry point (module-level for picklability).
 
-    Resets every process-global collector first — a pool process may
-    serve more than one shard — then runs the shard.
+    Resets every process-global collector first — a forked worker
+    starts with the caller's, and a pool process may serve more than
+    one shard — then runs the shard.
     """
     reset_observability()
     return _run_shard(payload)
+
+
+#: CPython 3.12+ warns on every ``os.fork()`` while the OS reports
+#: more than one thread, native BLAS pools included.
+_FORK_THREADS_WARNING = (
+    r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
+)
 
 
 def _run_shards(payloads: list, workers: int) -> list:
     """Every shard's result, in payload order.
 
     ``workers=1`` runs inline in the calling process; otherwise each
-    payload goes to a pool of ``spawn`` worker processes, all of which
-    have exited when this returns.
+    payload goes to a pool of worker processes, all of which have
+    exited when this returns.  The pool forks its workers when fork is
+    the platform's safe default (Linux) and the caller runs exactly one
+    Python thread, and spawns them otherwise: a fork while another
+    thread runs could copy a lock that thread holds.  Forked workers
+    skip the interpreter start and import, and inherit the caller's
+    memory, which :func:`_fleet_worker` resets.
     """
     if workers == 1:
         return [_run_shard(payload) for payload in payloads]
-    spawn = multiprocessing.get_context("spawn")
+    fork = sys.platform.startswith("linux") and threading.active_count() == 1
     with ProcessPoolExecutor(
-        max_workers=len(payloads), mp_context=spawn
+        max_workers=len(payloads),
+        mp_context=get_context("fork" if fork else "spawn"),
     ) as pool:
-        futures = [pool.submit(_fleet_worker, p) for p in payloads]
+        if fork:
+            # A fork pool starts every worker on the first submit.  The
+            # rule above leaves no other Python thread to hold a lock,
+            # and the native BLAS pools behind the OS thread count
+            # re-initialise in the child through pthread_atfork.
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", message=_FORK_THREADS_WARNING,
+                    category=DeprecationWarning,
+                )
+                futures = [pool.submit(_fleet_worker, p) for p in payloads]
+        else:
+            futures = [pool.submit(_fleet_worker, p) for p in payloads]
         return [future.result() for future in futures]
 
 
@@ -437,7 +474,7 @@ def run_fleet_sweep(
     fault plan, each worker's injector is seeded ``seed + shard`` so
     fault timelines are reproducible per shard.
 
-    ``workers=1`` runs inline in the calling process (no spawn): same
+    ``workers=1`` runs inline in the calling process: same
     code path, same telemetry, and the caller's own collectors are
     *used, not reset* — enable tracing beforehand to keep
     collecting into them.  The caller's trace context is back in place
@@ -519,10 +556,16 @@ def run_fleet_sweep(
 # Grid fleet: sharded compiled market sweeps over synthetic grids
 # ---------------------------------------------------------------------
 
-#: Default grid-fleet chunk size: points generated + evaluated at once.
-#: Large enough to amortize the per-batch kernel dispatch, small enough
-#: that a chunk's grids (2 x chunk x N float64) stay cache-friendly.
+#: Default grid-fleet chunk size: the rows generated at once, and the
+#: unit the RNG is addressed by (:func:`grid_chunk`), so it fixes every
+#: digest.  A chunk's grids (2 x chunk x N float64, 16 MB at 4 IPs) are
+#: far larger than any cache; :data:`GRID_BLOCK` is what is cache-sized.
 GRID_CHUNK = 250_000
+
+#: Rows per kernel call within a chunk.  A block's inputs and the
+#: kernel's scratch stay cache-sized, where one call over a whole chunk
+#: needs chunk-sized scratch (~120 MB at 4 IPs).
+GRID_BLOCK = 16_384
 
 
 def grid_chunk(
@@ -633,9 +676,12 @@ def evaluate_grid_chunks(
 ) -> tuple:
     """One shard's ``(chunk_index, size)`` assignments through the model.
 
-    Each chunk is generated (:func:`grid_chunk`), evaluated as one
-    batch, and reduced to a :class:`GridChunkSummary`; the arrays never
-    leave the process.  ``heartbeat`` fires once per chunk.
+    Each chunk is generated (:func:`grid_chunk`), evaluated in
+    :data:`GRID_BLOCK`-row batches into one attainable and one
+    bottleneck-code array, and reduced to a :class:`GridChunkSummary`;
+    the arrays never leave the process.  Every row is evaluated on its
+    own, so the blocks are bitwise one batch over the chunk.
+    ``heartbeat`` fires once per chunk.
     """
     summaries = []
     n = soc.n_ips
@@ -644,18 +690,22 @@ def evaluate_grid_chunks(
             if heartbeat is not None:
                 heartbeat()
             fractions, intensities = grid_chunk(n, chunk_index, size, seed)
-            if variant is None:
-                batch = evaluate_batch(
-                    soc, fractions, intensities, validate=False,
-                    engine=engine,
-                )
-            else:
-                batch = evaluate_variant_batch(
-                    soc, variant, fractions, intensities, validate=False,
-                    engine=engine,
-                )
-            attainables = np.ascontiguousarray(batch.attainables)
-            codes = np.ascontiguousarray(batch.bottleneck_codes)
+            attainables = np.empty(size)
+            codes = np.empty(size, dtype=np.intp)
+            for start in range(0, size, GRID_BLOCK):
+                rows = slice(start, start + GRID_BLOCK)
+                if variant is None:
+                    batch = evaluate_batch(
+                        soc, fractions[rows], intensities[rows],
+                        validate=False, engine=engine,
+                    )
+                else:
+                    batch = evaluate_variant_batch(
+                        soc, variant, fractions[rows], intensities[rows],
+                        validate=False, engine=engine,
+                    )
+                attainables[rows] = batch.attainables
+                codes[rows] = batch.bottleneck_codes
             sha = hashlib.sha256(attainables.tobytes())
             sha.update(codes.tobytes())
             summaries.append(GridChunkSummary(

@@ -14,11 +14,13 @@ contract that makes the speed safe:
 - the kernel cache and its ``core.compile.*`` counters behave;
 - :class:`PreparedBatch` reuse is hash-guarded, never stale;
 - the grid fleet's chunk-addressed generation and digests are
-  deterministic and engine-independent.
+  deterministic and engine-independent, and evaluating a chunk in
+  blocks is bitwise one batch over it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -64,14 +66,15 @@ from repro.explore import (
     grid_chunk_plan,
     run_fleet_grid_sweep,
 )
+from repro.explore.fleet import GRID_BLOCK
 from repro.obs import metrics
 
 _REL = 1e-12
 
 
 def _soc(n: int = 3) -> SoCSpec:
-    accel = (1.0, 8.0, 4.0, 16.0, 2.0)
-    bws = (30e9, 60e9, 20e9, 45e9, 15e9)
+    accel = (1.0, 8.0, 4.0, 16.0, 2.0, 12.0, 6.0, 3.0)
+    bws = (30e9, 60e9, 20e9, 45e9, 15e9, 25e9, 50e9, 10e9)
     return SoCSpec(
         peak_perf=40e9,
         memory_bandwidth=10e9,
@@ -503,6 +506,35 @@ class TestGridFleet:
             c.digest for c in interpreted
         ]
         assert [c.points for c in compiled] == [200, 200, 200]
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("n, kind", [
+        (2, None), (4, None), (8, None), (4, "interconnect"),
+    ])
+    def test_blocked_chunk_is_one_batch_bitwise(self, n, kind, engine):
+        soc = _soc(n)
+        variant = None
+        if kind is not None:
+            (variant,) = [v for v in _variants(n) if v.kind == kind]
+        size = 2 * GRID_BLOCK + 1_001  # a partial last block
+        (summary,) = evaluate_grid_chunks(
+            soc, ((6, size),), seed=7, variant=variant, engine=engine
+        )
+        fractions, intensities = grid_chunk(n, 6, size, seed=7)
+        if variant is None:
+            whole = evaluate_batch(
+                soc, fractions, intensities, validate=False, engine=engine
+            )
+        else:
+            whole = evaluate_variant_batch(
+                soc, variant, fractions, intensities, validate=False,
+                engine=engine,
+            )
+        assert whole.bottleneck_codes.dtype == np.intp
+        sha = hashlib.sha256(np.ascontiguousarray(whole.attainables).tobytes())
+        sha.update(np.ascontiguousarray(whole.bottleneck_codes).tobytes())
+        assert summary.digest == sha.hexdigest()
+        assert summary.points == size
 
     def test_inline_sweep_matches_across_engines(self):
         soc = _soc(3)

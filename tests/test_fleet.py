@@ -1,18 +1,27 @@
 """The sharded fleet-sweep runner and its market-spec population.
 
 The load-bearing contract: a multi-worker fleet's points are bitwise
-identical to the serial run's — sharding, spawn, telemetry, faults, and
-checkpoints may change *how* the population is evaluated, never *what*
-it evaluates to.
+identical to the serial run's — sharding, forked or spawned workers,
+telemetry, faults, and checkpoints may change *how* the population is
+evaluated, never *what* it evaluates to.  Workers are forked from a
+one-thread caller on Linux and spawned otherwise; either way no process
+a fleet call starts may outlive it.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
 
 import pytest
 
+import repro.explore.fleet as fleet_module
 from repro import obs
 from repro.cli import main
 from repro.core import FIGURE_6B
@@ -31,6 +40,33 @@ from repro.resilience import RetryPolicy
 
 #: Both fleet drivers run their shards through one lifecycle.
 DRIVERS = ("market", "grid")
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+#: A 2-worker call of each driver, then the pids of this interpreter's
+#: children — running or exited but unreaped — read from /proc just
+#: before it exits.
+_CHILDREN_PROBE = """
+import os
+
+from repro.core import FIGURE_6B
+from repro.explore import run_fleet_grid_sweep, run_fleet_sweep
+from repro.market import market_spec_population
+
+run_fleet_sweep(market_spec_population(limit=60), workers=2)
+run_fleet_grid_sweep(FIGURE_6B.soc(), points=4_000, chunk=1_000, workers=2)
+me = str(os.getpid())
+children = []
+for pid in filter(str.isdigit, os.listdir("/proc")):
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            fields = stat.read().rpartition(")")[2].split()
+    except OSError:
+        continue  # exited while the directory was listed
+    if fields[1] == me:
+        children.append(pid)
+print("children:", children)
+"""
 
 
 def _small_fleet(driver: str, workers: int, **kwargs):
@@ -104,6 +140,41 @@ class TestFleetIdentity:
         assert fleet.points == serial
         (report,) = fleet.workers
         assert report.cases == len(small_population)
+
+    @pytest.mark.parametrize("helper", [False, True],
+                             ids=["one-thread", "helper-thread"])
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_start_method_follows_the_thread_rule(self, driver, helper,
+                                                  monkeypatch):
+        chosen = []
+
+        def spy(method):
+            chosen.append(method)
+            return multiprocessing.get_context(method)
+
+        monkeypatch.setattr(fleet_module, "get_context", spy)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if helper:
+            thread.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fleet = _small_fleet(driver, 2)
+        finally:
+            release.set()
+        if helper:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        fork = sys.platform.startswith("linux") and not helper
+        assert chosen == ["fork" if fork else "spawn"]
+        # CPython >= 3.12 warns on a fork while BLAS threads run.
+        assert not [w for w in caught if "multi-threaded" in str(w.message)]
+        serial = _small_fleet(driver, 1)
+        if driver == "market":
+            assert fleet.points == serial.points
+        else:
+            assert fleet.digest == serial.digest
 
     def test_three_workers_same_answer(self, small_population):
         two = run_fleet_sweep(small_population, workers=2)
@@ -244,6 +315,23 @@ class TestFleetTelemetry:
     def test_no_worker_process_outlives_the_call(self, telemetry_runs):
         for driver, (_, _, alive) in telemetry_runs.items():
             assert alive == [], driver
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the process table from /proc")
+    def test_no_process_of_any_kind_outlives_the_call(self):
+        # active_children() lists pool workers only, neither the
+        # resource tracker a spawn pool starts nor a forkserver; the
+        # process table lists them all.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(SRC_DIR), env.get("PYTHONPATH")))
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _CHILDREN_PROBE],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "children: []"
 
     @pytest.mark.parametrize("installed", [False, True],
                              ids=["from-none", "from-installed"])
