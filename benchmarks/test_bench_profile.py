@@ -19,8 +19,8 @@ import pytest
 from repro.core import InterconnectVariant, SoCSpec, Workload, fraction_grid
 from repro.core.batch import (
     _evaluate_batch_impl,
-    _prepare_batch,
     evaluate_lowered_batch,
+    prepare_batch,
 )
 from repro.core.extensions import Bus, InterconnectSpec
 from repro.explore import sweep_fraction
@@ -80,7 +80,7 @@ def test_disabled_observability_overhead_within_1pct():
         (
             fractions, intens, memory_bandwidth, ip_bandwidths, ip_peaks,
             valid, failures, _k,
-        ) = _prepare_batch(
+        ) = prepare_batch(
             soc, grid, intensities, None, None, None, False, "raise",
         )
         return _evaluate_batch_impl(

@@ -19,12 +19,10 @@ The public surface:
 
 from .batch import (
     BatchResult,
-    PreparedBatch,
     cached_evaluator,
     evaluate_batch,
     evaluate_lowered_batch,
     fraction_grid,
-    prepare_batch,
 )
 from .compile import (
     ENGINE_CHOICES,
@@ -98,7 +96,6 @@ __all__ = [
     "CoordinationVariant",
     "ENGINE_CHOICES",
     "FusedBatchResult",
-    "PreparedBatch",
     "FIGURE_6A",
     "FIGURE_6B",
     "FIGURE_6C",
@@ -152,7 +149,6 @@ __all__ = [
     "ip_terms",
     "machine_balance",
     "min_envelope",
-    "prepare_batch",
     "scaled_roofline_curves",
     "variant_from_config",
 ]

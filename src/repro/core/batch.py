@@ -26,10 +26,15 @@ in :mod:`repro.explore.scaling` ride the same batch path.
 
 :func:`evaluate_batch` (the base model) and
 :func:`evaluate_lowered_batch` (one lowered phase) share one body.  It
-resolves the ``engine`` switch, prepares the inputs once, and runs
-either the interpreter in this module, which is the ground truth, or
-the one compiled tier, the fused ufunc kernel of
-:mod:`repro.core.compile`, under a single span.
+resolves the ``engine`` switch, coerces and validates the inputs on
+every call (:func:`prepare_batch`), and runs either the interpreter in
+this module, which is the ground truth, or the one compiled tier, the
+fused ufunc kernel of :mod:`repro.core.compile`, under a single span.
+
+Validation accepts exactly the points the scalar constructors accept:
+a row's work fractions pass when, as in ``Workload``, their
+``math.fsum`` lies within ``FRACTION_SUM_TOL`` of one
+(:func:`_fraction_sums`).
 """
 
 from __future__ import annotations
@@ -266,6 +271,32 @@ def _as_batch_matrix(values, n_ips: int, name: str, exc: type) -> np.ndarray:
     return matrix
 
 
+#: How close to the ``FRACTION_SUM_TOL`` boundary a numpy row sum must
+#: lie to be re-summed exactly.  Pairwise summation of up to thousands
+#: of fractions in [0, 1] errs far less than this.
+_SUM_MARGIN = 1e-12
+
+
+def _fraction_sums(fractions: np.ndarray) -> np.ndarray:
+    """Per-row fraction sums that decide as ``Workload`` decides.
+
+    numpy's pairwise row sum and the constructor's ``math.fsum`` can
+    round to opposite sides of ``FRACTION_SUM_TOL``, so a row whose
+    ``|sum - 1|`` lies within ``_SUM_MARGIN`` of the tolerance is
+    re-summed with ``math.fsum``.  Only rows of finite fractions in
+    [0, 1] are re-summed: the range check rejects the others, and
+    ``math.fsum`` raises ``OverflowError`` on a row such as
+    ``(1e308, 1e308, -1e308, ...)`` that numpy cancels to near one.
+    """
+    totals = fractions.sum(axis=1)
+    near = np.abs(np.abs(totals - 1.0) - FRACTION_SUM_TOL) <= _SUM_MARGIN
+    for row in np.flatnonzero(near).tolist():
+        values = fractions[row]
+        if ((values >= 0) & (values <= 1)).all():
+            totals[row] = math.fsum(values.tolist())
+    return totals
+
+
 def _validate_workload_arrays(
     fractions: np.ndarray, intensities: np.ndarray
 ) -> None:
@@ -275,12 +306,12 @@ def _validate_workload_arrays(
         raise WorkloadError(
             "batch fractions must be finite values in [0, 1]"
         )
-    totals = fractions.sum(axis=1)
+    totals = _fraction_sums(fractions)
     if not np.all(np.abs(totals - 1.0) <= FRACTION_SUM_TOL):
         bad = int(np.argmax(np.abs(totals - 1.0)))
         raise WorkloadError(
             f"batch fractions must sum to 1 per point; point {bad} "
-            f"sums to {totals[bad]!r}"
+            f"sums to {float(totals[bad])!r}"
         )
     # Positive, possibly inf, never NaN — mirrors require_positive.
     if not np.all((intensities > 0) & ~np.isnan(intensities)):
@@ -338,7 +369,7 @@ def _pointwise_failures(
             "WORKLOAD_FRACTION_RANGE",
             "fractions must be finite values in [0, 1]",
         )
-        totals = fractions.sum(axis=1)
+        totals = _fraction_sums(fractions)
         flag(
             ~(np.abs(totals - 1.0) <= FRACTION_SUM_TOL),
             "WORKLOAD_FRACTION_SUM",
@@ -369,171 +400,6 @@ def _pointwise_failures(
             "IP peaks must be finite and positive",
         )
     return valid, failures
-
-
-def _guard_token(array) -> tuple | None:
-    """A cheap mutation fingerprint for one prepared array: identity
-    (buffer address, layout) plus a sampled-bytes checksum."""
-    if array is None:
-        return None
-    if array.ndim == 0 or array.shape[0] == 0:
-        return (array.shape, array.tobytes())
-    k = array.shape[0]
-    rows = (0, k // 2, k - 1) if k > 2 else range(k)
-    return (
-        array.shape,
-        array.strides,
-        array.__array_interface__["data"][0],
-        b"".join(array[r].tobytes() for r in rows),
-    )
-
-
-@dataclass
-class PreparedBatch:
-    """Already-coerced, already-validated batch inputs.
-
-    Sweep drivers and multi-phase models issue many evaluate calls
-    over the same (or partially same) grids; preparing once with
-    :func:`prepare_batch` and passing the result in place of the raw
-    ``fractions`` argument skips the per-call ``_as_batch_matrix``
-    coercion and validation passes.  Reuse is *hash-guarded*: a cheap
-    fingerprint of every array is checked on each use, and any
-    detected mutation transparently re-runs validation.
-    """
-
-    soc: SoCSpec
-    fractions: np.ndarray
-    intensities: np.ndarray
-    memory_bandwidth: np.ndarray
-    ip_bandwidths: np.ndarray
-    ip_peaks: np.ndarray
-    valid: np.ndarray | None
-    failures: tuple
-    k: int
-    validate: bool
-    on_error: str
-    _guards: tuple = ()
-
-    def __post_init__(self) -> None:
-        if not self._guards:
-            self._guards = self._fingerprints()
-
-    def _fingerprints(self) -> tuple:
-        return tuple(
-            _guard_token(array)
-            for array in (
-                self.fractions, self.intensities, self.memory_bandwidth,
-                self.ip_bandwidths, self.ip_peaks,
-            )
-        )
-
-    def as_tuple(self, soc: SoCSpec, validate: bool, on_error: str) -> tuple:
-        """The ``_prepare_batch`` result tuple, re-validating only when
-        the guard detects mutated arrays (or a stricter context)."""
-        if soc is not self.soc and soc != self.soc:
-            raise SpecError(
-                "PreparedBatch was prepared for a different SoC"
-            )
-        if (
-            on_error != self.on_error
-            or (validate and not self.validate)
-            or self._guards != self._fingerprints()
-        ):
-            return _prepare_batch(
-                soc, self.fractions, self.intensities,
-                self.memory_bandwidth, self.ip_bandwidths, self.ip_peaks,
-                validate, on_error,
-            )
-        return (
-            self.fractions, self.intensities, self.memory_bandwidth,
-            self.ip_bandwidths, self.ip_peaks, self.valid,
-            list(self.failures), self.k,
-        )
-
-    def with_workload(
-        self, fractions, intensities, validate: bool = True
-    ) -> "PreparedBatch":
-        """A sibling batch sharing this one's coerced hardware arrays.
-
-        The fast path of a multi-phase model: each phase swaps in its
-        own (already-validated) workload grid while the hardware
-        overrides keep their one-time coercion + validation.  Only
-        ``on_error="raise"`` batches support workload swapping (the
-        tolerant modes' per-point masks couple workload and hardware).
-        """
-        if self.on_error != "raise":
-            raise SpecError(
-                "with_workload requires an on_error='raise' batch"
-            )
-        n = self.soc.n_ips
-        fractions = _as_batch_matrix(fractions, n, "fractions",
-                                     WorkloadError)
-        intensities = _as_batch_matrix(intensities, n, "intensities",
-                                       WorkloadError)
-        if fractions.shape != intensities.shape:
-            raise WorkloadError(
-                f"fractions and intensities must have the same shape, "
-                f"got {fractions.shape} and {intensities.shape}"
-            )
-        if fractions.shape[0] != self.k:
-            raise WorkloadError(
-                f"workload grid has {fractions.shape[0]} points, "
-                f"prepared batch has {self.k}"
-            )
-        if validate:
-            _validate_workload_arrays(fractions, intensities)
-        return PreparedBatch(
-            soc=self.soc,
-            fractions=fractions,
-            intensities=intensities,
-            memory_bandwidth=self.memory_bandwidth,
-            ip_bandwidths=self.ip_bandwidths,
-            ip_peaks=self.ip_peaks,
-            valid=self.valid,
-            failures=self.failures,
-            k=self.k,
-            validate=self.validate,
-            on_error=self.on_error,
-        )
-
-
-def prepare_batch(
-    soc: SoCSpec,
-    fractions,
-    intensities,
-    *,
-    memory_bandwidth=None,
-    ip_bandwidths=None,
-    ip_peaks=None,
-    validate: bool = True,
-    on_error: str = "raise",
-) -> PreparedBatch:
-    """Coerce + validate batch inputs once, for reuse across calls.
-
-    The returned :class:`PreparedBatch` can be passed to
-    :func:`evaluate_batch` / :func:`evaluate_lowered_batch` in place
-    of the ``fractions`` argument (with ``intensities=None``).
-    """
-    (
-        fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks,
-        valid, failures, k,
-    ) = _prepare_batch(
-        soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-        ip_peaks, validate, on_error,
-    )
-    return PreparedBatch(
-        soc=soc,
-        fractions=fractions,
-        intensities=intensities,
-        memory_bandwidth=memory_bandwidth,
-        ip_bandwidths=ip_bandwidths,
-        ip_peaks=ip_peaks,
-        valid=valid,
-        failures=tuple(failures),
-        k=k,
-        validate=validate,
-        on_error=on_error,
-    )
 
 
 def _resolve_engine(engine: str, on_error: str) -> str:
@@ -584,24 +450,6 @@ def _compiled_call(
         valid=valid, on_error=on_error, failures=failures,
         route_solver=None if phase is None else phase.route_solver,
         replay=replay,
-    )
-
-
-def _prepared_inputs(
-    soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-    ip_peaks, validate, on_error,
-):
-    """Resolve raw arrays or a :class:`PreparedBatch` into the
-    ``_prepare_batch`` result tuple."""
-    if isinstance(fractions, PreparedBatch):
-        if intensities is not None:
-            raise WorkloadError(
-                "pass intensities=None when fractions is a PreparedBatch"
-            )
-        return fractions.as_tuple(soc, validate, on_error)
-    return _prepare_batch(
-        soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-        ip_peaks, validate, on_error,
     )
 
 
@@ -659,9 +507,9 @@ def evaluate_batch(
         produce bitwise-identical numbers; the compiled path returns a
         lazy :class:`~repro.core.compile.FusedBatchResult` duck-type.
 
-    ``fractions`` may also be a :class:`PreparedBatch` (with
-    ``intensities=None``) to reuse a one-time coercion + validation
-    pass across calls.
+    The inputs are coerced and validated on every call, so a caller
+    that edits its arrays in place gets the edited values' numbers and
+    errors.
 
     Returns a :class:`BatchResult`; raises the same exception types as
     the scalar constructors and evaluator (:class:`WorkloadError` for
@@ -707,8 +555,7 @@ def evaluate_lowered_batch(
     ``engine`` selects the execution tier exactly as in
     :func:`evaluate_batch`; route-solver phases stay compiled — only
     the per-point solver callback itself runs in Python, with the
-    surrounding arithmetic fused.  ``fractions`` may be a
-    :class:`PreparedBatch` (with ``intensities=None``).
+    surrounding arithmetic fused.
     """
     return _evaluate(
         soc, phase, fractions, intensities, memory_bandwidth, ip_bandwidths,
@@ -730,7 +577,7 @@ def _evaluate(
     (
         fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks,
         valid, failures, k,
-    ) = _prepared_inputs(
+    ) = prepare_batch(
         soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
         ip_peaks, validate, on_error,
     )
@@ -752,7 +599,7 @@ def _evaluate(
         )
 
 
-def _prepare_batch(
+def prepare_batch(
     soc: SoCSpec,
     fractions,
     intensities,
@@ -762,7 +609,13 @@ def _prepare_batch(
     validate: bool,
     on_error: str,
 ) -> tuple:
-    """Shared input coercion + validation for the batch entry points."""
+    """Coerce and validate raw batch inputs; the batch's one way in.
+
+    Both entry points call this on every call, so an input edited in
+    place between calls is judged afresh.  Returns ``(fractions,
+    intensities, memory_bandwidth, ip_bandwidths, ip_peaks, valid,
+    failures, k)`` as the evaluators take them.
+    """
     check_on_error(on_error)
     n = soc.n_ips
     fractions = _as_batch_matrix(fractions, n, "fractions", WorkloadError)

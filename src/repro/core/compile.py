@@ -416,7 +416,7 @@ class CompiledPhaseKernel:
     """One fused batch evaluator, specialized to (SoC, phase structure).
 
     Built by :func:`compile_phase`; called with the already-prepared
-    inputs of :func:`repro.core.batch._prepare_batch`.  Supports the
+    inputs of :func:`repro.core.batch.prepare_batch`.  Supports the
     ``"raise"`` and ``"record"`` error modes (``"skip"`` compresses
     rows and stays on the interpreter).
     """

@@ -328,11 +328,11 @@ def evaluate_variant_batch(
     ``on_error="raise"``.
 
     ``engine`` selects the execution tier (see
-    :func:`repro.core.batch.evaluate_batch`); a phased variant's
-    per-phase sub-batches share one coerced+validated hardware grid
-    via :func:`repro.core.batch.prepare_batch`.
+    :func:`repro.core.batch.evaluate_batch`); a phased variant runs one
+    :func:`repro.core.batch.evaluate_lowered_batch` per phase, each
+    with the same hardware overrides, coerced and validated per call.
     """
-    from .batch import evaluate_lowered_batch, prepare_batch
+    from .batch import evaluate_lowered_batch
 
     if variant is None:
         variant = BaseVariant()
@@ -369,11 +369,9 @@ def evaluate_variant_batch(
         soc, memory_bandwidth, ip_bandwidths, ip_peaks
     )
     phase_columns = []
-    prepared = None
     for phase in lowered.phases:
         # Broadcast (not tile) the per-phase workload vector: the
-        # stride-0 columns fold to scalars in the compiled kernel, and
-        # the hardware grids keep their one-time coercion+validation.
+        # stride-0 columns fold to scalars in the compiled kernel.
         grid_f = np.broadcast_to(
             np.asarray(phase.workload.fractions, dtype=float), (k, soc.n_ips)
         )
@@ -381,26 +379,14 @@ def evaluate_variant_batch(
             np.asarray(phase.workload.intensities, dtype=float),
             (k, soc.n_ips),
         )
-        if prepared is None:
-            prepared = prepare_batch(
-                soc,
-                grid_f,
-                grid_i,
-                memory_bandwidth=memory_bandwidth,
-                ip_bandwidths=ip_bandwidths,
-                ip_peaks=ip_peaks,
-                validate=validate,
-                on_error="raise",
-            )
-        else:
-            prepared = prepared.with_workload(
-                grid_f, grid_i, validate=validate
-            )
         sub = evaluate_lowered_batch(
             soc,
             LoweredPhase(name=phase.name, work=phase.work),
-            prepared,
-            None,
+            grid_f,
+            grid_i,
+            memory_bandwidth=memory_bandwidth,
+            ip_bandwidths=ip_bandwidths,
+            ip_peaks=ip_peaks,
             validate=validate,
             on_error="raise",
             engine=engine,

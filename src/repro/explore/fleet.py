@@ -87,7 +87,9 @@ class FleetPoint:
     Deliberately carries *no* worker provenance: the same case must
     produce the same ``FleetPoint`` whether it ran serially or on any
     shard (the bitwise-identity contract).  Provenance lives in
-    :class:`WorkerReport` and the telemetry shards.
+    :class:`WorkerReport` and the telemetry shards; so do retries
+    (``resilience.retries``) and injected faults
+    (:attr:`WorkerReport.fault_summary`), which depend on the shard.
     """
 
     index: int
@@ -96,7 +98,6 @@ class FleetPoint:
     bottleneck: str
     memory_time: float
     average_intensity: float
-    attempts: int = 1
 
     def to_dict(self) -> dict:
         return {
@@ -106,11 +107,12 @@ class FleetPoint:
             "bottleneck": self.bottleneck,
             "memory_time": self.memory_time,
             "average_intensity": self.average_intensity,
-            "attempts": self.attempts,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetPoint":
+        """Read a record; keys it does not name, such as the
+        ``"attempts"`` of older checkpoints, are ignored."""
         return cls(
             index=int(data["index"]),
             key=str(data["key"]),
@@ -118,7 +120,6 @@ class FleetPoint:
             bottleneck=str(data["bottleneck"]),
             memory_time=float(data["memory_time"]),
             average_intensity=float(data["average_intensity"]),
-            attempts=int(data.get("attempts", 1)),
         )
 
 

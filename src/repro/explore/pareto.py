@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.batch import evaluate_batch
 from ..core.params import SoCSpec, Workload
-from ..core.variants import ModelVariant, evaluate_variant_batch
+from ..core.variants import ModelVariant
 from ..errors import SpecError
 from ..obs.metrics import counter as _counter
 from ..obs.trace import span as _span
+from .sweep import _evaluate_points
 
 _PARETO_CANDIDATES = _counter("explore.pareto.candidates")
 _PARETO_KEPT = _counter("explore.pareto.kept")
@@ -111,39 +111,15 @@ def explore_bandwidth_frontier(
     # Candidate SoC objects are still built per point (the cost model
     # sees them); the model runs once over the whole bandwidth axis.
     candidates = [soc.with_memory_bandwidth(b) for b in bandwidths]
-    bandwidth_axis = np.asarray(bandwidths, dtype=float)
-    k = len(bandwidths)
-    shape = (k, workload.n_ips)
-    if variant is not None and not variant.requires_workload:
-        batch = evaluate_variant_batch(
-            soc, variant, memory_bandwidth=bandwidth_axis, engine=engine
-        )
-    else:
-        fractions = np.broadcast_to(
-            np.asarray(workload.fractions, dtype=float), shape
-        )
-        intensities = np.broadcast_to(
-            np.asarray(workload.intensities, dtype=float), shape
-        )
-        if variant is None:
-            batch = evaluate_batch(
-                soc,
-                fractions,
-                intensities,
-                memory_bandwidth=bandwidth_axis,
-                validate=False,
-                engine=engine,
-            )
-        else:
-            batch = evaluate_variant_batch(
-                soc,
-                variant,
-                fractions,
-                intensities,
-                memory_bandwidth=bandwidth_axis,
-                validate=False,
-                engine=engine,
-            )
+    batch = _evaluate_points(
+        soc,
+        variant,
+        workload,
+        len(bandwidths),
+        validate=False,
+        memory_bandwidth=np.asarray(bandwidths, dtype=float),
+        engine=engine,
+    )
     points = [
         DesignPoint(
             label=f"Bpeak={bandwidth / 1e9:.3g}GB/s",

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._validation import require_finite_positive
-from ..core.batch import evaluate_batch
 from ..core.params import IPBlock, SoCSpec, Workload
-from ..core.variants import ModelVariant, evaluate_variant_batch
+from ..core.variants import ModelVariant
 from ..errors import SpecError
+from .sweep import _evaluate_points
 
 
 @dataclass(frozen=True)
@@ -139,33 +139,17 @@ def bottleneck_drift(
         np.inf,
         base_bandwidths * link[:, np.newaxis],
     )
-    overrides = dict(
+    batch = _evaluate_points(
+        soc,
+        variant,
+        workload,
+        years + 1,
+        validate=False,
         memory_bandwidth=memory,
         ip_bandwidths=ip_bandwidths,
         ip_peaks=ip_peaks,
+        engine=engine,
     )
-    if variant is not None and not variant.requires_workload:
-        batch = evaluate_variant_batch(
-            soc, variant, engine=engine, **overrides
-        )
-    else:
-        shape = (years + 1, workload.n_ips)
-        fractions = np.broadcast_to(
-            np.asarray(workload.fractions, dtype=float), shape
-        )
-        intensities = np.broadcast_to(
-            np.asarray(workload.intensities, dtype=float), shape
-        )
-        if variant is None:
-            batch = evaluate_batch(
-                soc, fractions, intensities, validate=False,
-                engine=engine, **overrides,
-            )
-        else:
-            batch = evaluate_variant_batch(
-                soc, variant, fractions, intensities,
-                validate=False, engine=engine, **overrides,
-            )
     attainables = batch.attainables.tolist()
     bottlenecks = batch.bottlenecks()
     today = attainables[0]

@@ -20,15 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.batch import evaluate_batch
 from ..core.gables import evaluate
 from ..core.params import SoCSpec, Workload
-from ..core.variants import (
-    ModelVariant,
-    evaluate_variant,
-    evaluate_variant_batch,
-)
+from ..core.variants import ModelVariant, evaluate_variant
 from ..errors import SpecError
+from .sweep import _evaluate_points
 
 #: Relative perturbation for finite differences.
 _DEFAULT_STEP = 1e-4
@@ -125,33 +121,17 @@ def sensitivity(
         add(knob, 1.0 + step)
         add(knob, 1.0 - step)
 
-    shape = (len(peaks_rows), n)
-    overrides = dict(
+    batch = _evaluate_points(
+        soc,
+        variant,
+        workload,
+        len(peaks_rows),
+        validate=False,
         memory_bandwidth=np.array(memory_rows),
         ip_bandwidths=np.array(bandwidth_rows),
         ip_peaks=np.array(peaks_rows),
+        engine=engine,
     )
-    if variant is not None and not variant.requires_workload:
-        batch = evaluate_variant_batch(
-            soc, variant, engine=engine, **overrides
-        )
-    else:
-        fractions = np.broadcast_to(
-            np.asarray(workload.fractions, dtype=float), shape
-        )
-        intensities = np.broadcast_to(
-            np.asarray(workload.intensities, dtype=float), shape
-        )
-        if variant is None:
-            batch = evaluate_batch(
-                soc, fractions, intensities, validate=False,
-                engine=engine, **overrides,
-            )
-        else:
-            batch = evaluate_variant_batch(
-                soc, variant, fractions, intensities,
-                validate=False, engine=engine, **overrides,
-            )
     attained = batch.attainables.tolist()
     elasticities: dict = {}
     for position, knob in enumerate(knobs):

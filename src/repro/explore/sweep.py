@@ -213,16 +213,44 @@ def _require_workload_variant(
         )
 
 
-def _workload_matrices(workload: Workload, k: int) -> tuple:
-    """The workload's (fi, Ii) vectors tiled to K batch rows."""
-    shape = (k, workload.n_ips)
-    fractions = np.broadcast_to(
-        np.asarray(workload.fractions, dtype=float), shape
+def _evaluate_points(
+    soc: SoCSpec,
+    variant: ModelVariant | None,
+    workload: Workload | None,
+    k: int,
+    *,
+    validate: bool,
+    fractions=None,
+    intensities=None,
+    on_error: str = "raise",
+    engine: str = "auto",
+    **hardware,
+):
+    """Evaluate ``k`` points of ``variant`` (``None``: base Gables).
+
+    The explore drivers' one dispatch between the base model and the
+    lowered pipeline.  Every row evaluates ``workload``, broadcast,
+    unless ``fractions`` or ``intensities`` gives that axis as a
+    (k, N) grid; ``hardware`` holds the per-point overrides.  A
+    workload-free variant (a phased usecase) carries its own workloads:
+    it runs on the overrides alone, validated, under ``"raise"``.
+    """
+    if variant is not None and not variant.requires_workload:
+        return evaluate_variant_batch(soc, variant, engine=engine, **hardware)
+    if fractions is None:
+        fractions = np.broadcast_to(workload.fractions, (k, workload.n_ips))
+    if intensities is None:
+        intensities = np.broadcast_to(
+            workload.intensities, (k, workload.n_ips)
+        )
+    options = dict(validate=validate, on_error=on_error, engine=engine)
+    if variant is None:
+        return evaluate_batch(
+            soc, fractions, intensities, **options, **hardware
+        )
+    return evaluate_variant_batch(
+        soc, variant, fractions, intensities, **options, **hardware
     )
-    intensities = np.broadcast_to(
-        np.asarray(workload.intensities, dtype=float), shape
-    )
-    return fractions, intensities
 
 
 def sweep_fraction(
@@ -247,17 +275,9 @@ def sweep_fraction(
     _require_workload_variant(variant, f"f[{ip_index}]")
 
     def batch_fn(values: np.ndarray, on_error: str):
-        grid = fraction_grid(workload.fractions, ip_index, values)
-        intensities_m = np.broadcast_to(
-            np.asarray(workload.intensities, dtype=float), grid.shape
-        )
-        if variant is None:
-            return evaluate_batch(
-                soc, grid, intensities_m, validate=False,
-                on_error=on_error, engine=engine,
-            )
-        return evaluate_variant_batch(
-            soc, variant, grid, intensities_m, validate=False,
+        return _evaluate_points(
+            soc, variant, workload, len(values), validate=False,
+            fractions=fraction_grid(workload.fractions, ip_index, values),
             on_error=on_error, engine=engine,
         )
 
@@ -295,15 +315,9 @@ def sweep_intensity(
             np.asarray(workload.intensities, dtype=float), (len(values), 1)
         )
         matrix[:, ip_index] = values
-        fractions_m, _ = _workload_matrices(workload, len(values))
-        if variant is None:
-            return evaluate_batch(
-                soc, fractions_m, matrix, validate=False,
-                on_error=on_error, engine=engine,
-            )
-        return evaluate_variant_batch(
-            soc, variant, fractions_m, matrix, validate=False,
-            on_error=on_error, engine=engine,
+        return _evaluate_points(
+            soc, variant, workload, len(values), validate=False,
+            intensities=matrix, on_error=on_error, engine=engine,
         )
 
     return _series(
@@ -322,18 +336,8 @@ def sweep_memory_bandwidth(
     """Sweep ``Bpeak`` (Fig. 6b -> 6c's question: does more DRAM help?)."""
 
     def batch_fn(values: np.ndarray, on_error: str):
-        if variant is not None and not variant.requires_workload:
-            return evaluate_variant_batch(
-                soc, variant, memory_bandwidth=values, engine=engine
-            )
-        fractions_m, intensities_m = _workload_matrices(workload, len(values))
-        if variant is None:
-            return evaluate_batch(
-                soc, fractions_m, intensities_m, memory_bandwidth=values,
-                on_error=on_error, engine=engine,
-            )
-        return evaluate_variant_batch(
-            soc, variant, fractions_m, intensities_m,
+        return _evaluate_points(
+            soc, variant, workload, len(values), validate=True,
             memory_bandwidth=values, on_error=on_error, engine=engine,
         )
 
@@ -365,19 +369,9 @@ def sweep_ip_bandwidth(
             np.array([ip.bandwidth for ip in soc.ips]), (len(values), 1)
         )
         matrix[:, ip_index] = values
-        if variant is not None and not variant.requires_workload:
-            return evaluate_variant_batch(
-                soc, variant, ip_bandwidths=matrix, engine=engine
-            )
-        fractions_m, intensities_m = _workload_matrices(workload, len(values))
-        if variant is None:
-            return evaluate_batch(
-                soc, fractions_m, intensities_m, ip_bandwidths=matrix,
-                on_error=on_error, engine=engine,
-            )
-        return evaluate_variant_batch(
-            soc, variant, fractions_m, intensities_m, ip_bandwidths=matrix,
-            on_error=on_error, engine=engine,
+        return _evaluate_points(
+            soc, variant, workload, len(values), validate=True,
+            ip_bandwidths=matrix, on_error=on_error, engine=engine,
         )
 
     return _series(
@@ -412,19 +406,9 @@ def sweep_acceleration(
         )
         with np.errstate(over="ignore"):  # the batch rejects inf peaks
             matrix[:, ip_index] = values * soc.peak_perf
-        if variant is not None and not variant.requires_workload:
-            return evaluate_variant_batch(
-                soc, variant, ip_peaks=matrix, engine=engine
-            )
-        fractions_m, intensities_m = _workload_matrices(workload, len(values))
-        if variant is None:
-            return evaluate_batch(
-                soc, fractions_m, intensities_m, ip_peaks=matrix,
-                on_error=on_error, engine=engine,
-            )
-        return evaluate_variant_batch(
-            soc, variant, fractions_m, intensities_m, ip_peaks=matrix,
-            on_error=on_error, engine=engine,
+        return _evaluate_points(
+            soc, variant, workload, len(values), validate=True,
+            ip_peaks=matrix, on_error=on_error, engine=engine,
         )
 
     return _series(

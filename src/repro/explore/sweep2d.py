@@ -17,12 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.batch import evaluate_batch
+# The grid evaluates through ``sweep._evaluate_points``; the two batch
+# entry points stay importable here because perfbench's tracer lists
+# them as targets in this module.
+from ..core.batch import evaluate_batch  # noqa: F401
 from ..core.params import SoCSpec, Workload
-from ..core.variants import ModelVariant, evaluate_variant_batch
+from ..core.variants import ModelVariant, evaluate_variant_batch  # noqa: F401
 from ..errors import ReproError, SpecError
 from ..obs.trace import span as _span
 from ..resilience.partial import PointFailure, check_on_error, record_failure
+from .sweep import _evaluate_points
 
 
 @dataclass(frozen=True)
@@ -146,18 +150,14 @@ def sweep_grid(
             )
         # Workload construction already validated every row; the batch
         # record mode still weeds out degenerate (all-zero-time) points.
-        batch_eval = (
-            evaluate_batch
-            if variant is None
-            else lambda *args, **kwargs: evaluate_variant_batch(
-                args[0], variant, *args[1:], **kwargs
-            )
-        )
-        batch = batch_eval(
+        batch = _evaluate_points(
             soc,
-            np.array([w.fractions for w in workloads]),
-            np.array([w.intensities for w in workloads]),
+            variant,
+            None,
+            len(workloads),
             validate=False,
+            fractions=np.array([w.fractions for w in workloads]),
+            intensities=np.array([w.intensities for w in workloads]),
             on_error="raise" if on_error == "raise" else "record",
             engine=engine,
         )

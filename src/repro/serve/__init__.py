@@ -46,7 +46,7 @@ from .protocol import (
     parse_sweep_request,
     parse_variants_request,
 )
-from .server import GablesServer, run_server
+from .server import GablesServer
 from .service import EvaluationService, ResultCache, ServiceConfig
 
 __all__ = [
@@ -67,6 +67,5 @@ __all__ = [
     "parse_variants_request",
     "record_slo",
     "run_load",
-    "run_server",
     "slo_records",
 ]

@@ -149,8 +149,8 @@ class ServiceClient:
         """``GET /variants`` — the servable variant names."""
         return tuple(self._call("GET", "/variants")["variants"])
 
-    def evaluate(self, soc, workload, *, variant=None, config=None,
-                 deadline_s=None, fault=None) -> dict:
+    def evaluate(self, soc, workload, *, deadline_s=None,
+                 fault=None) -> dict:
         """``POST /eval`` — one scalar evaluation.
 
         ``soc``/``workload`` may be spec objects (encoded here) or
@@ -166,10 +166,6 @@ class ServiceClient:
             "soc": _encode(soc, encode_soc),
             "workload": _encode(workload, encode_workload),
         }
-        if variant is not None:
-            document["variant"] = variant
-        if config is not None:
-            document["config"] = config
         if deadline_s is not None:
             document["deadline_s"] = deadline_s
         if fault is not None:

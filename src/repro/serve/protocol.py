@@ -216,26 +216,6 @@ def _decode_fault(document: dict):
     return str(value)
 
 
-def _decode_variant(document: dict) -> tuple:
-    name = document.get("variant")
-    config = document.get("config")
-    if name is None:
-        if config is not None:
-            raise _bad("'config' requires 'variant'")
-        return None, None
-    if name not in VARIANT_CHOICES:
-        raise _bad(f"variant must be one of {VARIANT_CHOICES}, "
-                   f"got {name!r}")
-    if name == "phases":
-        raise _bad(
-            "the workload-free 'phases' variant has no single-workload "
-            "serving form; evaluate it offline with `gables eval`"
-        )
-    if config is not None:
-        _require_object(config, "'config'")
-    return str(name), config
-
-
 # ---------------------------------------------------------------------
 # Requests
 # ---------------------------------------------------------------------
@@ -243,17 +223,16 @@ def _decode_variant(document: dict) -> tuple:
 
 @dataclass(frozen=True)
 class EvalRequest:
-    """A validated scalar evaluation request.
+    """A validated scalar evaluation request of the base model.
 
     ``cache_key`` is the canonical identity used for both result
     caching and micro-batch bookkeeping; ``fault`` is the chaos hook
-    (``None`` outside fault-injection runs).
+    (``None`` outside fault-injection runs).  Variant evaluations go
+    through ``/v1/variants`` (:class:`VariantsRequest`).
     """
 
     soc: SoCSpec
     workload: Workload
-    variant: str | None
-    config: dict | None
     deadline_s: float | None
     fault: str | None
     cache_key: str
@@ -265,23 +244,22 @@ def parse_eval_request(document) -> EvalRequest:
     _check_keys(
         document,
         required=("soc", "workload"),
-        optional=("variant", "config", "deadline_s", "fault"),
+        optional=("deadline_s", "fault"),
         what="eval request",
     )
     soc, workload = _decode_pair(document)
-    variant, config = _decode_variant(document)
+    # The key keeps its null variant/config entries, so a --cache file
+    # written while /eval still took variants stays warm.
     key = canonical_request_key({
         "kind": "eval",
         "soc": document["soc"],
         "workload": document["workload"],
-        "variant": variant,
-        "config": config,
+        "variant": None,
+        "config": None,
     })
     return EvalRequest(
         soc=soc,
         workload=workload,
-        variant=variant,
-        config=config,
         deadline_s=_decode_deadline(document),
         fault=_decode_fault(document),
         cache_key=key,
@@ -374,13 +352,22 @@ def parse_variants_request(document) -> VariantsRequest:
         what="variants request",
     )
     soc, workload = _decode_pair(document)
-    variant, config = _decode_variant(document)
-    if variant is None:
-        raise _bad("variants request needs a non-null 'variant'")
+    name = document["variant"]
+    if name not in VARIANT_CHOICES:
+        raise _bad(f"variant must be one of {VARIANT_CHOICES}, "
+                   f"got {name!r}")
+    if name == "phases":
+        raise _bad(
+            "the workload-free 'phases' variant has no single-workload "
+            "serving form; evaluate it offline with `gables eval`"
+        )
+    config = document.get("config")
+    if config is not None:
+        _require_object(config, "'config'")
     return VariantsRequest(
         soc=soc,
         workload=workload,
-        variant=variant,
+        variant=str(name),
         config=config,
         deadline_s=_decode_deadline(document),
     )

@@ -405,20 +405,3 @@ class GablesServer:
 
         signal.signal(signal.SIGTERM, handle)
         signal.signal(signal.SIGINT, handle)
-
-
-def run_server(config: ServiceConfig | None = None, *,
-               host: str = "127.0.0.1", port: int = 8080,
-               drain_timeout_s: float = 10.0) -> GablesServer:
-    """Bind, install signal handlers, and serve on the calling thread.
-
-    The blocking entry point behind ``gables serve``; returns the
-    (stopped) server after a signal-triggered drain for the caller to
-    inspect ``drain_report``.
-    """
-    server = GablesServer(
-        config, host=host, port=port, drain_timeout_s=drain_timeout_s
-    )
-    server.install_signal_handlers()
-    server.serve_forever()
-    return server

@@ -16,9 +16,10 @@ failure mode:
 - **micro-batching** — concurrent scalar ``eval`` requests are
   coalesced (up to ``batch_max``) into one
   :func:`repro.core.batch.evaluate_batch` call per SoC under
-  ``on_error="record"`` semantics, so one poisoned request degrades to
-  a structured per-request error and its batch neighbors match an
-  offline scalar ``evaluate``: **bitwise** on 2-IP SoCs, and within
+  ``on_error="record"`` semantics.  A poisoned request is rejected by
+  the protocol before it is queued; a row the batch rejects fails
+  alone; and every other row matches an offline scalar ``evaluate``:
+  **bitwise** on 2-IP SoCs, and within
   1e-12 relative with the same bottleneck and binding set on wider
   ones (the batch sums memory bytes in numpy order, the scalar path
   with ``math.fsum``).  A batch waits only for requests already
@@ -670,34 +671,10 @@ class EvaluationService:
                     "request",
                     code="SERVE_WORKER_CRASHED",
                 ))
-            elif job.request.variant is None:
-                groups.setdefault(job.soc_key, []).append(job)
             else:
-                self._run_single(job)
+                groups.setdefault(job.soc_key, []).append(job)
         for group in groups.values():
             self._run_group(group)
-
-    def _run_single(self, job) -> None:
-        """One isolated variant evaluation; never raises."""
-        request = job.request
-        try:
-            variant = variant_from_config(
-                request.variant, request.soc, request.config
-            )
-            result = evaluate_variant(request.soc, request.workload, variant)
-            payload = _eval_payload(
-                result, batched=1, engine="interpreted",
-                variant=request.variant,
-            )
-        except ReproError as err:
-            job.finish(error=err)
-        except Exception as err:
-            job.finish(error=ServeError(
-                f"worker crashed evaluating request: {err}",
-                code="SERVE_WORKER_CRASHED",
-            ))
-        else:
-            job.finish(payload=payload)
 
     def _run_group(self, jobs) -> None:
         """Coalesced scalar evaluations for one SoC; never raises.
@@ -750,8 +727,7 @@ class EvaluationService:
                     ))
             else:
                 job.finish(payload=_eval_payload(
-                    batch.result(index), batched=len(jobs),
-                    engine=engine, variant=None,
+                    batch.result(index), batched=len(jobs), engine=engine,
                 ))
 
     # -- the watchdog --------------------------------------------------
@@ -783,7 +759,7 @@ class EvaluationService:
             self._start_worker()
 
 
-def _eval_payload(result, *, batched: int, engine: str, variant) -> dict:
+def _eval_payload(result, *, batched: int, engine: str) -> dict:
     return {
         "kind": "eval",
         "result": encode_result(result),
@@ -791,6 +767,6 @@ def _eval_payload(result, *, batched: int, engine: str, variant) -> dict:
             "cached": False,
             "batched": batched,
             "engine": engine,
-            "variant": variant or "base",
+            "variant": "base",
         },
     }

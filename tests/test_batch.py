@@ -18,6 +18,7 @@ import pytest
 from repro.core import (
     ENGINE_CHOICES,
     FIGURE_6_SEQUENCE,
+    IPBlock,
     SoCSpec,
     Workload,
     cached_evaluator,
@@ -28,6 +29,11 @@ from repro.core import (
 from repro.core.batch import BatchResult
 from repro.core.gables import attainable_performance_dual
 from repro.errors import EvaluationError, SpecError, WorkloadError
+from repro.explore import (
+    sweep_acceleration,
+    sweep_ip_bandwidth,
+    sweep_memory_bandwidth,
+)
 from repro.obs import enable_tracing, get_tracer
 from repro.obs.metrics import counter
 from repro.units import GIGA
@@ -284,6 +290,107 @@ class TestInPlaceMutation:
         with pytest.raises(WorkloadError, match=r"finite values in \[0, 1\]"):
             evaluate_batch(generic_spec, fractions, intensities,
                            engine=engine)
+
+
+#: A 3-IP SoC and two fraction vectors on either side of the
+#: ``FRACTION_SUM_TOL`` boundary, where numpy's row sum and
+#: ``math.fsum`` round to opposite sides of it.
+SUM_RULE_SOC = SoCSpec(
+    peak_perf=40e9,
+    memory_bandwidth=10e9,
+    ips=(
+        IPBlock("cpu", 1.0, 30e9),
+        IPBlock("gpu", 8.0, 60e9),
+        IPBlock("dsp", 4.0, 20e9),
+    ),
+)
+SUM_RULE_INTENSITIES = (4.0, 8.0, 2.0)
+#: ``math.fsum`` 1.0000000009999999: ``Workload`` accepts it.
+FSUM_ACCEPTS = (0.5027467353042799, 0.49725326569571987, 1.566476002112645e-16)
+#: ``math.fsum`` 1.000000001: ``Workload`` rejects it.
+FSUM_REJECTS = (0.7660098686053787, 0.23399013239462108, 2.4520132042121616e-16)
+
+
+class TestFractionSumRule:
+    """The batch accepts exactly the fraction vectors ``Workload``
+    accepts, in every entry point that validates."""
+
+    @pytest.mark.parametrize("on_error", ["raise", "record"])
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_fsum_accepted_row_evaluates(self, engine, on_error):
+        want = evaluate(
+            SUM_RULE_SOC, Workload(FSUM_ACCEPTS, SUM_RULE_INTENSITIES)
+        )
+        batch = evaluate_batch(
+            SUM_RULE_SOC, [FSUM_ACCEPTS], [SUM_RULE_INTENSITIES],
+            on_error=on_error, engine=engine,
+        )
+        assert batch.errors == ()
+        assert batch.attainables[0] == pytest.approx(
+            want.attainable, rel=1e-12, abs=0.0
+        )
+        assert batch.bottleneck(0) == want.bottleneck
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_fsum_rejected_row_fails(self, engine):
+        with pytest.raises(WorkloadError, match="sum to 1"):
+            Workload(FSUM_REJECTS, SUM_RULE_INTENSITIES)
+        with pytest.raises(WorkloadError, match=r"sums to 1\.000000001$"):
+            evaluate_batch(
+                SUM_RULE_SOC, [FSUM_REJECTS], [SUM_RULE_INTENSITIES],
+                engine=engine,
+            )
+        batch = evaluate_batch(
+            SUM_RULE_SOC, [FSUM_ACCEPTS, FSUM_REJECTS],
+            [SUM_RULE_INTENSITIES] * 2, on_error="record", engine=engine,
+        )
+        assert batch.valid.tolist() == [True, False]
+        assert [(f.coords, f.code) for f in batch.errors] == [
+            ((1,), "WORKLOAD_FRACTION_SUM")
+        ]
+
+    @pytest.mark.parametrize("on_error", ["record", "skip"])
+    def test_out_of_range_row_near_the_tolerance_is_a_range_failure(
+        self, on_error
+    ):
+        # numpy pairs each 1e308 with a -1e308 (8 partial sums over 16
+        # IPs) and lands within the re-sum margin of 1 + 1e-9, while
+        # math.fsum, adding in order, overflows at the second 1e308.
+        small = [0.125000001] + [0.125] * 7 + [0.0] * 4
+        row = [1e308, 1e308, *small[:6], -1e308, -1e308, *small[6:]]
+        soc = SoCSpec(
+            peak_perf=40e9,
+            memory_bandwidth=10e9,
+            ips=tuple(IPBlock(f"ip{i}", 1.0, 30e9) for i in range(16)),
+        )
+        batch = evaluate_batch(
+            soc, [row, [1 / 16] * 16], [[4.0] * 16] * 2, on_error=on_error,
+        )
+        assert [(f.coords, f.code) for f in batch.errors] == [
+            ((0,), "WORKLOAD_FRACTION_RANGE")
+        ]
+        assert batch.attainables.shape == ((2,) if on_error == "record"
+                                           else (1,))
+
+    @pytest.mark.parametrize(("sweep", "values", "build"), [
+        (lambda soc, w, v: sweep_memory_bandwidth(soc, w, v),
+         [5e9, 10e9, 40e9], lambda soc, v: soc.with_memory_bandwidth(v)),
+        (lambda soc, w, v: sweep_ip_bandwidth(soc, w, 1, v),
+         [10e9, 60e9, math.inf], lambda soc, v: soc.with_ip(1, bandwidth=v)),
+        (lambda soc, w, v: sweep_acceleration(soc, w, 1, v),
+         [0.5, 8.0, 64.0], lambda soc, v: soc.with_ip(1, acceleration=v)),
+    ], ids=["Bpeak", "Bi", "Ai"])
+    def test_validating_sweeps_agree_with_evaluate(self, sweep, values,
+                                                   build):
+        workload = Workload(FSUM_ACCEPTS, SUM_RULE_INTENSITIES)
+        series = sweep(SUM_RULE_SOC, workload, values)
+        assert series.values() == tuple(values)
+        for value, point in zip(values, series.points):
+            want = evaluate(build(SUM_RULE_SOC, value), workload)
+            assert point.attainable == pytest.approx(
+                want.attainable, rel=1e-12, abs=0.0
+            )
+            assert point.bottleneck == want.bottleneck
 
 
 class TestFractionGrid:

@@ -12,7 +12,6 @@ contract that makes the speed safe:
   kind and SoCs of one to four IPs, including ``on_error="record"``
   NaN masking and per-point hardware overrides;
 - the kernel cache and its ``core.compile.*`` counters behave;
-- :class:`PreparedBatch` reuse is hash-guarded, never stale;
 - the grid fleet's chunk-addressed generation and digests are
   deterministic and engine-independent, and evaluating a chunk in
   blocks is bitwise one batch over it.
@@ -47,7 +46,6 @@ from repro.core import (
     evaluate_batch,
     evaluate_variant,
     evaluate_variant_batch,
-    prepare_batch,
 )
 from repro.core.batch import _resolve_engine
 from repro.core.extensions import (
@@ -434,40 +432,6 @@ class TestFusedBatchResult:
                 scalar.attainable, rel=_REL
             )
             assert point.bottleneck == scalar.bottleneck
-
-
-# ---------------------------------------------------------------------------
-# PreparedBatch reuse
-# ---------------------------------------------------------------------------
-
-
-class TestPreparedBatch:
-    def test_prepared_inputs_reproduce_the_direct_call(self):
-        soc = _soc(3)
-        fractions, intensities = _grid(3, k=32)
-        prepared = prepare_batch(soc, fractions, intensities)
-        direct = evaluate_batch(soc, fractions, intensities)
-        via_prepared = evaluate_batch(soc, prepared, None)
-        _assert_equivalent(via_prepared, direct)
-        # And again — the second use takes the guard-verified fast path.
-        _assert_equivalent(evaluate_batch(soc, prepared, None), direct)
-
-    def test_soc_mismatch_is_a_spec_error(self):
-        prepared = prepare_batch(_soc(3), *_grid(3, k=4))
-        with pytest.raises(SpecError, match="different SoC"):
-            evaluate_batch(_soc(2), prepared, None)
-
-    def test_mutation_is_detected_and_revalidated(self):
-        soc = _soc(2)
-        fractions, intensities = _grid(2, k=8)
-        prepared = prepare_batch(soc, fractions, intensities)
-        evaluate_batch(soc, prepared, None)
-        # Corrupt a *sampled* row in place (the guard fingerprints
-        # rows 0, k//2 and k-1): the hash guard must catch it and
-        # re-validate instead of trusting the stale prepared state.
-        prepared.fractions[0] = (0.9, 0.9)
-        with pytest.raises(Exception, match="fraction"):
-            evaluate_batch(soc, prepared, None)
 
 
 # ---------------------------------------------------------------------------

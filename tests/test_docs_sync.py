@@ -355,8 +355,6 @@ def test_performance_doc_names_every_compiler_surface():
         "clear_compile_cache",
         "core.compile.hits",
         "FusedBatchResult",
-        "prepare_batch",
-        "PreparedBatch",
         "run_fleet_grid_sweep",
         "gables fleet run --grid",
         "GridChunkSummary",

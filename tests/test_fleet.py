@@ -247,8 +247,11 @@ class TestFleetResilience:
     def test_fleet_point_round_trips_through_checkpoints(self):
         point = FleetPoint(index=3, key="Q-1", attainable=1e9,
                            bottleneck="memory", memory_time=1e-9,
-                           average_intensity=2.5, attempts=2)
+                           average_intensity=2.5)
         assert FleetPoint.from_dict(point.to_dict()) == point
+        # Checkpoints written before the field went still load.
+        older = {**point.to_dict(), "attempts": 1}
+        assert FleetPoint.from_dict(older) == point
 
 
 class TestFleetTelemetry:

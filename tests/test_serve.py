@@ -51,6 +51,7 @@ from repro.serve import (
     error_from_payload,
     parse_eval_request,
     parse_sweep_request,
+    parse_variants_request,
     run_load,
     slo_records,
 )
@@ -170,7 +171,7 @@ class TestProtocol:
 
     def test_phases_variant_not_servable(self):
         with pytest.raises(ServeError, match="phases"):
-            parse_eval_request(eval_document(variant="phases"))
+            parse_variants_request(eval_document(variant="phases"))
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ServeError, match="fault"):
@@ -276,9 +277,9 @@ class TestServiceEval:
 
     def test_coalesced_batch_is_bitwise_and_isolates_bad_rows(
             self, service):
-        """Concurrent good and poisoned evals land in one batch; the
-        bad row comes back as a structured error while its neighbors
-        match offline evaluation bit for bit."""
+        """Concurrent good and poisoned evals: the protocol rejects the
+        poisoned one before it is queued, as a structured error, while
+        the good ones match offline evaluation bit for bit."""
         barrier = threading.Barrier(5)
         outcomes = [None] * 5
 
@@ -313,6 +314,25 @@ class TestServiceEval:
         kind, err = outcomes[4]
         assert kind == "err"
         assert isinstance(err, WorkloadError)
+
+    def test_fsum_accepted_workload_matches_offline(self, service):
+        """Fractions that ``Workload`` accepts by ``math.fsum`` are
+        served, although numpy sums them past the tolerance."""
+        soc = SoCSpec(
+            peak_perf=40e9,
+            memory_bandwidth=10e9,
+            ips=(IPBlock("cpu", 1.0, 30e9), IPBlock("gpu", 8.0, 60e9),
+                 IPBlock("dsp", 4.0, 20e9)),
+        )
+        workload = Workload(
+            (0.5027467353042799, 0.49725326569571987, 1.566476002112645e-16),
+            (4.0, 8.0, 2.0),
+        )
+        payload = service.handle_eval({
+            "soc": encode_soc(soc), "workload": encode_workload(workload),
+        })
+        want = encode_result(evaluate(soc, workload))
+        assert within_contract(payload["result"], want)
 
     def test_tiny_deadline_is_structured_504(self, service):
         with pytest.raises(ServeError) as excinfo:
@@ -673,6 +693,14 @@ class TestHttpSurface:
         with ServiceClient(server.url) as client:
             with pytest.raises(WorkloadError):
                 client.evaluate(encode_soc(SCENARIO.soc()), workload)
+
+    def test_eval_with_a_variant_names_the_unknown_field(self, server):
+        document = eval_document(variant="serialized")
+        with ServiceClient(server.url) as client:
+            status, payload = client.raw("POST", "/eval", document)
+        assert status == 400
+        assert payload["error"]["code"] == "SERVE_BAD_REQUEST"
+        assert "unknown field(s): variant" in payload["error"]["message"]
 
     def test_unknown_endpoint_404(self, server):
         with ServiceClient(server.url) as client:

@@ -141,6 +141,14 @@ class TestTracePropagation:
         obs.enable_tracing()
         with ServiceClient(server.url) as client:
             client.evaluate(SCENARIO.soc(), SCENARIO.workload())
+        # The handler thread ends its span just after writing the
+        # response, so the client can get here first.
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not any(
+            s.name == "serve.request"
+            for s in obs.get_tracer().finished_spans()
+        ):
+            time.sleep(0.001)
         spans = obs.get_tracer().finished_spans()
         client_spans = [s for s in spans
                         if s.name == "serve.client.request"
