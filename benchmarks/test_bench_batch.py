@@ -78,6 +78,40 @@ def test_batch_sweep_10x_faster_than_scalar_loop():
     )
 
 
+def test_sweep_call_costs_at_most_2x_its_batch_and_points():
+    """A sweep call is one batch plus one ``SweepPoint`` per point: a
+    20k-point f-sweep costs at most 2x a raw ``evaluate_batch(...,
+    validate=False)`` on the same grid plus the positional build of its
+    points, so no other per-point work creeps into the driver."""
+    soc, workload = _pair()
+    values = [k / 19_999 for k in range(20_000)]
+    grid = fraction_grid(workload.fractions, 1, np.asarray(values))
+    intensities = np.broadcast_to(np.asarray(workload.intensities),
+                                  grid.shape)
+    batch = evaluate_batch(soc, grid, intensities, validate=False)
+    names = batch.component_names
+
+    def best(call):
+        return min(timeit.repeat(call, repeat=7, number=1))
+
+    sweep = best(lambda: sweep_fraction(soc, workload, 1, values))
+    raw = best(lambda: evaluate_batch(soc, grid, intensities,
+                                      validate=False))
+    build = best(lambda: tuple(map(
+        SweepPoint, values, batch.attainables.tolist(),
+        map(names.__getitem__, batch.bottleneck_codes.tolist()),
+    )))
+    ratio = sweep / (raw + build)
+    print(f"\n20k-point f-sweep: sweep {sweep * 1e3:.2f} ms, raw batch "
+          f"{raw * 1e3:.2f} ms, points {build * 1e3:.2f} ms, "
+          f"ratio {ratio:.2f}x")
+    assert ratio <= 2.0, (
+        f"sweep_fraction costs {ratio:.2f}x its batch and points (sweep "
+        f"{sweep:.4f}s, batch {raw:.4f}s, points {build:.4f}s); the "
+        f"gate is 2x"
+    )
+
+
 def test_batch_sweep_matches_scalar_loop_exactly():
     """Speed never trades accuracy: both paths agree point for point."""
     soc, workload = _pair()

@@ -61,9 +61,15 @@ def require_probability(value: float, name: str, exc: type = SpecError) -> float
 def require_fractions_sum_to_one(
     fractions: Sequence[float], name: str, exc: type = WorkloadError
 ) -> None:
-    """Check that ``fractions`` are non-negative and sum to one."""
+    """Check that ``fractions`` are non-negative and sum to one.
+
+    On a float, ``0.0 <= f <= 1.0`` is :func:`require_fraction`'s rule
+    (false for NaN and ``inf``), so an accepted float costs one
+    comparison and only other entries go through the full check.
+    """
     for index, fraction in enumerate(fractions):
-        require_fraction(fraction, f"{name}[{index}]", exc)
+        if type(fraction) is not float or not 0.0 <= fraction <= 1.0:
+            require_fraction(fraction, f"{name}[{index}]", exc)
     total = math.fsum(fractions)
     if abs(total - 1.0) > FRACTION_SUM_TOL:
         raise exc(f"{name} must sum to 1, got sum {total!r}")
@@ -83,7 +89,7 @@ def require_same_length(
 def as_float_tuple(values: Iterable[float], name: str, exc: type = SpecError) -> tuple:
     """Coerce an iterable of numbers to an immutable tuple of floats."""
     try:
-        return tuple(float(v) for v in values)
+        return tuple(map(float, values))
     except (TypeError, ValueError) as err:
         raise exc(f"{name} must be an iterable of numbers: {err}") from err
 

@@ -276,11 +276,18 @@ def _as_batch_matrix(values, n_ips: int, name: str, exc: type) -> np.ndarray:
 #: of fractions in [0, 1] errs far less than this.
 _SUM_MARGIN = 1e-12
 
+#: Below this many IPs a row sum adds the columns in order.  numpy's
+#: ``sum(axis=1)`` pays a fixed per-row cost that dwarfs a few column
+#: adds, and for fewer than 8 terms it adds in order too (bitwise the
+#: same totals); from 8 columns up its reduction is the faster one.
+_IN_ORDER_MAX_IPS = 7
+
 
 def _fraction_sums(fractions: np.ndarray) -> np.ndarray:
     """Per-row fraction sums that decide as ``Workload`` decides.
 
-    numpy's pairwise row sum and the constructor's ``math.fsum`` can
+    A row sum (in column order below 8 IPs, numpy's pairwise
+    ``sum(axis=1)`` from there) and the constructor's ``math.fsum`` can
     round to opposite sides of ``FRACTION_SUM_TOL``, so a row whose
     ``|sum - 1|`` lies within ``_SUM_MARGIN`` of the tolerance is
     re-summed with ``math.fsum``.  Only rows of finite fractions in
@@ -288,7 +295,13 @@ def _fraction_sums(fractions: np.ndarray) -> np.ndarray:
     ``math.fsum`` raises ``OverflowError`` on a row such as
     ``(1e308, 1e308, -1e308, ...)`` that numpy cancels to near one.
     """
-    totals = fractions.sum(axis=1)
+    n = fractions.shape[1]
+    if n <= _IN_ORDER_MAX_IPS:
+        totals = fractions[:, 0].copy()
+        for column in range(1, n):
+            totals += fractions[:, column]
+    else:
+        totals = fractions.sum(axis=1)
     near = np.abs(np.abs(totals - 1.0) - FRACTION_SUM_TOL) <= _SUM_MARGIN
     for row in np.flatnonzero(near).tolist():
         values = fractions[row]

@@ -32,6 +32,7 @@ from .._validation import (
     require_same_length,
 )
 from ..errors import SpecError, WorkloadError
+from .result import MEMORY
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,8 @@ class SoCSpec:
         ``Bpeak`` — peak off-chip DRAM bandwidth, in bytes/s.
     ips:
         The IP blocks.  ``ips[0]`` is the reference processor and must
-        have ``acceleration == 1``.
+        have ``acceleration == 1``.  Names must be unique, and
+        ``"memory"`` is reserved: results name the DRAM interface so.
     name:
         Optional label for reports.
     """
@@ -108,6 +110,12 @@ class SoCSpec:
         names = [ip.name for ip in self.ips]
         if len(set(names)) != len(names):
             raise SpecError(f"IP names must be unique, got {names!r}")
+        if MEMORY in names:
+            # Results key component times by name, so an IP called
+            # "memory" would be read as the DRAM interface.
+            raise SpecError(
+                f"IP name {MEMORY!r} is reserved for the DRAM interface"
+            )
 
     @property
     def n_ips(self) -> int:
@@ -191,22 +199,21 @@ class Workload:
     name: str = "usecase"
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "fractions", as_float_tuple(self.fractions, "fractions", WorkloadError)
-        )
-        object.__setattr__(
-            self,
-            "intensities",
-            as_float_tuple(self.intensities, "intensities", WorkloadError),
-        )
+        fractions = as_float_tuple(self.fractions, "fractions", WorkloadError)
+        intensities = as_float_tuple(self.intensities, "intensities", WorkloadError)
+        object.__setattr__(self, "fractions", fractions)
+        object.__setattr__(self, "intensities", intensities)
         require_same_length(
-            self.fractions, self.intensities, "fractions", "intensities", WorkloadError
+            fractions, intensities, "fractions", "intensities", WorkloadError
         )
-        if not self.fractions:
+        if not fractions:
             raise WorkloadError("Workload needs at least one IP entry")
-        require_fractions_sum_to_one(self.fractions, "fractions")
-        for index, intensity in enumerate(self.intensities):
-            require_positive(intensity, f"intensities[{index}]", WorkloadError)
+        require_fractions_sum_to_one(fractions, "fractions")
+        for index, intensity in enumerate(intensities):
+            # ``> 0.0`` is require_positive's rule on a float (false for
+            # NaN, true for inf); the helper runs to raise its error.
+            if not intensity > 0.0:
+                require_positive(intensity, f"intensities[{index}]", WorkloadError)
 
     @property
     def n_ips(self) -> int:

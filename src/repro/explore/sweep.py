@@ -78,6 +78,10 @@ class SweepSeries:
     points: tuple
     errors: tuple = ()
 
+    def __len__(self) -> int:
+        """Number of evaluated points."""
+        return len(self.points)
+
     def values(self) -> tuple:
         """The swept input values."""
         return tuple(p.value for p in self.points)
@@ -85,6 +89,10 @@ class SweepSeries:
     def attainables(self) -> tuple:
         """Attainable performance at each point."""
         return tuple(p.attainable for p in self.points)
+
+    def bottlenecks(self) -> tuple:
+        """The binding component's name at each point."""
+        return tuple(p.bottleneck for p in self.points)
 
     def best(self) -> SweepPoint:
         """The point with the highest attainable performance."""
@@ -130,6 +138,24 @@ def _finite_positive(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values) & (values > 0)
 
 
+def _records(record: type, batch, *coords: np.ndarray) -> tuple:
+    """One ``record`` per row the batch evaluated (code >= 0).
+
+    ``coords`` holds one array per axis, aligned with the batch's rows.
+    ``record`` takes a row's coordinates, then its attainable bound and
+    bottleneck name, by position: a dense sweep builds tens of
+    thousands of them, and a keyword call each costs ~40% more.
+    """
+    evaluated = batch.bottleneck_codes >= 0
+    names = batch.component_names
+    return tuple(map(
+        record,
+        *(column[evaluated].tolist() for column in coords),
+        batch.attainables[evaluated].tolist(),
+        map(names.__getitem__, batch.bottleneck_codes[evaluated].tolist()),
+    ))
+
+
 def _series(
     parameter: str,
     values: Sequence[float],
@@ -173,20 +199,7 @@ def _series(
             batch = batch_fn(
                 kept_values, "raise" if on_error == "raise" else "record"
             )
-            names = batch.component_names
-            points = tuple(
-                SweepPoint(
-                    value=value,
-                    attainable=attainable,
-                    bottleneck=names[code],
-                )
-                for value, attainable, code in zip(
-                    kept_values.tolist(),
-                    batch.attainables.tolist(),
-                    batch.bottleneck_codes.tolist(),
-                )
-                if code >= 0
-            )
+            points = _records(SweepPoint, batch, kept_values)
             # Phased batches run only under "raise" and carry no errors.
             for failure in getattr(batch, "errors", ()):
                 index = int(kept[failure.coords[0]])

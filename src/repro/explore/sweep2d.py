@@ -26,7 +26,7 @@ from ..core.variants import ModelVariant, evaluate_variant_batch  # noqa: F401
 from ..errors import ReproError, SpecError
 from ..obs.trace import span as _span
 from ..resilience.partial import PointFailure, check_on_error, record_failure
-from .sweep import _evaluate_points
+from .sweep import _evaluate_points, _records
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,13 @@ def sweep_grid(
     coords = [(x, y) for y in y_values for x in x_values]
     with _span("explore.sweep_grid", points=len(coords)):
         failures: list = []
+        built = None  # indices of the cells built, when not all were
         if on_error == "raise":
-            kept_coords = coords
             workloads = [build(x, y) for x, y in coords]
         else:
-            kept_coords = []
+            built = []
             workloads = []
-            for x, y in coords:
+            for index, (x, y) in enumerate(coords):
                 try:
                     workloads.append(build(x, y))
                 except ReproError as err:
@@ -140,7 +140,7 @@ def sweep_grid(
                         record_failure((float(x), float(y)), err)
                     )
                     continue
-                kept_coords.append((x, y))
+                built.append(index)
         if not workloads:
             return SweepGrid(
                 x_name=x_name,
@@ -148,6 +148,11 @@ def sweep_grid(
                 cells=(),
                 errors=tuple(failures) if on_error == "record" else (),
             )
+        # Row-major coordinate columns, as float(x) and float(y).
+        xs = np.tile(np.array(list(map(float, x_values))), len(y_values))
+        ys = np.repeat(np.array(list(map(float, y_values))), len(x_values))
+        if built is not None:
+            xs, ys = xs[built], ys[built]
         # Workload construction already validated every row; the batch
         # record mode still weeds out degenerate (all-zero-time) points.
         batch = _evaluate_points(
@@ -162,29 +167,15 @@ def sweep_grid(
             engine=engine,
         )
         for failure in batch.errors:
-            x, y = kept_coords[failure.coords[0]]
+            row = failure.coords[0]
             failures.append(
                 PointFailure(
-                    coords=(float(x), float(y)),
+                    coords=(float(xs[row]), float(ys[row])),
                     code=failure.code,
                     message=failure.message,
                 )
             )
-        names = batch.component_names
-        cells = tuple(
-            GridCell(
-                x=float(x),
-                y=float(y),
-                attainable=attainable,
-                bottleneck=names[code],
-            )
-            for (x, y), attainable, code in zip(
-                kept_coords,
-                batch.attainables.tolist(),
-                batch.bottleneck_codes.tolist(),
-            )
-            if code >= 0
-        )
+        cells = _records(GridCell, batch, xs, ys)
     return SweepGrid(
         x_name=x_name,
         y_name=y_name,

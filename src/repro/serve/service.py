@@ -433,7 +433,7 @@ class EvaluationService:
                 "parameter": series.parameter,
                 "values": list(series.values()),
                 "attainables": list(series.attainables()),
-                "bottlenecks": [p.bottleneck for p in series.points],
+                "bottlenecks": list(series.bottlenecks()),
                 "transitions": [
                     {
                         "value": t.value,
@@ -452,7 +452,7 @@ class EvaluationService:
                     }
                     for f in series.errors
                 ],
-                "meta": {"engine": engine, "points": len(series.points)},
+                "meta": {"engine": engine, "points": len(series)},
             }
 
     def handle_variants(self, document=None) -> dict:

@@ -29,6 +29,27 @@ def _reset_observability():
     reset_observability()
 
 
+@pytest.fixture()
+def batches(monkeypatch):
+    """Every batch result the explore sweeps get back, in call order.
+
+    The sweeps reach the batch engine through the two names
+    :mod:`repro.explore.sweep` imports; both are wrapped to record
+    what they return.
+    """
+    from repro.explore import sweep
+
+    seen: list = []
+    for name in ("evaluate_batch", "evaluate_variant_batch"):
+        def recording(*args, _evaluate=getattr(sweep, name), **kwargs):
+            result = _evaluate(*args, **kwargs)
+            seen.append(result)
+            return result
+
+        monkeypatch.setattr(sweep, name, recording)
+    return seen
+
+
 @pytest.fixture(scope="session")
 def fig6():
     """The four Figure 6 scenarios, keyed by step letter."""

@@ -26,7 +26,7 @@ from repro.core import (
     evaluate_batch,
     fraction_grid,
 )
-from repro.core.batch import BatchResult
+from repro.core.batch import BatchResult, _fraction_sums
 from repro.core.gables import attainable_performance_dual
 from repro.errors import EvaluationError, SpecError, WorkloadError
 from repro.explore import (
@@ -371,6 +371,20 @@ class TestFractionSumRule:
         ]
         assert batch.attainables.shape == ((2,) if on_error == "record"
                                            else (1,))
+
+    @pytest.mark.parametrize("broadcast", [False, True])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_in_order_row_sums_track_fsum(self, n, broadcast):
+        # Below 8 IPs the row sum adds the columns in order; each total
+        # stays within n ulps of one of the exact math.fsum.
+        rng = np.random.default_rng(n)
+        fractions = rng.random((256, n)) ** rng.uniform(0.1, 8.0, (256, 1))
+        fractions /= fractions.sum(axis=1, keepdims=True)
+        if broadcast:
+            fractions = np.broadcast_to(fractions[7], fractions.shape)
+        totals = _fraction_sums(fractions)
+        for row, total in zip(fractions.tolist(), totals.tolist()):
+            assert abs(total - math.fsum(row)) <= n * 2.0 ** -52
 
     @pytest.mark.parametrize(("sweep", "values", "build"), [
         (lambda soc, w, v: sweep_memory_bandwidth(soc, w, v),

@@ -5,7 +5,15 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro._validation import (
+    FRACTION_SUM_TOL,
+    require_fraction,
+    require_fractions_sum_to_one,
+    require_positive,
+    require_same_length,
+)
 from repro.core import IPBlock, SoCSpec, Workload
 from repro.errors import SpecError, WorkloadError
 
@@ -102,6 +110,14 @@ class TestSoCSpec:
                              cpu_name="A", acc_name="B")
         assert soc.ip_names == ("A", "B")
 
+    def test_rejects_an_ip_named_memory(self):
+        # Results key component times by name: such an IP's time would
+        # be read as DRAM's, and evaluate() would report 2e10 (cpu)
+        # where the model gives ~2e9.
+        ips = (IPBlock("cpu", 1.0, 100e9), IPBlock("memory", 0.1, 100e9))
+        with pytest.raises(SpecError, match="'memory' is reserved"):
+            SoCSpec(10e9, 5e9, ips)
+
 
 class TestWorkload:
     def test_two_ip_constructor(self):
@@ -185,3 +201,132 @@ class TestWorkload:
         workload = Workload(fractions=[1], intensities=[2])
         assert workload.fractions == (1.0,)
         assert isinstance(workload.fractions, tuple)
+
+
+def per_entry_fractions(fractions, name) -> None:
+    """The fraction check made entry by entry through
+    ``require_fraction``: the reference for
+    ``require_fractions_sum_to_one``'s verdicts and errors."""
+    for index, fraction in enumerate(fractions):
+        require_fraction(fraction, f"{name}[{index}]", WorkloadError)
+    total = math.fsum(fractions)
+    if abs(total - 1.0) > FRACTION_SUM_TOL:
+        raise WorkloadError(f"{name} must sum to 1, got sum {total!r}")
+
+
+def per_entry_check(fractions, intensities) -> None:
+    """The ``Workload`` checks made entry by entry, with every entry
+    through the full helper: the reference its verdicts and errors must
+    match."""
+
+    def as_floats(values, name):
+        try:
+            return tuple(float(v) for v in values)
+        except (TypeError, ValueError) as err:
+            raise WorkloadError(
+                f"{name} must be an iterable of numbers: {err}"
+            ) from err
+
+    fractions = as_floats(fractions, "fractions")
+    intensities = as_floats(intensities, "intensities")
+    require_same_length(
+        fractions, intensities, "fractions", "intensities", WorkloadError
+    )
+    if not fractions:
+        raise WorkloadError("Workload needs at least one IP entry")
+    per_entry_fractions(fractions, "fractions")
+    for index, intensity in enumerate(intensities):
+        require_positive(intensity, f"intensities[{index}]", WorkloadError)
+
+
+#: Edge floats (as in ``tests/test_sweep_path.py``).
+EDGES = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.0, math.nextafter(1.0, 2.0),
+    math.nextafter(1.0, 0.0), -1.0, 1.7976931348623157e308,
+    -1.7976931348623157e308,
+)
+#: Fraction sums on and one ulp either side of ``1 +- FRACTION_SUM_TOL``.
+SUM_TARGETS = tuple(
+    math.nextafter(bound, bound + step) if step else bound
+    for bound in (1.0 + FRACTION_SUM_TOL, 1.0 - FRACTION_SUM_TOL)
+    for step in (-1.0, 0.0, 1.0)
+)
+ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGES),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=4),
+    st.sampled_from(["0.5", "1", "nan", "-inf", " 0.25 "]),
+    st.none(),
+)
+#: Ways to spread a target sum over entries: ``target - 0.5`` is exact
+#: near one, and ``-5e-324`` leaves the sum as it is but is out of range.
+SHAPES = (
+    lambda target: (target,),
+    lambda target: (target - 0.5, 0.5),
+    lambda target: (target - 0.5, 0.5, -5e-324),
+)
+#: Whether ``Workload`` accepts each shape of each of ``SUM_TARGETS``.
+SHAPE_VERDICTS = (
+    (False, False, False, False, True, True),
+    (True, False, False, False, True, True),
+    (False,) * 6,
+)
+#: Vectors summing exactly to a target, padded with zeros.
+NEAR_ONE = st.builds(
+    lambda target, shape, zeros: shape(target) + (0.0,) * zeros,
+    st.sampled_from(SUM_TARGETS),
+    st.sampled_from(SHAPES),
+    st.integers(0, 6),
+)
+
+
+def _outcome(check, fractions, intensities):
+    try:
+        check(fractions, intensities)
+    except Exception as err:  # compared by class and message
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    fractions=st.one_of(st.lists(ENTRIES, max_size=9), NEAR_ONE),
+    intensities=st.lists(ENTRIES, max_size=9),
+    same_length=st.booleans(),
+)
+def test_workload_verdicts_match_the_per_entry_checks(
+    fractions, intensities, same_length
+):
+    if same_length:  # so that the later checks are reached
+        intensities = (intensities + [1.0] * 9)[:len(fractions)]
+    assert _outcome(Workload, fractions, intensities) == _outcome(
+        per_entry_check, fractions, intensities
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(fractions=st.one_of(st.lists(ENTRIES, max_size=9), NEAR_ONE))
+def test_fraction_sum_verdicts_match_the_per_entry_checks(fractions):
+    # Uncoerced entries, as the phase and multi-Amdahl checks pass them.
+    def check(values, _):
+        require_fractions_sum_to_one(values, "fractions")
+
+    def reference(values, _):
+        per_entry_fractions(values, "fractions")
+
+    assert _outcome(check, fractions, None) == _outcome(
+        reference, fractions, None
+    )
+
+
+@pytest.mark.parametrize("shape", range(len(SHAPES)))
+@pytest.mark.parametrize("target", range(len(SUM_TARGETS)))
+def test_sum_boundary_verdicts(target, shape):
+    fractions = SHAPES[shape](SUM_TARGETS[target])
+    intensities = (1.0,) * len(fractions)
+    outcome = _outcome(Workload, fractions, intensities)
+    assert outcome == _outcome(per_entry_check, fractions, intensities)
+    assert (outcome is None) is SHAPE_VERDICTS[shape][target]

@@ -702,6 +702,17 @@ class TestHttpSurface:
         assert payload["error"]["code"] == "SERVE_BAD_REQUEST"
         assert "unknown field(s): variant" in payload["error"]["message"]
 
+    def test_eval_with_an_ip_named_memory_is_spec_invalid(self, server):
+        # The name results give DRAM; such an IP's time was read as
+        # DRAM's.
+        document = eval_document()
+        document["soc"]["ips"][1]["name"] = "memory"
+        with ServiceClient(server.url) as client:
+            status, payload = client.raw("POST", "/eval", document)
+        assert status == 400
+        assert payload["error"]["code"] == "SPEC_INVALID"
+        assert "'memory' is reserved" in payload["error"]["message"]
+
     def test_unknown_endpoint_404(self, server):
         with ServiceClient(server.url) as client:
             status, payload = client.raw("GET", "/nope")

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import xml.dom.minidom
 
 import pytest
 
-from repro.core import FIGURE_6D, SoCSpec, Workload, evaluate
-from repro.errors import SpecError
-from repro.explore import analytic_mixing_grid, sweep_grid
+from repro.core import FIGURE_6A, FIGURE_6D, SoCSpec, Workload, evaluate
+from repro.errors import ReproError, SpecError
+from repro.explore import GridCell, analytic_mixing_grid, sweep_grid
 from repro.market import (
     concentration_series,
     consolidation_report,
@@ -71,6 +72,74 @@ class TestSweepGrid:
     def test_ip_index_validated(self):
         with pytest.raises(SpecError):
             analytic_mixing_grid(FIGURE_6D.soc(), ip_index=0)
+
+
+def eager_cells(coords, batch) -> tuple:
+    """One keyword-built ``GridCell`` per evaluated row of the batch
+    over the built cells' coordinates: the reference the grid's
+    positional build must reproduce."""
+    names = batch.component_names
+    return tuple(
+        GridCell(
+            x=float(x), y=float(y), attainable=attainable,
+            bottleneck=names[code],
+        )
+        for (x, y), attainable, code in zip(
+            coords,
+            batch.attainables.tolist(),
+            batch.bottleneck_codes.tolist(),
+        )
+        if code >= 0
+    )
+
+
+def _bits(cells) -> list:
+    return [
+        (c.x.hex(), c.y.hex(), c.attainable.hex(), c.bottleneck)
+        for c in cells
+    ]
+
+
+class TestGridCells:
+    """The grid builds the reference cells from its batch."""
+
+    #: Duplicate and signed-zero coordinates, ints among the floats; the
+    #: NaN intensity fails its build in the tolerant modes.
+    SOC = FIGURE_6A.soc()
+    X = (1.0, -0.0, 0.5, 0.0, 0.5, 0.25)
+    Y = (0.5, 16, 16.0, 4.0, 1.0)
+
+    @staticmethod
+    def build(f, intensity):
+        return Workload.two_ip(f, intensity, intensity)
+
+    @pytest.mark.parametrize("on_error", ["raise", "record", "skip"])
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_cells_match_the_reference_build(self, engine, on_error,
+                                             batches):
+        ys = self.Y if on_error == "raise" else self.Y + (math.nan,)
+        grid = sweep_grid(self.SOC, "f", self.X, "I", ys, self.build,
+                          on_error=on_error, engine=engine)
+        coords = []
+        for y in ys:
+            for x in self.X:
+                try:
+                    self.build(x, y)
+                except ReproError:
+                    continue
+                coords.append((x, y))
+        (batch,) = batches
+        assert _bits(grid.cells) == _bits(eager_cells(coords, batch))
+        assert len(grid.cells) == len(self.X) * len(self.Y)
+        assert len(grid.errors) == (len(self.X) if on_error == "record"
+                                    else 0)
+        assert grid.x_values()[0].hex() == (-0.0).hex()
+
+    def test_all_failed_grid_is_empty(self):
+        grid = sweep_grid(self.SOC, "f", (0.5,), "I", (math.nan,),
+                          self.build, on_error="record")
+        assert grid.cells == ()
+        assert [f.code for f in grid.errors] == ["WORKLOAD_INVALID"]
 
 
 class TestHeatmap:

@@ -18,9 +18,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import IPBlock, SoCSpec, Workload
-from repro.core.variants import VARIANT_CHOICES, variant_from_config
+from repro.core.extensions.phases import Phase, PhasedUsecase
+from repro.core.variants import (
+    VARIANT_CHOICES,
+    PhasedVariant,
+    variant_from_config,
+)
 from repro.errors import ReproError, SpecError, WorkloadError
 from repro.explore import (
+    SweepPoint,
     analytic_mixing_grid,
     sweep_acceleration,
     sweep_fraction,
@@ -102,9 +108,28 @@ CASES = [
 
 
 def _points(series) -> tuple:
+    return _bits(series.points)
+
+
+def _bits(points) -> tuple:
     return tuple(
-        (p.value.hex(), p.attainable.hex(), p.bottleneck)
-        for p in series.points
+        (p.value.hex(), p.attainable.hex(), p.bottleneck) for p in points
+    )
+
+
+def eager_points(values, batch) -> tuple:
+    """One keyword-built ``SweepPoint`` per evaluated row of the batch
+    (code >= 0): the reference the drivers' positional build must
+    reproduce."""
+    names = batch.component_names
+    return tuple(
+        SweepPoint(value=value, attainable=attainable, bottleneck=names[code])
+        for value, attainable, code in zip(
+            values,
+            batch.attainables.tolist(),
+            batch.bottleneck_codes.tolist(),
+        )
+        if code >= 0
     )
 
 
@@ -118,7 +143,8 @@ def _interleave(accepted: list, rejected: list) -> list:
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
 @pytest.mark.parametrize(("driver", "kind"), CASES)
-def test_tolerant_survivors_equal_raise_over_accepted(driver, kind, engine):
+def test_tolerant_survivors_equal_raise_over_accepted(driver, kind, engine,
+                                                      batches):
     call, accepted, rejected, _ = DRIVERS[driver]
     variant = (
         None if kind is None
@@ -130,6 +156,14 @@ def test_tolerant_survivors_equal_raise_over_accepted(driver, kind, engine):
     reference = call(accepted, variant=variant, engine=engine)
     recorded = call(mixed, on_error="record", variant=variant, engine=engine)
     skipped = call(mixed, on_error="skip", variant=variant, engine=engine)
+    # Each series' points are the reference build from its own batch.
+    assert len(batches) == 3
+    for series, batch in zip((reference, recorded, skipped), batches):
+        assert _points(series) == _bits(eager_points(accepted, batch))
+        assert len(series) == len(series.points)
+        assert series.bottlenecks() == tuple(
+            p.bottleneck for p in series.points
+        )
     assert len(reference.points) == len(accepted)
     assert _points(recorded) == _points(reference)
     assert _points(skipped) == _points(reference)
@@ -266,6 +300,7 @@ class TestBatchVerdicts:
             SOC, WORKLOAD, 1, [-1.0, 2.0], on_error="record"
         )
         assert series.points == ()
+        assert len(series) == 0
         assert [f.coords for f in series.errors] == [(-1.0,), (2.0,)]
         assert batches.value == 0
 
@@ -274,6 +309,38 @@ class TestBatchVerdicts:
 def test_fraction_sweep_checks_ip_index_up_front(on_error):
     with pytest.raises(WorkloadError, match="IP index 7 out of range"):
         sweep_fraction(SOC, WORKLOAD, 7, [0.0, 0.5], on_error=on_error)
+
+
+#: Two phases under the default name, so both decode to ``"phase"``:
+#: the DSP-bound one binds above ~2 GB/s, the DRAM-bound one below.
+SAME_NAME_PHASES = PhasedVariant(PhasedUsecase((
+    Phase(0.5, Workload((0.0, 0.0, 1.0), (1.0, 1.0, 1e4))),
+    Phase(0.5, Workload((0.0, 1.0, 0.0), (1.0, 10.0, 1.0))),
+)))
+
+
+@pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+def test_transitions_compare_names_not_codes(engine, batches):
+    values = [1e9 * 2.0 ** (k / 2 - 2) for k in range(9)]
+    series = sweep_memory_bandwidth(
+        SOC, WORKLOAD, values, variant=SAME_NAME_PHASES, engine=engine
+    )
+    (batch,) = batches
+    assert batch.bottleneck_codes.tolist() == [1, 1, 1, 1, 1, 1, 0, 0, 0]
+    assert series.bottlenecks() == ("phase",) * 9
+    assert series.bottleneck_transitions() == ()
+
+
+def test_series_survives_a_later_compiled_sweep():
+    """The compiled kernel reuses its scratch buffers; a series' points
+    are its own, unchanged by a second same-shape compiled sweep."""
+    values = [k / 99 for k in range(100)]
+    first = sweep_fraction(SOC, WORKLOAD, 1, values, engine="compiled")
+    before = _points(first)
+    other = replace(WORKLOAD, intensities=(0.5, 64.0, 3.0))
+    second = sweep_fraction(SOC, other, 1, values, engine="compiled")
+    assert _points(second) != before
+    assert _points(first) == before
 
 
 @pytest.mark.parametrize("on_error", ["skip", "record"])
