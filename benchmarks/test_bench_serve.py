@@ -24,10 +24,10 @@ from repro.serve.loadgen import record_slo
 
 BENCH_HISTORY = Path(__file__).resolve().parent.parent / "BENCH_HISTORY.jsonl"
 
-#: Steady-state p99 ceiling for a loopback scalar eval under the
-#: default micro-batching window.  Generous: CI containers share
-#: cores, and the budget only needs to catch order-of-magnitude
-#: serving regressions (a lost cache, a broken coalescer).
+#: Steady-state p99 ceiling for a loopback scalar eval.  Generous: CI
+#: containers share cores, and the budget only needs to catch
+#: order-of-magnitude serving regressions (a lost cache, a stalled
+#: handler).
 P99_BUDGET_S = 2.0
 
 

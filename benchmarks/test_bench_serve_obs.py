@@ -124,7 +124,7 @@ def test_request_plane_hooks_within_1pct_of_a_served_eval():
     scenario = FIGURE_6_SEQUENCE[1]
     soc, workload = scenario.soc(), scenario.workload()
     server = GablesServer(
-        ServiceConfig(batch_window_s=0.001, engine="interpreted"),
+        ServiceConfig(engine="interpreted"),
         port=0,
     ).start()
     try:

@@ -31,8 +31,8 @@ Subpackages
 ``repro.viz``
     Dependency-free SVG/ASCII scaled-roofline plots (Section III-C).
 ``repro.obs``
-    Observability: tracing spans, metrics registry, and evaluation
-    provenance threaded through every hot path (see
+    Observability: tracing spans and a metrics registry threaded
+    through every hot path, and on-demand evaluation provenance (see
     docs/observability.md).
 ``repro.resilience``
     Fault injection, retry policies, sweep checkpoints, and the

@@ -57,6 +57,7 @@ import sys
 from . import io as repro_io
 from . import obs
 from .core import (
+    ENGINE_CHOICES,
     FIGURE_6_SEQUENCE,
     VARIANT_CHOICES,
     evaluate,
@@ -683,7 +684,6 @@ def _cmd_serve(args) -> int:
 
     config = ServiceConfig(
         queue_limit=args.queue_limit,
-        batch_window_s=args.batch_window_ms / 1000.0,
         default_deadline_s=args.deadline_s,
         engine=args.batch_engine,
         cache_path=args.cache,
@@ -943,8 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
              "them under a degraded-output banner",
     )
     p_sweep.add_argument(
-        "--engine", default="auto",
-        choices=("auto", "compiled", "interpreted"),
+        "--engine", default="auto", choices=ENGINE_CHOICES,
         help="batch-evaluation tier for the sweep grid (auto picks the "
              "fused compiled kernel whenever the batch qualifies)",
     )
@@ -1188,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid_group.add_argument(
         "--engine", dest="batch_engine", default="auto",
-        choices=("auto", "compiled", "interpreted"),
+        choices=ENGINE_CHOICES,
         help="batch-evaluation tier for --grid sweeps",
     )
     p_fleet_run.set_defaults(handler=_cmd_fleet_run)
@@ -1239,20 +1238,15 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind port (0 picks a free one)")
     p_serve.add_argument(
         "--engine", dest="batch_engine", default="auto",
-        choices=("auto", "compiled", "interpreted"),
-        help="batch-evaluation tier for coalesced /eval batches and "
-             "/sweep",
+        choices=ENGINE_CHOICES,
+        help="batch-evaluation tier for /sweep (/eval and /variants "
+             "evaluate with the scalar model)",
     )
     p_serve.add_argument(
         "--queue-limit", dest="queue_limit", type=int, default=64,
         metavar="N",
         help="in-flight admission budget; beyond it requests are "
              "shed with 429",
-    )
-    p_serve.add_argument(
-        "--batch-window-ms", dest="batch_window_ms", type=float,
-        default=2.0, metavar="MS",
-        help="longest wait for admitted requests to join a batch",
     )
     p_serve.add_argument(
         "--deadline-s", dest="deadline_s", type=float, default=10.0,
@@ -1266,8 +1260,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--chaos", action="store_true",
-        help="accept per-request fault-injection hooks "
-             "(crash/wedge) — test rigs only",
+        help="accept the per-request fault-injection hook "
+             "(crash) — test rigs only",
     )
     p_serve.add_argument(
         "--drain-timeout-s", dest="drain_timeout_s", type=float,

@@ -28,7 +28,6 @@ import math
 
 from .._validation import require_same_length
 from ..errors import WorkloadError
-from ..obs import provenance as _provenance
 from ..obs.metrics import counter as _counter
 from ..obs.trace import get_tracer as _get_tracer
 from ..obs.trace import span as _span
@@ -122,8 +121,6 @@ def evaluate(soc: SoCSpec, workload: Workload) -> GablesResult:
             result = _evaluate_impl(soc, workload)
             sp.set_attribute("bottleneck", result.bottleneck)
             sp.set_attribute("attainable", result.attainable)
-    if _provenance.provenance_enabled():
-        _provenance.capture(soc, workload, result)
     return result
 
 

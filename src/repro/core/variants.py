@@ -14,10 +14,10 @@ through exactly one engine with two interchangeable backends:
   and per-point hardware overrides per call, within 1e-12 relative of
   the scalar backend.
 
-Because dispatch happens here, ``on_error`` semantics, tracing spans,
-metrics, and evaluation provenance are instrumented once at the engine
-layer instead of once per extension.  The CLI maps ``--variant`` names
-through :data:`VARIANT_CHOICES` / :func:`variant_from_config`.
+Because dispatch happens here, ``on_error`` semantics, tracing spans
+and metrics are instrumented once at the engine layer instead of once
+per extension.  The CLI maps ``--variant`` names through
+:data:`VARIANT_CHOICES` / :func:`variant_from_config`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EvaluationError, SpecError, WorkloadError
-from ..obs import provenance as _provenance
 from ..obs.metrics import counter as _counter
 from ..obs.trace import get_tracer as _get_tracer
 from ..obs.trace import span as _span
@@ -186,8 +185,8 @@ def evaluate_variant(
     ``workload`` (pass ``None``) and return a
     :class:`~repro.core.extensions.phases.PhasedResult`.
 
-    Tracing spans, call metrics, and evaluation provenance are emitted
-    here — once for every variant — rather than per extension.
+    Tracing spans and call metrics are emitted here — once for every
+    variant — rather than per extension.
     """
     if variant is None:
         variant = BaseVariant()
@@ -208,12 +207,6 @@ def evaluate_variant(
             result = _evaluate_lowered(soc, workload, lowered)
             sp.set_attribute("bottleneck", result.bottleneck)
             sp.set_attribute("attainable", result.attainable)
-    if (
-        _provenance.provenance_enabled()
-        and workload is not None
-        and isinstance(result, GablesResult)
-    ):
-        _provenance.capture(soc, workload, result)
     return result
 
 

@@ -11,7 +11,7 @@ sweeps, report generation):
   ``gables profile -- <subcommand>`` and ``gables trace summarize``;
 - :mod:`.metrics` — always-on named counters, gauges and mergeable
   bucket histograms;
-- :mod:`.provenance` — auditable *explain records* for every
+- :mod:`.provenance` — auditable *explain records* for any
   ``evaluate()``, cross-checked against
   :mod:`repro.analysis.bottleneck`;
 - :mod:`.export` — JSONL trace events, Chrome/Perfetto trace export,
@@ -141,13 +141,7 @@ from .profile import (
 from .provenance import (
     ExplainRecord,
     TermExplain,
-    disable_provenance,
-    enable_provenance,
     explain,
-    explain_history,
-    last_explain,
-    provenance_enabled,
-    reset_provenance,
 )
 from .slo import (
     BurnWindow,
@@ -217,15 +211,12 @@ __all__ = [
     "default_objectives",
     "detect_regressions",
     "discover_shards",
-    "disable_provenance",
     "disable_tracing",
-    "enable_provenance",
     "enable_tracing",
     "encode_metric_key",
     "evaluate_objective",
     "evaluate_slos",
     "explain",
-    "explain_history",
     "exposition_content_type",
     "extract_headers",
     "fleet_lanes_svg",
@@ -240,7 +231,6 @@ __all__ = [
     "history_events",
     "host_fingerprint",
     "inject_headers",
-    "last_explain",
     "load_shards",
     "log_event",
     "logging_configured",
@@ -254,7 +244,6 @@ __all__ = [
     "observe_request",
     "parse_exposition",
     "profile_to_dict",
-    "provenance_enabled",
     "read_alerts",
     "read_history",
     "read_log_jsonl",
@@ -266,7 +255,6 @@ __all__ = [
     "reset_context",
     "reset_logging",
     "reset_metrics",
-    "reset_provenance",
     "reset_slo",
     "reset_tracing",
     "resource_sample",
@@ -294,13 +282,12 @@ def reset_observability() -> None:
     """Reset every process-global collector to pristine.
 
     The test-suite hook: tracing disabled and emptied,
-    every metric zeroed in place (handles stay live), provenance
-    capture off with an empty history, the structured logger closed
-    and removed, and this thread's trace context dropped.
+    every metric zeroed in place (handles stay live), the structured
+    logger closed and removed, and this thread's trace context
+    dropped.
     """
     reset_tracing()
     reset_metrics()
-    reset_provenance()
     reset_logging()
     reset_context()
     reset_slo()

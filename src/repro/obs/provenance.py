@@ -20,17 +20,15 @@ onto the generic series/parallel substrate of
 checks that *independent* attribution names the same bottleneck the
 model reported — the same cross-check the test suite runs.
 
-Capture is opt-in (:func:`enable_provenance`), keeping the hot path
-allocation-free by default; the library keeps a bounded ring of the
-most recent records (:func:`last_explain`, :func:`explain_history`).
-:func:`explain` computes a record on demand for any (SoC, workload)
-pair without touching the global state.
+Records are built on demand and never on the model's hot path:
+:func:`explain` evaluates and explains any (SoC, workload) pair, and
+:func:`from_result` explains a result already in hand (what
+``gables eval --explain`` prints).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from ..analysis.bottleneck import Stage, bottleneck_of, series
@@ -228,51 +226,8 @@ def from_result(soc, workload, result) -> ExplainRecord:
 
 
 def explain(soc, workload) -> ExplainRecord:
-    """Evaluate and explain, without touching the global capture ring."""
+    """Evaluate ``workload`` on ``soc`` and explain the result."""
     from ..core.gables import evaluate
 
     return from_result(soc, workload, evaluate(soc, workload))
 
-
-#: Bounded ring of the most recent captured records.
-_HISTORY: deque = deque(maxlen=64)
-_ENABLED = False
-
-
-def provenance_enabled() -> bool:
-    """True when ``evaluate()`` captures explain records."""
-    return _ENABLED
-
-
-def enable_provenance() -> None:
-    """Capture an explain record for every subsequent ``evaluate()``."""
-    global _ENABLED
-    _ENABLED = True
-
-
-def disable_provenance() -> None:
-    """Stop capturing (history is kept)."""
-    global _ENABLED
-    _ENABLED = False
-
-
-def reset_provenance() -> None:
-    """Disable capture and drop the history ring."""
-    global _ENABLED
-    _ENABLED = False
-    _HISTORY.clear()
-
-
-def capture(soc, workload, result) -> None:
-    """Record provenance for one evaluation (called by the model)."""
-    _HISTORY.append(from_result(soc, workload, result))
-
-
-def last_explain() -> ExplainRecord | None:
-    """The most recently captured record, or None."""
-    return _HISTORY[-1] if _HISTORY else None
-
-
-def explain_history() -> tuple:
-    """Captured records, oldest first (bounded ring of 64)."""
-    return tuple(_HISTORY)

@@ -9,12 +9,12 @@ deployment story, dependency-free (stdlib ``http.server`` + threads):
   the ``SERVE_*`` error codes and their HTTP status mapping, and the
   canonical request hash the result cache keys on;
 - :mod:`~repro.serve.service` — admission control with load shedding,
-  per-request deadlines, the micro-batching coalescer (bitwise
-  identical to offline scalar evaluation on 2-IP SoCs, within 1e-12
-  relative with the same bottleneck and binding set on wider ones),
-  inline sweeps that run the offline :mod:`repro.explore.sweep`
-  drivers (so a served sweep equals the offline one bitwise, in every
-  ``on_error`` mode), the wedged-worker watchdog, and graceful drain;
+  per-request deadlines, and inline evaluation on the handler thread:
+  ``/eval`` runs the scalar model (bitwise identical to offline
+  :func:`~repro.core.gables.evaluate` on every SoC), and ``/sweep``
+  the offline :mod:`repro.explore.sweep` drivers (so a served sweep
+  equals the offline one bitwise, in every ``on_error`` mode); plus
+  the result cache and graceful drain;
 - :mod:`~repro.serve.server` — the thin HTTP adapter
   (``gables serve``), with ``/healthz``, ``/readyz``, and
   SIGTERM-triggered drain;

@@ -155,10 +155,8 @@ class ServiceClient:
 
         ``soc``/``workload`` may be spec objects (encoded here) or
         already-encoded JSON documents.  Returns the response payload;
-        the encoded result lives under ``"result"`` and matches offline
-        :func:`~repro.core.gables.evaluate` bitwise on 2-IP SoCs, and
-        within 1e-12 relative with the same bottleneck and binding set
-        on wider ones.
+        the encoded result lives under ``"result"`` and equals offline
+        :func:`~repro.core.gables.evaluate` bitwise.
         Raises the reconstructed :class:`~repro.errors.ReproError` on
         any failure.
         """

@@ -20,7 +20,7 @@ the *robustness* contract of the request layer:
   so a ``WorkloadError`` raised in the server is a ``WorkloadError``
   (same code, same CLI exit status) in the client.
 
-:func:`canonical_request_key` is the cache/coalescing identity: a
+:func:`canonical_request_key` is the result cache's identity: a
 SHA-256 over the canonical JSON of the evaluation-relevant fields, so
 ``65536`` vs ``65536.0`` and key order cannot alias or split cache
 entries.
@@ -47,7 +47,7 @@ from ..resilience import ON_ERROR_MODES
 
 #: Chaos fault keys a request may carry (honored only when the service
 #: was started with fault injection enabled; see ``ServiceConfig``).
-FAULT_KINDS = ("crash", "wedge")
+FAULT_KINDS = ("crash",)
 
 #: HTTP status for every catalogued error code — class defaults and
 #: fine-grained codes alike.  ``tests/test_errors.py`` asserts the
@@ -225,10 +225,10 @@ def _decode_fault(document: dict):
 class EvalRequest:
     """A validated scalar evaluation request of the base model.
 
-    ``cache_key`` is the canonical identity used for both result
-    caching and micro-batch bookkeeping; ``fault`` is the chaos hook
-    (``None`` outside fault-injection runs).  Variant evaluations go
-    through ``/v1/variants`` (:class:`VariantsRequest`).
+    ``cache_key`` is the canonical identity the result cache keys on;
+    ``fault`` is the chaos hook (``None`` outside fault-injection
+    runs).  Variant evaluations go through ``/v1/variants``
+    (:class:`VariantsRequest`).
     """
 
     soc: SoCSpec
@@ -248,14 +248,10 @@ def parse_eval_request(document) -> EvalRequest:
         what="eval request",
     )
     soc, workload = _decode_pair(document)
-    # The key keeps its null variant/config entries, so a --cache file
-    # written while /eval still took variants stays warm.
     key = canonical_request_key({
         "kind": "eval",
         "soc": document["soc"],
         "workload": document["workload"],
-        "variant": None,
-        "config": None,
     })
     return EvalRequest(
         soc=soc,

@@ -6,8 +6,9 @@ JSON in, strict JSON out, every failure mapped through
 :mod:`repro.serve.protocol` into a structured error body with a
 catalogued code and the HTTP status from
 :data:`~repro.serve.protocol.HTTP_STATUS_BY_CODE`.  All policy —
-admission, deadlines, batching, the watchdog — lives in the service;
-the only decisions made here are transport ones:
+admission, deadlines, evaluation, the result cache — lives in the
+service, which evaluates each request on the handler thread that
+received it; the only decisions made here are transport ones:
 
 - every request is assigned a fresh request id, answered in the
   ``X-Gables-Request-Id`` header (and in error bodies) and stamped
@@ -36,7 +37,7 @@ Routes::
     GET  /variants    servable variant names
     GET  /metrics     Prometheus-style text exposition of the registry
     GET  /slo         live SLO burn-rate report (JSON)
-    POST /eval        one scalar evaluation (coalesced server-side)
+    POST /eval        one scalar evaluation of base Gables
     POST /sweep       one parameter sweep
     POST /variants    one variant evaluation
 """
@@ -282,9 +283,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _do_metrics(self, request_id: str) -> None:
-        stats = self.service.load_stats()
-        gauge("serve.queue.depth").set(stats["queued"])
-        gauge("serve.inflight").set(stats["inflight"])
+        gauge("serve.inflight").set(self.service.load_stats()["inflight"])
         self._send_text(200, render_exposition(), request_id=request_id)
 
     def _do_slo(self, request_id: str) -> None:

@@ -261,7 +261,7 @@ def test_serving_doc_names_every_service_surface():
         "gables serve",
         "gables client",
         "chaos-default",
-        "batch_window_s",
+        "queue_limit",
         "serve.loadgen.p99",
         "BENCH_HISTORY.jsonl",
     )
@@ -295,7 +295,7 @@ def test_monitoring_doc_names_every_telemetry_plane_surface():
         "BucketHistogram",
         "serve.http.requests",
         "serve.request.seconds",
-        "serve.queue.depth",
+        "serve.inflight",
         "X-Gables-Trace-Id",
         "X-Gables-Parent-Span",
         "X-Gables-Request-Id",

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.core import FIGURE_6A, FIGURE_6B, FIGURE_6C, FIGURE_6D, evaluate
+from repro.core import FIGURE_6A, FIGURE_6B, FIGURE_6C, FIGURE_6D
 from repro.errors import ObservabilityError, ReproError
 from repro.obs.trace import NULL_SPAN
 
@@ -228,22 +228,6 @@ class TestProvenance:
         assert report.stage.name == record.bottleneck
         assert report.throughput == pytest.approx(record.attainable)
         assert record.audit()
-
-    def test_capture_is_off_by_default(self):
-        evaluate(FIGURE_6B.soc(), FIGURE_6B.workload())
-        assert obs.last_explain() is None
-
-    def test_enable_provenance_captures_every_evaluate(self):
-        obs.enable_provenance()
-        soc, workload = FIGURE_6B.soc(), FIGURE_6B.workload()
-        result = evaluate(soc, workload)
-        record = obs.last_explain()
-        assert record is not None
-        assert record.bottleneck == result.bottleneck
-        assert record.attainable == result.attainable
-        assert record.fractions == workload.fractions
-        evaluate(soc, workload)
-        assert len(obs.explain_history()) == 2
 
     def test_record_echoes_terms(self):
         record = obs.explain(FIGURE_6B.soc(), FIGURE_6B.workload())

@@ -8,17 +8,14 @@ eight concurrent clients against a live server under the
 and every injected fault must come back as a structured ``SERVE_*`` /
 ``WORKLOAD_*`` JSON error, plus a subprocess SIGTERM drain test.
 
-The served ``/eval`` contract: a response is **bitwise identical** to
-offline :func:`repro.core.gables.evaluate` on 2-IP SoCs (the Fig. 6
-scenarios most tests here use), and within 1e-12 relative with the
-same bottleneck and binding set on wider SoCs, where the coalesced
-batch sums memory bytes in numpy order and the scalar path uses
-``math.fsum``.
+The served ``/eval`` contract: the service evaluates each request with
+the scalar :func:`repro.core.gables.evaluate` on the handler thread,
+so a response is **bitwise identical** to the offline result on every
+SoC.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import signal
@@ -75,20 +72,6 @@ def offline_result(scenario=SCENARIO) -> dict:
     return encode_result(evaluate(scenario.soc(), scenario.workload()))
 
 
-def within_contract(got, want) -> bool:
-    """The wide-SoC ``/eval`` contract: same structure and strings
-    (bottleneck, binding set, names), numbers within 1e-12 relative."""
-    if isinstance(want, dict):
-        return (isinstance(got, dict) and got.keys() == want.keys()
-                and all(within_contract(got[k], want[k]) for k in want))
-    if isinstance(want, list):
-        return (isinstance(got, list) and len(got) == len(want)
-                and all(within_contract(g, w) for g, w in zip(got, want)))
-    if isinstance(want, float) and isinstance(got, float):
-        return got == want or abs(got - want) <= 1e-12 * abs(want)
-    return got == want
-
-
 class Call(threading.Thread):
     """Run one call on its own thread and keep its outcome."""
 
@@ -122,39 +105,31 @@ def wait_until(predicate, timeout_s: float = 10.0) -> None:
 
 
 @pytest.fixture()
-def held_batch(monkeypatch):
-    """Hold the first coalesced batch inside ``evaluate_batch``.
+def held_eval(monkeypatch):
+    """Hold the first served evaluation inside ``evaluate``.
 
-    Yields ``(entered, release)``: ``entered`` is set once the worker
-    is busy with the held batch, setting ``release`` lets it finish.
+    Yields ``(entered, release)``: ``entered`` is set once a handler
+    is busy with the held evaluation, setting ``release`` lets it
+    finish.
     """
     entered, release = threading.Event(), threading.Event()
-    evaluate_batch = service_module.evaluate_batch
+    evaluate_scalar = service_module.evaluate
 
     def held(*args, **kwargs):
         if not entered.is_set():
             entered.set()
             release.wait(10.0)
-        return evaluate_batch(*args, **kwargs)
+        return evaluate_scalar(*args, **kwargs)
 
-    monkeypatch.setattr(service_module, "evaluate_batch", held)
+    monkeypatch.setattr(service_module, "evaluate", held)
     yield entered, release
     release.set()
 
 
 @pytest.fixture()
 def service():
-    """A small, fast service instance, drained at teardown."""
-    instance = EvaluationService(ServiceConfig(
-        batch_window_s=0.001,
-        # Interpreted tier keeps evaluations fast enough that the
-        # tight watchdog below never mistakes warmup for a wedge.
-        engine="interpreted",
-        watchdog_poll_s=0.01,
-        watchdog_hang_s=0.5,
-        wedge_s=1.5,
-        allow_fault_injection=True,
-    ))
+    """A chaos-enabled service instance, drained at teardown."""
+    instance = EvaluationService(ServiceConfig(allow_fault_injection=True))
     yield instance
     instance.drain(timeout_s=5.0)
 
@@ -277,9 +252,9 @@ class TestServiceEval:
 
     def test_coalesced_batch_is_bitwise_and_isolates_bad_rows(
             self, service):
-        """Concurrent good and poisoned evals: the protocol rejects the
-        poisoned one before it is queued, as a structured error, while
-        the good ones match offline evaluation bit for bit."""
+        """Concurrent good and poisoned evals: the poisoned one fails
+        alone, as a structured error from the protocol, while the good
+        ones match offline evaluation bit for bit."""
         barrier = threading.Barrier(5)
         outcomes = [None] * 5
 
@@ -317,7 +292,8 @@ class TestServiceEval:
 
     def test_fsum_accepted_workload_matches_offline(self, service):
         """Fractions that ``Workload`` accepts by ``math.fsum`` are
-        served, although numpy sums them past the tolerance."""
+        served, although numpy sums them past the tolerance, and the
+        response equals offline evaluation bit for bit."""
         soc = SoCSpec(
             peak_perf=40e9,
             memory_bandwidth=10e9,
@@ -331,8 +307,69 @@ class TestServiceEval:
         payload = service.handle_eval({
             "soc": encode_soc(soc), "workload": encode_workload(workload),
         })
-        want = encode_result(evaluate(soc, workload))
-        assert within_contract(payload["result"], want)
+        assert payload["result"] == encode_result(evaluate(soc, workload))
+
+    def test_wide_soc_eval_is_bitwise_offline(self, service):
+        """Three to eight IPs: every response equals offline
+        ``evaluate`` bit for bit, memory bytes summed with ``fsum``
+        on both sides."""
+        for ips in range(3, 9):
+            soc, workloads = wide_soc(seed=ips, ips=ips, rows=6)
+            for workload in workloads:
+                payload = service.handle_eval({
+                    "soc": encode_soc(soc),
+                    "workload": encode_workload(workload),
+                })
+                assert payload["result"] == encode_result(
+                    evaluate(soc, workload)
+                ), (ips, workload)
+
+    def test_overflowed_ip_peak_is_evaluated(self, service):
+        """An IP whose ``Ai * Ppeak`` overflows to inf is served as the
+        scalar model evaluates it, and a usecase it leaves degenerate
+        fails with the model's own code."""
+        soc = SoCSpec(
+            peak_perf=1e10,
+            memory_bandwidth=10e9,
+            ips=(IPBlock("cpu", 1.0, 10e9), IPBlock("acc", 1e300, 10e9)),
+        )
+        workload = Workload((0.5, 0.5), (4.0, 4.0))
+        payload = service.handle_eval({
+            "soc": encode_soc(soc), "workload": encode_workload(workload),
+        })
+        assert payload["result"]["attainable"] == 2e10
+        assert payload["result"] == encode_result(evaluate(soc, workload))
+        degenerate = Workload((0.0, 1.0), (float("inf"), float("inf")))
+        with pytest.raises(EvaluationError) as excinfo:
+            service.handle_eval({
+                "soc": encode_soc(soc),
+                "workload": encode_workload(degenerate),
+            })
+        assert excinfo.value.code == "EVALUATION_FAILED"
+
+    def test_cache_written_under_the_old_key_goes_cold(self, tmp_path):
+        """Entries keyed with the former null ``variant``/``config``
+        fields held batch-path numbers; a restart does not serve
+        them."""
+        document = eval_document()
+        old_key = canonical_request_key({
+            "kind": "eval",
+            "soc": document["soc"],
+            "workload": document["workload"],
+            "variant": None,
+            "config": None,
+        })
+        path = tmp_path / "cache.jsonl"
+        ResultCache(capacity=8, path=path).put(
+            old_key, {"kind": "eval", "result": {}, "meta": {}}
+        )
+        service = EvaluationService(ServiceConfig(cache_path=str(path)))
+        try:
+            payload = service.handle_eval(document)
+        finally:
+            service.drain(timeout_s=2.0)
+        assert payload["meta"]["cached"] is False
+        assert payload["result"] == offline_result()
 
     def test_tiny_deadline_is_structured_504(self, service):
         with pytest.raises(ServeError) as excinfo:
@@ -354,6 +391,14 @@ class TestServiceEval:
             assert excinfo.value.code == "SERVE_BAD_REQUEST"
         finally:
             plain.drain(timeout_s=2.0)
+
+    def test_service_starts_no_thread(self):
+        before = set(threading.enumerate())
+        instance = EvaluationService(ServiceConfig())
+        try:
+            assert set(threading.enumerate()) <= before
+        finally:
+            instance.drain(timeout_s=2.0)
 
 
 def wide_soc(seed: int, ips: int, rows: int) -> tuple:
@@ -378,142 +423,6 @@ def wide_soc(seed: int, ips: int, rows: int) -> tuple:
         for _ in range(rows)
     ]
     return soc, workloads
-
-
-class TestCoalescer:
-    """A batch waits only for ``/eval``s already admitted, and for at
-    most ``batch_window_s``: a lone request dispatches at once, while
-    requests that pile up behind a busy worker still share a batch."""
-
-    @pytest.fixture()
-    def slow_window(self):
-        # Interpreted, so a lone request's timing holds no first
-        # kernel build.
-        instance = EvaluationService(ServiceConfig(
-            batch_window_s=5.0, engine="interpreted", watchdog_hang_s=30.0,
-        ))
-        yield instance
-        instance.drain(timeout_s=5.0)
-
-    def test_lone_request_is_not_held_for_the_window(self, slow_window):
-        start = time.monotonic()
-        payload = slow_window.handle_eval(eval_document())
-        assert time.monotonic() - start < 1.0
-        assert payload["result"] == offline_result()
-
-    def test_requests_queued_behind_a_busy_worker_share_one_batch(
-            self, slow_window, held_batch):
-        entered, release = held_batch
-        occupant = Call(
-            slow_window.handle_eval,
-            eval_document(dataclasses.replace(SCENARIO, f=0.5)),
-        )
-        assert entered.wait(10.0)
-        before = slow_window.health()["metrics"]
-        calls = [
-            Call(slow_window.handle_eval, eval_document(scenario))
-            for scenario in FIGURE_6_SEQUENCE
-        ]
-        wait_until(
-            lambda: slow_window.load_stats()["queued"] == len(calls)
-        )
-        release.set()
-        occupant.result()
-        for scenario, call in zip(FIGURE_6_SEQUENCE, calls):
-            assert call.result()["result"] == offline_result(scenario)
-        after = slow_window.health()["metrics"]
-        assert after["batches"] - before["batches"] == 1
-        assert (after["batched_requests"] - before["batched_requests"]
-                == len(calls))
-
-    def test_requests_that_leave_early_do_not_hold_batches_open(
-            self, slow_window):
-        slow_window.handle_eval(eval_document())
-        assert slow_window.handle_eval(eval_document())["meta"]["cached"]
-        bad = eval_document()
-        bad["workload"] = {**bad["workload"], "fractions": [0.9, 0.9]}
-        with pytest.raises(WorkloadError):
-            slow_window.handle_eval(bad)
-        with pytest.raises(ServeError) as excinfo:
-            slow_window.handle_eval(eval_document(deadline_s=1e-9))
-        assert excinfo.value.code == "SERVE_DEADLINE_EXCEEDED"
-        lone = FIGURE_6_SEQUENCE[2]
-        start = time.monotonic()
-        payload = slow_window.handle_eval(eval_document(lone))
-        assert time.monotonic() - start < 1.0
-        assert payload["result"] == offline_result(lone)
-
-    def test_arrival_count_survives_concurrent_churn(self, slow_window):
-        """More threads than cores interleave every way an ``/eval``
-        can end, under a tiny switch interval.  A lost update to the
-        arrival count would hold the final lone request for the whole
-        5 s window."""
-        slow_window.handle_eval(eval_document())  # later ones hit
-        bad = eval_document()
-        bad["workload"] = {**bad["workload"], "fractions": [0.9, 0.9]}
-
-        def churn(worker: int) -> None:
-            for step in range(12):
-                kind = (worker + step) % 4
-                if kind == 0:
-                    payload = slow_window.handle_eval(eval_document())
-                    assert payload["meta"]["cached"] is True
-                elif kind == 1:
-                    with pytest.raises(WorkloadError):
-                        slow_window.handle_eval(bad)
-                elif kind == 2:
-                    with pytest.raises(ServeError, match="deadline"):
-                        slow_window.handle_eval(
-                            eval_document(deadline_s=1e-9)
-                        )
-                else:
-                    fresh = dataclasses.replace(
-                        SCENARIO, f=(worker * 12 + step + 1) / 1000
-                    )
-                    payload = slow_window.handle_eval(eval_document(fresh))
-                    assert payload["result"] == offline_result(fresh)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            calls = [Call(churn, worker) for worker in range(16)]
-            for call in calls:
-                call.result(timeout_s=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        lone = FIGURE_6_SEQUENCE[3]
-        start = time.monotonic()
-        payload = slow_window.handle_eval(eval_document(lone))
-        assert time.monotonic() - start < 1.0
-        assert payload["result"] == offline_result(lone)
-
-    def test_wide_soc_batch_matches_offline_within_contract(
-            self, slow_window, held_batch):
-        """More than two IPs: each row within 1e-12 relative of offline
-        ``evaluate``, with the same bottleneck and binding set."""
-        entered, release = held_batch
-        soc, workloads = wide_soc(seed=13, ips=5, rows=8)
-        occupant = Call(slow_window.handle_eval, eval_document())
-        assert entered.wait(10.0)
-        calls = [
-            Call(slow_window.handle_eval, {
-                "soc": encode_soc(soc), "workload": encode_workload(w),
-            })
-            for w in workloads
-        ]
-        wait_until(
-            lambda: slow_window.load_stats()["queued"] == len(calls)
-        )
-        release.set()
-        occupant.result()
-        for workload, call in zip(workloads, calls):
-            payload = call.result()
-            assert payload["meta"]["batched"] == len(calls)
-            got = payload["result"]
-            want = encode_result(evaluate(soc, workload))
-            assert got["bottleneck"] == want["bottleneck"]
-            assert got["binding_components"] == want["binding_components"]
-            assert within_contract(got, want)
 
 
 class TestServiceSweep:
@@ -549,9 +458,9 @@ class TestServiceSweep:
     def test_client_errors_keep_the_configured_engine(self):
         """Rejected sweeps are client errors: they do not move later
         requests off the configured engine."""
-        service = EvaluationService(ServiceConfig(
-            engine="compiled", batch_window_s=0.001,
-        ))
+        from repro.explore.sweep import sweep_fraction
+
+        service = EvaluationService(ServiceConfig(engine="compiled"))
         document = {
             "soc": encode_soc(SCENARIO.soc()),
             "workload": encode_workload(SCENARIO.workload()),
@@ -565,92 +474,47 @@ class TestServiceSweep:
                 with pytest.raises(WorkloadError) as excinfo:
                     service.handle_sweep(document)
                 assert excinfo.value.code == "WORKLOAD_INVALID"
-            payload = service.handle_eval(eval_document())
+            payload = service.handle_sweep({**document, "values": [0.25, 0.5]})
         finally:
             service.drain(timeout_s=2.0)
         assert payload["meta"]["engine"] == "compiled"
-        assert payload["result"] == offline_result()
+        assert payload["attainables"] == list(sweep_fraction(
+            SCENARIO.soc(), SCENARIO.workload(), 1, [0.25, 0.5]
+        ).attainables())
 
 
 class TestOverloadAndWatchdog:
-    def test_overload_sheds_with_429_code(self):
-        service = EvaluationService(ServiceConfig(
-            queue_limit=1,
-            watchdog_poll_s=0.01,
-            watchdog_hang_s=5.0,
-            wedge_s=0.5,
-            allow_fault_injection=True,
-        ))
+    def test_overload_sheds_with_429_code(self, held_eval):
+        entered, release = held_eval
+        service = EvaluationService(ServiceConfig(queue_limit=1))
         try:
-            started = threading.Event()
-            outcome = {}
-
-            def occupant() -> None:
-                started.set()
-                try:
-                    outcome["value"] = service.handle_eval(
-                        eval_document(fault="wedge")
-                    )
-                except ReproError as err:
-                    outcome["error"] = err
-
-            thread = threading.Thread(target=occupant)
-            thread.start()
-            started.wait()
-            time.sleep(0.1)  # let the occupant reach the worker
+            occupant = Call(service.handle_eval, eval_document())
+            assert entered.wait(10.0)
             with pytest.raises(ServeError) as excinfo:
                 service.handle_eval(eval_document())
             assert excinfo.value.code == "SERVE_OVERLOADED"
-            thread.join()
-            # wedge_s < watchdog_hang_s here: the wedge wakes up and
-            # the occupant's request completes normally.
-            assert "value" in outcome
+            release.set()
+            # The occupant's request completes normally.
+            assert occupant.result()["result"] == offline_result()
         finally:
             service.drain(timeout_s=5.0)
 
-    def test_watchdog_recycles_wedged_worker(self, service):
-        """A wedged worker is detected, its batch failed with a
-        structured error, and a fresh worker serves the next request."""
-        with pytest.raises(ServeError) as excinfo:
-            service.handle_eval(eval_document(fault="wedge"))
-        assert excinfo.value.code == "SERVE_WORKER_CRASHED"
-        assert "recycled" in str(excinfo.value)
-        payload = service.handle_eval(eval_document())
-        assert payload["result"] == offline_result()
-        assert service.health()["metrics"]["watchdog_recycles"] >= 1
-
 
 class TestDrain:
-    def test_drain_refuses_new_work_and_finishes_inflight(self):
-        service = EvaluationService(ServiceConfig(
-            watchdog_poll_s=0.01,
-            watchdog_hang_s=10.0,
-            wedge_s=0.3,
-            allow_fault_injection=True,
-        ))
-        outcome = {}
-        started = threading.Event()
-
-        def inflight() -> None:
-            started.set()
-            # A wedge shorter than the watchdog's patience: the
-            # request is genuinely in flight for ~0.3 s, then
-            # completes normally — exactly what a drain must wait for.
-            outcome["value"] = service.handle_eval(
-                eval_document(fault="wedge")
-            )
-
-        thread = threading.Thread(target=inflight)
-        thread.start()
-        started.wait()
-        time.sleep(0.05)
-        report = service.drain(timeout_s=5.0)
-        thread.join()
-        assert report["drained"] is True
-        assert outcome["value"]["result"] == offline_result()
+    def test_drain_refuses_new_work_and_finishes_inflight(self, held_eval):
+        entered, release = held_eval
+        service = EvaluationService(ServiceConfig())
+        inflight = Call(service.handle_eval, eval_document())
+        assert entered.wait(10.0)
+        drain = Call(service.drain, 5.0)
+        wait_until(lambda: service.health()["status"] == "draining")
         with pytest.raises(ServeError) as excinfo:
             service.handle_eval(eval_document())
         assert excinfo.value.code == "SERVE_SHUTTING_DOWN"
+        # The drain waits for the request already in flight.
+        release.set()
+        assert drain.result()["drained"] is True
+        assert inflight.result()["result"] == offline_result()
 
     def test_drain_is_idempotent(self, service):
         assert service.drain(timeout_s=2.0)["drained"] is True
@@ -660,11 +524,7 @@ class TestDrain:
 @pytest.fixture()
 def server():
     instance = GablesServer(
-        ServiceConfig(
-            batch_window_s=0.001,
-            max_body_bytes=20_000,
-            allow_fault_injection=True,
-        ),
+        ServiceConfig(max_body_bytes=20_000, allow_fault_injection=True),
         port=0,
     ).start()
     yield instance
@@ -701,6 +561,16 @@ class TestHttpSurface:
         assert status == 400
         assert payload["error"]["code"] == "SERVE_BAD_REQUEST"
         assert "unknown field(s): variant" in payload["error"]["message"]
+
+    def test_wedge_fault_is_a_bad_request(self, server):
+        # The chaos server honours "crash" only; a stuck shared worker
+        # has nothing left to simulate.
+        with ServiceClient(server.url) as client:
+            status, payload = client.raw(
+                "POST", "/eval", eval_document(fault="wedge")
+            )
+        assert status == 400
+        assert payload["error"]["code"] == "SERVE_BAD_REQUEST"
 
     def test_eval_with_an_ip_named_memory_is_spec_invalid(self, server):
         # The name results give DRAM; such an IP's time was read as

@@ -29,11 +29,7 @@ SCENARIO = FIGURE_6_SEQUENCE[1]
 @pytest.fixture()
 def server():
     instance = GablesServer(
-        ServiceConfig(
-            batch_window_s=0.001,
-            engine="interpreted",
-            allow_fault_injection=True,
-        ),
+        ServiceConfig(engine="interpreted", allow_fault_injection=True),
         port=0,
     ).start()
     yield instance
@@ -79,7 +75,6 @@ class TestMetricsEndpoint:
                            "{endpoint=/eval,outcome=ok}"]
         assert latency["type"] == "bucket_histogram"
         assert latency["count"] >= 1
-        assert snapshot["serve_queue_depth"]["type"] == "gauge"
         assert snapshot["serve_inflight"]["type"] == "gauge"
 
     def test_error_outcomes_get_their_own_series(self, server):
@@ -163,6 +158,13 @@ class TestTracePropagation:
         assert server_span.attributes["request_id"]
         assert client_span.attributes["request_id"] == \
             server_span.attributes["request_id"]
+        # The evaluation runs on the handler thread, inside the request.
+        (evaluation,) = [s for s in spans if s.name == "core.evaluate"]
+        by_id = {s.span_id: s for s in spans}
+        ancestor = by_id.get(evaluation.parent_id)
+        while ancestor is not None and ancestor is not server_span:
+            ancestor = by_id.get(ancestor.parent_id)
+        assert ancestor is server_span
 
     def test_server_span_is_root_without_a_propagating_client(self, server):
         obs.enable_tracing()

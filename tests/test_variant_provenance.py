@@ -1,19 +1,19 @@
 """Provenance audit narratives across all seven model variants.
 
-Every variant funnels through :func:`evaluate_variant`, which captures
-an :class:`~repro.obs.provenance.ExplainRecord` when provenance is
-enabled.  These tests pin, per variant kind, which extension components
-land in ``extra_times``, that the narrative walks through them, and
-that the independent series-composition :meth:`audit` agrees wherever
-its max-combine premise holds (serialized sums times, so the audit is
-*expected* to dissent there — that asymmetry is part of the contract).
+Every variant funnels through :func:`evaluate_variant`, and
+:func:`~repro.obs.provenance.from_result` explains its result as an
+:class:`~repro.obs.provenance.ExplainRecord`.  These tests pin, per
+variant kind, which extension components land in ``extra_times``,
+that the narrative walks through them, and that the independent
+series-composition :meth:`audit` agrees wherever its max-combine
+premise holds (serialized sums times, so the audit is *expected* to
+dissent there — that asymmetry is part of the contract).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import obs
 from repro.core import FIGURE_6B, VARIANT_CHOICES, evaluate_variant
 from repro.core.variants import variant_from_config
 from repro.obs.provenance import from_result
@@ -29,15 +29,14 @@ PHASES_CONFIG = {
 
 
 def _capture(kind):
-    """Evaluate ``kind`` with provenance on; return the explain record."""
+    """Evaluate ``kind``; return its explain record (None for phases)."""
     soc, workload = FIGURE_6B.soc(), FIGURE_6B.workload()
     config = PHASES_CONFIG if kind == "phases" else None
     variant = variant_from_config(kind, soc, config)
-    obs.enable_provenance()
-    result = evaluate_variant(
-        soc, None if kind == "phases" else workload, variant
-    )
-    return soc, result, obs.last_explain()
+    if kind == "phases":
+        return soc, evaluate_variant(soc, None, variant), None
+    result = evaluate_variant(soc, workload, variant)
+    return soc, result, from_result(soc, workload, result)
 
 
 class TestSevenVariantKinds:
@@ -105,7 +104,7 @@ class TestSevenVariantKinds:
     def test_phases_audits_each_sub_phase(self):
         soc, result, record = _capture("phases")
         # Phased usecases return a PhasedResult: no single scalar
-        # record is captured...
+        # record explains it...
         assert record is None
         # ...but every per-phase sub-result explains and audits.
         assert len(result.phase_results) == 2
@@ -126,13 +125,3 @@ class TestExtraTimesSerialization:
         times = record.component_times()
         for name, t in record.extra_times:
             assert times[name] == t
-
-    def test_history_keeps_one_record_per_variant(self):
-        soc, workload = FIGURE_6B.soc(), FIGURE_6B.workload()
-        obs.enable_provenance()
-        for kind in ("base", "interconnect", "coordination"):
-            evaluate_variant(soc, workload,
-                             variant_from_config(kind, soc))
-        history = obs.explain_history()
-        assert len(history) == 3
-        assert [len(r.extra_times) for r in history] == [0, 1, 1]
