@@ -123,10 +123,7 @@ def test_request_plane_hooks_within_1pct_of_a_served_eval():
 
     scenario = FIGURE_6_SEQUENCE[1]
     soc, workload = scenario.soc(), scenario.workload()
-    server = GablesServer(
-        ServiceConfig(engine="interpreted"),
-        port=0,
-    ).start()
+    server = GablesServer(ServiceConfig(), port=0).start()
     try:
         with ServiceClient(server.url) as client:
             client.evaluate(soc, workload)  # warm connection + cache path

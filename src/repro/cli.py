@@ -194,25 +194,23 @@ def _cmd_sweep(args) -> int:
     variant = _variant_from_args(args, soc)
     steps = args.steps
     on_error = args.on_error
-    engine = getattr(args, "engine", "auto")
     if args.param == "f":
         values = [k / (steps - 1) for k in range(steps)]
         series = sweep_fraction(
             soc, workload, args.ip, values, on_error=on_error,
-            variant=variant, engine=engine,
+            variant=variant,
         )
     elif args.param == "intensity":
         values = [2.0**k for k in range(-4, steps - 4)]
         series = sweep_intensity(
             soc, workload, args.ip, values, on_error=on_error,
-            variant=variant, engine=engine,
+            variant=variant,
         )
     elif args.param == "bpeak":
         base = soc.memory_bandwidth
         values = [base * (0.25 + 0.25 * k) for k in range(steps)]
         series = sweep_memory_bandwidth(
             soc, workload, values, on_error=on_error, variant=variant,
-            engine=engine,
         )
     else:
         raise ReproError(f"unknown sweep parameter {args.param!r}")
@@ -685,7 +683,6 @@ def _cmd_serve(args) -> int:
     config = ServiceConfig(
         queue_limit=args.queue_limit,
         default_deadline_s=args.deadline_s,
-        engine=args.batch_engine,
         cache_path=args.cache,
         allow_fault_injection=args.chaos,
     )
@@ -941,11 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=ON_ERROR_MODES,
         help="tolerate failing sweep points: skip them, or record "
              "them under a degraded-output banner",
-    )
-    p_sweep.add_argument(
-        "--engine", default="auto", choices=ENGINE_CHOICES,
-        help="batch-evaluation tier for the sweep grid (auto picks the "
-             "fused compiled kernel whenever the batch qualifies)",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
 
@@ -1236,12 +1228,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bind address (default 127.0.0.1)")
     p_serve.add_argument("--port", type=int, default=8080,
                          help="bind port (0 picks a free one)")
-    p_serve.add_argument(
-        "--engine", dest="batch_engine", default="auto",
-        choices=ENGINE_CHOICES,
-        help="batch-evaluation tier for /sweep (/eval and /variants "
-             "evaluate with the scalar model)",
-    )
     p_serve.add_argument(
         "--queue-limit", dest="queue_limit", type=int, default=64,
         metavar="N",

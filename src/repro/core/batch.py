@@ -343,8 +343,10 @@ def _validate_hardware_arrays(
         )
     if not np.all((ip_bandwidths > 0) & ~np.isnan(ip_bandwidths)):
         raise SpecError("batch IP bandwidths must be positive (inf allowed)")
-    if not np.all(np.isfinite(ip_peaks) & (ip_peaks > 0)):
-        raise SpecError("batch IP peaks must be finite and positive")
+    # A finite Ai * Ppeak can overflow to inf, which the scalar model
+    # evaluates (the IP's compute time is 0).
+    if not np.all((ip_peaks > 0) & ~np.isnan(ip_peaks)):
+        raise SpecError("batch IP peaks must be positive (inf allowed)")
 
 
 def _pointwise_failures(
@@ -408,9 +410,9 @@ def _pointwise_failures(
         )
         peaks = np.broadcast_to(ip_peaks, (k, n))
         flag(
-            ~(np.isfinite(peaks) & (peaks > 0)).all(axis=1),
+            ~((peaks > 0) & ~np.isnan(peaks)).all(axis=1),
             "SPEC_NONPOSITIVE_PEAK",
-            "IP peaks must be finite and positive",
+            "IP peaks must be positive (inf allowed)",
         )
     return valid, failures
 

@@ -28,11 +28,6 @@ What the compiler specializes:
   hardware overrides) participates as a Python-level constant: the
   whole sub-chain that depends only on constants collapses to scalar
   arithmetic executed once instead of K times.
-- **Scratch is arena-allocated.**  Intermediate ``(K,)`` columns live
-  in a pooled arena reused across calls, eliminating the allocation
-  and page-fault churn that dominates a fresh-array ufunc chain.
-  Only the exposed outputs (``attainables``, ``bottleneck_codes``)
-  are freshly allocated.
 
 Exactness
 ---------
@@ -80,21 +75,13 @@ _COMPILE_HITS = _counter("core.compile.hits")
 _COMPILE_MISSES = _counter("core.compile.misses")
 _COMPILE_BUILDS = _counter("core.compile.builds")
 
-#: Kernels outlive any single sweep; the cache is bounded far above
-#: any realistic working set (a kernel is a few hundred bytes).
+#: Kernels outlive any single sweep.  A kernel holds only the
+#: constants it folded at build time (a few hundred bytes, no per-call
+#: state), so the bound sits far above any realistic working set.
 _CACHE_LIMIT = 256
 
 _LOCK = threading.Lock()
 _KERNELS: dict = {}
-_STATS = {"hits": 0, "misses": 0, "builds": 0}
-
-#: Identity-keyed fast path over the canonical cache: a sweep loop
-#: hands the same (SoC, phase) objects to every call, so the kernel
-#: lookup skips rebuilding :func:`compile_key` entirely.  Entries hold
-#: strong references, which keeps the ids valid for exactly as long
-#: as they key the memo.
-_MEMO_LIMIT = 64
-_MEMO: dict = {}
 
 
 def compile_key(soc: SoCSpec, phase: LoweredPhase | None) -> tuple:
@@ -150,152 +137,46 @@ def compile_phase(
 ) -> "CompiledPhaseKernel":
     """The compiled kernel for one (SoC, phase) pair, built on miss.
 
-    Hits and misses are counted on the ``core.compile.{hits,misses,
-    builds}`` metrics and in :func:`compile_cache_stats`.
+    Hits, misses and builds are counted on the ``core.compile.{hits,
+    misses,builds}`` metrics, which :func:`compile_cache_stats` reads.
     """
-    memo_key = (id(soc), id(phase))
-    entry = _MEMO.get(memo_key)
-    if entry is not None and entry[0] is soc and entry[1] is phase:
-        _STATS["hits"] += 1
-        _COMPILE_HITS.inc()
-        return entry[2]
     key = compile_key(soc, phase)
     with _LOCK:
         kernel = _KERNELS.get(key)
         if kernel is not None:
-            _STATS["hits"] += 1
             _COMPILE_HITS.inc()
-            if len(_MEMO) >= _MEMO_LIMIT:
-                _MEMO.clear()
-            _MEMO[memo_key] = (soc, phase, kernel)
             return kernel
-        _STATS["misses"] += 1
         _COMPILE_MISSES.inc()
     kernel = CompiledPhaseKernel(soc, phase)
     with _LOCK:
-        _STATS["builds"] += 1
         _COMPILE_BUILDS.inc()
         if len(_KERNELS) >= _CACHE_LIMIT:
             _KERNELS.pop(next(iter(_KERNELS)))
-        kernel = _KERNELS.setdefault(key, kernel)
-        if len(_MEMO) >= _MEMO_LIMIT:
-            _MEMO.clear()
-        _MEMO[memo_key] = (soc, phase, kernel)
-        return kernel
+        return _KERNELS.setdefault(key, kernel)
 
 
 def compile_cache_stats() -> dict:
-    """Cache counters: ``{"size", "hits", "misses", "builds"}``."""
+    """Cache size plus the ``core.compile.*`` registry counters:
+    ``{"size", "hits", "misses", "builds"}``, all ints."""
     with _LOCK:
-        return {"size": len(_KERNELS), **_STATS}
+        size = len(_KERNELS)
+    return {
+        "size": size,
+        "hits": int(_COMPILE_HITS.value),
+        "misses": int(_COMPILE_MISSES.value),
+        "builds": int(_COMPILE_BUILDS.value),
+    }
 
 
 def clear_compile_cache() -> None:
-    """Drop every cached kernel and scratch arena (counters persist
-    on the metrics registry; the local stats reset)."""
+    """Drop every cached kernel (the counters live on the metrics
+    registry and persist)."""
     with _LOCK:
         _KERNELS.clear()
-        _MEMO.clear()
-        _STATS.update(hits=0, misses=0, builds=0)
-    _ARENAS.clear()
-
-
-class _ArenaPool:
-    """Pooled scratch blocks, keyed on (rows, K, dtype kind).
-
-    Checkout/return keeps concurrent callers safe (each call owns its
-    block) while the steady-state sweep loop reuses one warm block —
-    fresh 80 KB allocations cost more in page faults than the ufunc
-    passes they feed.
-    """
-
-    def __init__(self, keep_per_key: int = 4, keep_keys: int = 16) -> None:
-        self._lock = threading.Lock()
-        self._free: dict = {}
-        self._keep_per_key = keep_per_key
-        self._keep_keys = keep_keys
-
-    def acquire(self, rows: int, k: int, dtype=np.float64) -> np.ndarray:
-        key = (rows, k, np.dtype(dtype).char)
-        with self._lock:
-            stack = self._free.get(key)
-            if stack:
-                return stack.pop()
-        return np.empty((rows, k), dtype=dtype)
-
-    def release(self, block: np.ndarray) -> None:
-        key = (block.shape[0], block.shape[1], block.dtype.char)
-        with self._lock:
-            stack = self._free.get(key)
-            if stack is None:
-                if len(self._free) >= self._keep_keys:
-                    return
-                stack = self._free[key] = []
-            if len(stack) < self._keep_per_key:
-                stack.append(block)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._free.clear()
-
-
-_ARENAS = _ArenaPool()
-
-
-class _Scratch:
-    """Bump allocator over arena blocks (rows handed out in order).
-
-    Overflow grows by chaining an equally-sized block; the kernel
-    records the high-water mark so subsequent calls acquire one
-    right-sized block from the pool.  :meth:`drop` recycles a dead
-    intermediate for the next :meth:`take` — keeping the live row set
-    (and with it the cache working set) as small as the dependence
-    structure allows.
-    """
-
-    __slots__ = ("blocks", "block", "row", "taken", "recycled")
-
-    def __init__(self, block: np.ndarray) -> None:
-        self.blocks = [block]
-        self.block = block
-        self.row = 0
-        self.taken = 0
-        self.recycled: list = []
-
-    def take(self) -> np.ndarray:
-        if self.recycled:
-            return self.recycled.pop()
-        if self.row == self.block.shape[0]:
-            self.block = np.empty_like(self.blocks[0])
-            self.blocks.append(self.block)
-            self.row = 0
-        row = self.block[self.row]
-        self.row += 1
-        self.taken += 1
-        return row
-
-    def drop(self, row) -> None:
-        """Recycle an ``_op`` result (folded scalars no-op)."""
-        if isinstance(row, np.ndarray):
-            self.recycled.append(row)
 
 
 def _is_array(value) -> bool:
     return isinstance(value, np.ndarray)
-
-
-def _op(ufunc, a, b, scratch: _Scratch):
-    """One fused-chain step: scalar folding or an arena-backed ufunc.
-
-    Both operands scalar -> numpy scalar arithmetic (identical IEEE-754
-    semantics, executed once instead of K times); otherwise the ufunc
-    writes into the next scratch row.
-    """
-    if not (_is_array(a) or _is_array(b)):
-        return ufunc(a, b)
-    out = scratch.take()
-    ufunc(a, b, out=out)
-    return out
 
 
 _LAZY_FIELDS = frozenset(
@@ -466,12 +347,6 @@ class CompiledPhaseKernel:
         self.peaks = tuple(soc.ip_peak(i) for i in range(n))
         self.ip_bandwidths = tuple(ip.bandwidth for ip in soc.ips)
         self.memory_bandwidth = soc.memory_bandwidth
-        # Arena sizing: a generous static bound on the bump-allocated
-        # scratch rows one call can consume (every operand per-point,
-        # nothing folded).
-        n_extras = len(self.buses) + len(self.solver_names) + 1
-        n_comp = n + 1 + n_extras
-        self._rows = 8 * n + 3 * n_extras + n_comp + 16
 
     # -- operand loading ------------------------------------------------
 
@@ -519,29 +394,8 @@ class CompiledPhaseKernel:
         replay=None,
     ) -> FusedBatchResult:
         k = fractions.shape[0]
-        scratch = _Scratch(_ARENAS.acquire(self._rows, k))
-        bools = _ARENAS.acquire(4, k, dtype=bool)
-        try:
-            return self._run(
-                fractions, intensities, memory_bandwidth, ip_bandwidths,
-                ip_peaks, valid, on_error, list(failures or ()),
-                route_solver, replay, k, self.n_ips, scratch,
-                _Scratch(bools),
-            )
-        finally:
-            if len(scratch.blocks) > 1:
-                # Undersized: remember the high-water mark so the next
-                # call acquires a single right-sized block.
-                self._rows = scratch.taken + 4
-            for block in scratch.blocks:
-                _ARENAS.release(block)
-            _ARENAS.release(bools)
-
-    def _run(
-        self, fractions, intensities, memory_bandwidth, ip_bandwidths,
-        ip_peaks, valid, on_error, failures, route_solver, replay,
-        k, n, scratch, bool_scratch,
-    ) -> FusedBatchResult:
+        n = self.n_ips
+        failures = list(failures or ())
         mem_bw = self._axis(memory_bandwidth)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Equation 9, column-wise: Ci = fi / (Ai * Ppeak);
@@ -554,19 +408,12 @@ class CompiledPhaseKernel:
                 i_j = self._column(intensities, j)
                 peak_j = self._hardware(ip_peaks, j, self.peaks)
                 bw_j = self._hardware(ip_bandwidths, j, self.ip_bandwidths)
-                c_j = _op(np.divide, f_j, peak_j, scratch)
-                d_j = _op(np.divide, f_j, i_j, scratch)
-                t_j = _op(np.divide, d_j, bw_j, scratch)
-                ip_j = _op(np.maximum, t_j, c_j, scratch)
-                scratch.drop(t_j)
-                scratch.drop(c_j)
+                c_j = np.divide(f_j, peak_j)
+                d_j = np.divide(f_j, i_j)
+                ip_j = np.maximum(np.divide(d_j, bw_j), c_j)
                 if self.folded:
                     # Equation 18: each IP also pays Di / Bpeak itself.
-                    dram_j = _op(np.divide, d_j, mem_bw, scratch)
-                    folded_j = _op(np.maximum, ip_j, dram_j, scratch)
-                    scratch.drop(dram_j)
-                    scratch.drop(ip_j)
-                    ip_j = folded_j
+                    ip_j = np.maximum(ip_j, np.divide(d_j, mem_bw))
                 d_cols.append(d_j)
                 ip_cols.append(ip_j)
 
@@ -578,30 +425,21 @@ class CompiledPhaseKernel:
                 for j in range(1, n):
                     f_j = f_cols[j]
                     if _is_array(f_j):
-                        active = bool_scratch.block[3]
-                        np.greater(f_j, 0.0, out=active)
-                        w_j = scratch.take()
+                        active = np.greater(f_j, 0.0)
                         if np.isfinite(self.dispatch[j]):
                             # bool * w is exactly {0.0, w} and ~10x
                             # cheaper than a masked copy.
-                            np.multiply(active, self.dispatch[j], out=w_j)
+                            w_j = np.multiply(active, self.dispatch[j])
                         else:
-                            w_j.fill(0.0)
-                            np.copyto(
-                                w_j, self.dispatch[j], where=active
-                            )
+                            w_j = np.where(active, self.dispatch[j], 0.0)
                     else:
                         w_j = (
                             np.float64(self.dispatch[j])
                             if f_j > 0
                             else np.float64(0.0)
                         )
-                    summed = _op(np.add, acc, w_j, scratch)
-                    scratch.drop(w_j)
-                    scratch.drop(acc)
-                    acc = summed
-                t_coord = _op(np.divide, acc, self.ops_per_item, scratch)
-                scratch.drop(acc)
+                    acc = np.add(acc, w_j)
+                t_coord = np.divide(acc, self.ops_per_item)
                 t_coord_max = t_coord.max() if _is_array(t_coord) else t_coord
                 if t_coord_max > 0:
                     if COORDINATION in self.ip_names:
@@ -609,42 +447,29 @@ class CompiledPhaseKernel:
                             f"component name {COORDINATION!r} collides "
                             "with an IP"
                         )
-                    dispatched = _op(np.add, ip_cols[0], t_coord, scratch)
-                    scratch.drop(ip_cols[0])
-                    ip_cols[0] = dispatched
+                    ip_cols[0] = np.add(ip_cols[0], t_coord)
                 else:
                     t_coord = None
 
             # Equation 10 (or the Eq. 15 filter / Eq. 18 fold).
             if self.memory_weights is not None:
-                traffic, own = self._weighted_sum(
-                    d_cols, self.memory_weights, scratch
-                )
-                memory_times = _op(np.divide, traffic, mem_bw, scratch)
-                if own:
-                    scratch.drop(traffic)
+                traffic = self._weighted_sum(d_cols, self.memory_weights)
+                memory_times = np.divide(traffic, mem_bw)
             elif not self.include_memory:
                 memory_times = np.float64(0.0)
             else:
                 traffic = d_cols[0]
                 for j in range(1, n):
-                    summed = _op(np.add, traffic, d_cols[j], scratch)
-                    if traffic is not d_cols[0]:
-                        scratch.drop(traffic)
-                    traffic = summed
-                memory_times = _op(np.divide, traffic, mem_bw, scratch)
-                if traffic is not d_cols[0]:
-                    scratch.drop(traffic)
+                    traffic = np.add(traffic, d_cols[j])
+                memory_times = np.divide(traffic, mem_bw)
 
             # Shared-resource constraints: fixed buses (Eq. 16), then
             # solver-assigned loads, then the coordination component.
             extra_cols = []
             extra_names = []
             for name, bandwidth, weights in self.buses:
-                carried, own = self._weighted_sum(d_cols, weights, scratch)
-                extra_cols.append(_op(np.divide, carried, bandwidth, scratch))
-                if own:
-                    scratch.drop(carried)
+                carried = self._weighted_sum(d_cols, weights)
+                extra_cols.append(np.divide(carried, bandwidth))
                 extra_names.append(name)
             if self.solver_names:
                 # The per-point LP stays a Python loop (it is one), but
@@ -677,32 +502,24 @@ class CompiledPhaseKernel:
             if t_coord is not None:
                 extra_cols.append(t_coord)
                 extra_names.append(COORDINATION)
-            # Traffic columns are dead once every consumer above ran.
-            for d_j in d_cols:
-                scratch.drop(d_j)
 
             # Equation 11 (or 19) + first-tie-wins attribution.
             if self.combine == "sum":
                 components = ip_cols
                 total = ip_cols[0]
                 for j in range(1, n):
-                    summed = _op(np.add, total, ip_cols[j], scratch)
-                    if total is not ip_cols[0]:
-                        scratch.drop(total)
-                    total = summed
+                    total = np.add(total, ip_cols[j])
                 valid, attainables = self._bound(
                     total, on_error, valid, failures, k,
                     "serialized usecase takes zero time",
                     "serialized usecase takes zero time",
                 )
-                if total is not ip_cols[0]:
-                    scratch.drop(total)
-                binding = self._binding(components, scratch)
+                binding = self._binding(components)
             else:
                 components = list(ip_cols)
                 components.append(memory_times)
                 components.extend(extra_cols)
-                binding = self._binding(components, scratch)
+                binding = self._binding(components)
                 valid, attainables = self._bound(
                     binding, on_error, valid, failures, k,
                     "degenerate usecase at batch point {bad}: every "
@@ -710,9 +527,7 @@ class CompiledPhaseKernel:
                     "degenerate usecase: every component takes zero "
                     "time",
                 )
-            codes = self._codes(
-                binding, components, k, scratch, bool_scratch
-            )
+            codes = self._codes(binding, components, k)
 
         errors = ()
         if on_error != "raise":
@@ -739,42 +554,24 @@ class CompiledPhaseKernel:
         )
 
     @staticmethod
-    def _weighted_sum(d_cols, weights, scratch):
+    def _weighted_sum(d_cols, weights):
         """``sum_j d_j * w_j`` in column order, folding the no-op
         multiply when ``w == 1.0`` (``x * 1.0`` is bitwise ``x``).
-        Returns ``(total, owned)`` where ``owned`` says the row came
-        from scratch (zero-weight terms stay in the chain: with an
-        infinite ``d_j``, ``d_j * 0.0`` is NaN, matching the
-        interpreter)."""
+        Zero-weight terms stay in the chain: with an infinite ``d_j``,
+        ``d_j * 0.0`` is NaN, matching the interpreter."""
         total = None
-        total_own = False
         for d_j, w in zip(d_cols, weights):
-            if w == 1.0:
-                term, own = d_j, False
-            else:
-                term = _op(np.multiply, d_j, w, scratch)
-                own = True
-            if total is None:
-                total, total_own = term, own
-            else:
-                summed = _op(np.add, total, term, scratch)
-                if own:
-                    scratch.drop(term)
-                if total_own:
-                    scratch.drop(total)
-                total, total_own = summed, True
-        return total, total_own
+            term = d_j if w == 1.0 else np.multiply(d_j, w)
+            total = term if total is None else np.add(total, term)
+        return total
 
     @staticmethod
-    def _binding(components, scratch):
+    def _binding(components):
         """Successive maximum over the component columns (bitwise
-        equal to ``max(axis=1)``), recycling the intermediate rows."""
+        equal to ``max(axis=1)``)."""
         binding = components[0]
         for col in components[1:]:
-            widened = _op(np.maximum, binding, col, scratch)
-            if binding is not components[0]:
-                scratch.drop(binding)
-            binding = widened
+            binding = np.maximum(binding, col)
         return binding
 
     @staticmethod
@@ -806,7 +603,8 @@ class CompiledPhaseKernel:
             attainables = np.full(k, float(np.reciprocal(total)))
         return valid, attainables
 
-    def _codes(self, binding, components, k, scratch, bool_scratch):
+    @staticmethod
+    def _codes(binding, components, k):
         """First-tie-wins bottleneck codes via a descending masked
         scan (identical to ``ties.argmax(axis=1)``: with every time
         non-negative and ``binding`` their max, the interpreter's tie
@@ -826,17 +624,11 @@ class CompiledPhaseKernel:
         # ~10x an elementwise pass, so first-tie-wins is a sum of
         # prefix products of the not-tied masks: code = sum over
         # m < top of prod(j <= m) nb_j, which counts the components
-        # before the first tie.  The {0, 1} products and the small sum
-        # are exact in float64.
+        # before the first tie.
         if len(components) == 1:
             # A lone component is always the (first) tie.
             return np.zeros(k, dtype=np.intp)
-        codesf = scratch.take()
-        thresh = scratch.take()
-        np.multiply(binding, BINDING_REL_TOL, out=thresh)
-        diff = scratch.take()
-        prefix = bool_scratch.take()
-        nb = bool_scratch.take()
+        thresh = np.multiply(binding, BINDING_REL_TOL)
         # Conservative all-finite probe: the sum of a non-negative
         # vector is finite iff every entry is (a spurious overflow to
         # inf only costs the rare slow branch below).
@@ -847,35 +639,31 @@ class CompiledPhaseKernel:
             # achieves the max always ties, so the prefix product dies
             # before it overcounts and the top tie mask is never
             # needed.
-            for j in range(top):
-                np.subtract(binding, components[j], out=diff)
-                np.greater(diff, thresh, out=nb)
-                if j == 0:
-                    np.multiply(nb, 1.0, out=codesf)
-                    prefix, nb = nb, prefix
-                else:
-                    np.logical_and(prefix, nb, out=prefix)
-                    np.add(codesf, prefix, out=codesf)
-            return codesf.astype(np.intp)
+            prefix = np.greater(np.subtract(binding, components[0]), thresh)
+            codes = prefix.astype(np.intp)
+            for j in range(1, top):
+                nb = np.greater(np.subtract(binding, components[j]), thresh)
+                np.logical_and(prefix, nb, out=prefix)
+                np.add(codes, prefix, out=codes)
+            return codes
         # Non-finite rows (inf, or NaN in record mode) follow the
         # interpreter: tie is (diff <= thresh) | (col == binding), and
         # an all-false tie row (NaN binding) resolves to argmax == 0,
         # so the accumulated count is cancelled when even the top
         # component fails to tie.
-        eq = bool_scratch.take()
         for j in range(top + 1):
             col = components[j]
-            np.subtract(binding, col, out=diff)
-            np.greater(diff, thresh, out=nb)
-            np.not_equal(col, binding, out=eq)
-            np.logical_and(nb, eq, out=nb)
+            nb = np.logical_and(
+                np.greater(np.subtract(binding, col), thresh),
+                np.not_equal(col, binding),
+            )
             if j == 0:
-                np.multiply(nb, 1.0, out=codesf)
-                prefix, nb = nb, prefix
+                prefix = nb
+                codes = prefix.astype(np.intp)
                 continue
             np.logical_and(prefix, nb, out=prefix)
             if j < top:
-                np.add(codesf, prefix, out=codesf)
+                np.add(codes, prefix, out=codes)
         np.logical_not(prefix, out=prefix)
-        np.multiply(codesf, prefix, out=codesf)
-        return codesf.astype(np.intp)
+        np.multiply(codes, prefix, out=codes)
+        return codes

@@ -245,9 +245,10 @@ def _evaluate_phased(soc: SoCSpec, lowered: LoweredModel) -> PhasedResult:
 
 
 #: Identity-keyed lowering memo: sweep loops evaluate the same frozen
-#: (variant, SoC) pair thousands of times, and a stable LoweredModel
-#: identity also lets the kernel compiler's own memo hit.  Entries
-#: anchor the keyed objects, so ids cannot be recycled while cached.
+#: (variant, SoC) pair thousands of times, and one ``lower()`` costs
+#: 3.5-10 us against 16-37 us for a whole scalar ``evaluate_variant``.
+#: Entries anchor the keyed objects, so ids cannot be recycled while
+#: cached.
 _LOWER_MEMO_LIMIT = 32
 _LOWER_MEMO: dict = {}
 

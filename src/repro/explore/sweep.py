@@ -417,7 +417,7 @@ def sweep_acceleration(
             np.array([soc.ip_peak(i) for i in range(soc.n_ips)]),
             (len(values), 1),
         )
-        with np.errstate(over="ignore"):  # the batch rejects inf peaks
+        with np.errstate(over="ignore"):  # an overflowed peak is inf
             matrix[:, ip_index] = values * soc.peak_perf
         return _evaluate_points(
             soc, variant, workload, len(values), validate=True,

@@ -153,26 +153,33 @@ def decode_workload(document: dict, source=None) -> Workload:
 
 
 def encode_result(result: GablesResult) -> dict:
-    """GablesResult -> JSON-ready dict (export only)."""
+    """GablesResult -> JSON-ready dict (export only).
+
+    An infinite attainable or time (a peak or intensity that overflows)
+    is written as ``"inf"``, like an infinite intensity.
+    """
     return {
         "kind": "result",
         "schema": SCHEMA,
-        "attainable": result.attainable,
+        "attainable": _encode_number(result.attainable),
         "bottleneck": result.bottleneck,
         "binding_components": list(result.binding_components),
-        "memory_time": result.memory_time,
+        "memory_time": _encode_number(result.memory_time),
         "average_intensity": _encode_number(result.average_intensity),
         "ip_terms": [
             {
                 "name": term.name,
                 "fraction": term.fraction,
                 "intensity": _encode_number(term.intensity),
-                "time": term.time,
+                "time": _encode_number(term.time),
                 "limiter": term.limiter,
             }
             for term in result.ip_terms
         ],
-        "extra_times": dict(result.extra_times),
+        "extra_times": {
+            name: _encode_number(seconds)
+            for name, seconds in result.extra_times.items()
+        },
     }
 
 

@@ -223,11 +223,13 @@ class TestBatchValidation:
             )
 
     def test_bad_ip_peaks_are_spec_errors(self, two_ip_soc):
-        with pytest.raises(SpecError, match="finite and positive"):
-            evaluate_batch(
-                two_ip_soc, [[0.5, 0.5]], [[8.0, 2.0]],
-                ip_peaks=[[1e9, math.inf]],
-            )
+        # An infinite peak is valid (a finite Ai * Ppeak can overflow).
+        for peak in (0.0, -1e9, math.nan):
+            with pytest.raises(SpecError, match="peaks must be positive"):
+                evaluate_batch(
+                    two_ip_soc, [[0.5, 0.5]], [[8.0, 2.0]],
+                    ip_peaks=[[1e9, peak]],
+                )
         with pytest.raises(SpecError, match="positive"):
             evaluate_batch(
                 two_ip_soc, [[0.5, 0.5]], [[8.0, 2.0]],

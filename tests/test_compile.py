@@ -2,16 +2,17 @@
 
 :mod:`repro.core.compile` specializes a (SoC, lowered phase) pair into
 a fused batch kernel — constant-folded phase structure, pre-resolved
-bus weights, precomputed ufunc chains over pooled scratch — that the
-batch entry points pick via ``engine="auto"``.  It is the one compiled
-tier; the interpreter is the ground truth.  This suite pins the
-contract that makes the speed safe:
+bus weights, one chain of numpy ufuncs over the grid's columns — that
+the batch entry points pick via ``engine="auto"``.  It is the one
+compiled tier; the interpreter is the ground truth.  This suite pins
+the contract that makes the speed safe:
 
 - the compiled engine agrees with the interpreter within **1e-12
   relative** (and in practice bitwise) across every variant
   kind and SoCs of one to four IPs, including ``on_error="record"``
   NaN masking and per-point hardware overrides;
-- the kernel cache and its ``core.compile.*`` counters behave;
+- the kernel cache and its ``core.compile.*`` counters behave, and a
+  cached kernel holds no per-call state, so threads may share it;
 - the grid fleet's chunk-addressed generation and digests are
   deterministic and engine-independent, and evaluating a chunk in
   blocks is bitwise one batch over it.
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -43,7 +46,9 @@ from repro.core import (
     clear_compile_cache,
     compile_cache_stats,
     compile_digest,
+    compile_phase,
     evaluate_batch,
+    evaluate_lowered_batch,
     evaluate_variant,
     evaluate_variant_batch,
 )
@@ -206,6 +211,58 @@ class TestCompileCache:
         evaluate_batch(soc, fractions, intensities, engine="compiled")
         evaluate_batch(soc, fractions, intensities, engine="compiled")
         assert hits.value > before
+
+
+class TestSharedKernelThreads:
+    """Served ``/sweep`` runs kernels on concurrent handler threads."""
+
+    @pytest.mark.parametrize("kind", ["base", "interconnect"])
+    def test_threads_sharing_one_kernel_match_the_interpreter(self, kind):
+        soc = _soc(3)
+        (variant,) = [v for v in _variants(3) if v.kind == kind]
+        phase = variant.lower(soc).phases[0]
+        grids = [_grid(3, k=512, seed=seed) for seed in range(4)]
+        want = [
+            evaluate_lowered_batch(soc, phase, f, i, engine="interpreted")
+            for f, i in grids
+        ]
+        kernel = compile_phase(soc, phase)
+        builds = compile_cache_stats()["builds"]
+        start = threading.Barrier(len(grids))
+        # Bitwise-equal results per thread; a thread that raised
+        # stops short of 25.
+        matched = [0] * len(grids)
+
+        def evaluate_own_grid(index: int) -> None:
+            fractions, intensities = grids[index]
+            start.wait(timeout=10)
+            for _ in range(25):
+                got = evaluate_lowered_batch(
+                    soc, phase, fractions, intensities, engine="compiled"
+                )
+                matched[index] += np.array_equal(
+                    got.attainables, want[index].attainables
+                ) and np.array_equal(
+                    got.bottleneck_codes, want[index].bottleneck_codes
+                )
+
+        threads = [
+            threading.Thread(target=evaluate_own_grid, args=(index,))
+            for index in range(len(grids))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert matched == [25] * len(grids)
+        assert compile_phase(soc, phase) is kernel
+        assert compile_cache_stats()["builds"] == builds
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,19 @@ class TestResultExport:
         parsed = json.loads(text)
         assert parsed["kind"] == "result"
 
+    def test_overflowed_attainable_dumps_as_inf_string(self):
+        from repro.core import IPBlock
+
+        # Every byte is reused, so each IP takes 0.5 / 1e308 s, whose
+        # reciprocal overflows.
+        soc = SoCSpec(1e308, 10e9, (IPBlock("a", 1.0, 10e9),
+                                    IPBlock("b", 1.0, 10e9)))
+        result = evaluate(soc, Workload((0.5, 0.5), (math.inf, math.inf)))
+        assert math.isinf(result.attainable)
+        parsed = json.loads(dumps(result))
+        assert parsed["attainable"] == "inf"
+        assert parsed["memory_time"] == 0.0
+
 
 class TestDescriptionRoundTrip:
     def test_full_description_round_trips(self, tmp_path,

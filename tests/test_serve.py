@@ -16,6 +16,7 @@ SoC.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -23,6 +24,7 @@ import subprocess
 import sys
 import threading
 import time
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -799,6 +801,77 @@ class TestCachePersistenceOverHttp:
             assert warm["result"] == cold["result"]
         finally:
             second.shutdown_gracefully()
+
+
+def _post_strict(url: str, path: str, document: dict) -> tuple:
+    """POST ``document``; ``(status, payload)`` from a body parsed as
+    strict JSON (a bare ``Infinity`` or ``NaN`` token fails)."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token!r} in the body")
+
+    parts = urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port,
+                                            timeout=10)
+    try:
+        connection.request(
+            "POST", path, body=json.dumps(document),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        body = response.read()
+    finally:
+        connection.close()
+    return response.status, json.loads(body, parse_constant=reject)
+
+
+class TestNonFiniteResultsOverHttp:
+    """Every byte reused on a 1e308 ops/s SoC: each IP takes
+    0.5 / 1e308 s, and the attainable overflows to inf."""
+
+    SOC = SoCSpec(
+        peak_perf=1e308,
+        memory_bandwidth=10 * GIGA,
+        ips=(IPBlock("CPU", 1.0, 10 * GIGA), IPBlock("GPU", 1.0, 10 * GIGA)),
+    )
+    WORKLOAD = Workload((0.5, 0.5), (float("inf"), float("inf")))
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_inf_attainable_is_served_as_strict_json(self, tmp_path,
+                                                     persistent):
+        cache_path = str(tmp_path / "cache.jsonl") if persistent else None
+        server = GablesServer(
+            ServiceConfig(cache_path=cache_path), port=0
+        ).start()
+        document = {
+            "soc": encode_soc(self.SOC),
+            "workload": encode_workload(self.WORKLOAD),
+        }
+        try:
+            status, cold = _post_strict(server.url, "/eval", document)
+            again_status, again = _post_strict(server.url, "/eval", document)
+            finite_status, finite = _post_strict(
+                server.url, "/eval", eval_document()
+            )
+        finally:
+            server.shutdown_gracefully()
+        assert (status, again_status, finite_status) == (200, 200, 200)
+        assert cold["result"]["attainable"] == "inf"
+        assert cold["result"] == encode_result(
+            evaluate(self.SOC, self.WORKLOAD)
+        )
+        assert cold["meta"]["cached"] is False
+        assert again["meta"]["cached"] is True
+        assert again["result"] == cold["result"]
+        # Finite numbers stay bare JSON numbers, bitwise the scalar
+        # result's, so those responses keep their bytes.
+        offline = evaluate(SCENARIO.soc(), SCENARIO.workload())
+        result = finite["result"]
+        assert result["attainable"] == offline.attainable
+        assert result["memory_time"] == offline.memory_time
+        assert [term["time"] for term in result["ip_terms"]] == [
+            term.time for term in offline.ip_terms
+        ]
 
 
 class TestSigtermDrain:

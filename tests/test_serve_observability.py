@@ -29,7 +29,7 @@ SCENARIO = FIGURE_6_SEQUENCE[1]
 @pytest.fixture()
 def server():
     instance = GablesServer(
-        ServiceConfig(engine="interpreted", allow_fault_injection=True),
+        ServiceConfig(allow_fault_injection=True),
         port=0,
     ).start()
     yield instance

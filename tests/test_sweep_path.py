@@ -17,11 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import IPBlock, SoCSpec, Workload
+from repro.core import IPBlock, SoCSpec, Workload, evaluate
 from repro.core.extensions.phases import Phase, PhasedUsecase
 from repro.core.variants import (
     VARIANT_CHOICES,
     PhasedVariant,
+    evaluate_variant,
+    evaluate_variant_batch,
     variant_from_config,
 )
 from repro.errors import ReproError, SpecError, WorkloadError
@@ -270,29 +272,68 @@ def test_predicate_agrees_with_constructor(driver, value):
 
 
 class TestBatchVerdicts:
-    """Values the constructor accepts but the batch rejects."""
+    """The batch's verdicts on values the scalar constructors accept."""
 
     #: Finite, but ``Ai * Ppeak`` overflows to an infinite peak.
     HUGE = 1e300
 
-    def test_overflowing_acceleration_fails_alone(self):
-        series = sweep_acceleration(
-            SOC, WORKLOAD, 1, [1.0, self.HUGE, 2.0], on_error="record"
+    def test_overflowing_acceleration_is_evaluated(self):
+        """The scalar model evaluates an IP whose peak overflows to inf
+        (its compute time is 0), and so does the batch."""
+        values = [1.0, self.HUGE, 2.0]
+        scalar = evaluate(SOC.with_ip(1, acceleration=self.HUGE), WORKLOAD)
+        for engine in ("interpreted", "compiled"):
+            raised = sweep_acceleration(
+                SOC, WORKLOAD, 1, values, engine=engine
+            )
+            recorded = sweep_acceleration(
+                SOC, WORKLOAD, 1, values, on_error="record", engine=engine
+            )
+            assert recorded.errors == ()
+            assert raised.values() == tuple(values)
+            assert _points(recorded) == _points(raised)
+            point = raised.points[1]
+            # Three IPs: the batch's contract is 1e-12 relative.
+            assert point.attainable == pytest.approx(
+                scalar.attainable, rel=1e-12
+            )
+            assert point.bottleneck == scalar.bottleneck
+
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_soc_with_an_overflowed_peak_sweeps(self, engine):
+        soc = SoCSpec(
+            peak_perf=1e10,
+            memory_bandwidth=10e9,
+            ips=(IPBlock("CPU", 1.0, 10e9), IPBlock("NPU", self.HUGE, 10e9)),
         )
-        assert series.values() == (1.0, 2.0)
-        assert [(f.coords, f.code) for f in series.errors] == [
-            ((self.HUGE,), "SPEC_NONPOSITIVE_PEAK")
-        ]
-        with pytest.raises(SpecError):
-            sweep_acceleration(SOC, WORKLOAD, 1, [1.0, self.HUGE])
+        workload = Workload((0.5, 0.5), (4.0, 4.0))
+        assert evaluate(soc, workload).attainable == 2e10
+        series = sweep_memory_bandwidth(soc, workload, [1e10], engine=engine)
+        assert series.attainables() == (2e10,)
+        assert series.bottlenecks() == ("CPU",)
 
     def test_phased_batches_raise_in_tolerant_modes(self):
+        """A phased batch has no per-row verdicts, so it refuses the
+        tolerant modes; a tolerant phased sweep runs it under "raise"
+        and evaluates the overflowed peak with the others."""
         variant = variant_from_config("phases", SOC, PHASES)
-        with pytest.raises(SpecError):
-            sweep_acceleration(
-                SOC, WORKLOAD, 1, [1.0, self.HUGE], on_error="record",
-                variant=variant,
-            )
+        for on_error in ("record", "skip"):
+            with pytest.raises(SpecError, match="only on_error='raise'"):
+                evaluate_variant_batch(SOC, variant, on_error=on_error)
+        values = [1.0, self.HUGE]
+        recorded = sweep_acceleration(
+            SOC, WORKLOAD, 1, values, on_error="record", variant=variant
+        )
+        assert recorded.errors == ()
+        assert _points(recorded) == _points(
+            sweep_acceleration(SOC, WORKLOAD, 1, values, variant=variant)
+        )
+        scalar = evaluate_variant(
+            SOC.with_ip(1, acceleration=self.HUGE), None, variant
+        )
+        assert recorded.points[1].attainable == pytest.approx(
+            scalar.attainable, rel=1e-12
+        )
 
     def test_all_rejected_makes_no_batch_call(self):
         batches = counter("explore.sweep.batches")
@@ -332,8 +373,8 @@ def test_transitions_compare_names_not_codes(engine, batches):
 
 
 def test_series_survives_a_later_compiled_sweep():
-    """The compiled kernel reuses its scratch buffers; a series' points
-    are its own, unchanged by a second same-shape compiled sweep."""
+    """A series' points are its own, unchanged by a second same-shape
+    compiled sweep."""
     values = [k / 99 for k in range(100)]
     first = sweep_fraction(SOC, WORKLOAD, 1, values, engine="compiled")
     before = _points(first)
