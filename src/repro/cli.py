@@ -149,26 +149,7 @@ def _cmd_eval(args) -> int:
         print(record.narrative())
         print(f"audit vs bottleneck analysis: "
               f"{'agrees' if record.audit() else 'DISAGREES'}")
-        print(_compiler_line(soc, variant))
     return 0
-
-
-def _compiler_line(soc, variant) -> str:
-    """The ``eval --explain`` compiler status line: which fused kernel
-    a batch over this (SoC, variant) would use, and the cache state."""
-    from .core import compile as model_compile
-
-    phase = None
-    if variant is not None:
-        phase = variant.lower(soc).phases[0]
-    digest = model_compile.compile_digest(soc, phase)
-    cached = "cached" if model_compile.is_cached(soc, phase) else "uncompiled"
-    stats = model_compile.compile_cache_stats()
-    return (
-        f"batch compiler: kernel {digest} ({cached}); "
-        f"cache size={stats['size']} hits={stats['hits']} "
-        f"misses={stats['misses']} builds={stats['builds']}"
-    )
 
 
 def _cmd_plot(args) -> int:

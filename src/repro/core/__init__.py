@@ -19,7 +19,6 @@ The public surface:
 
 from .batch import (
     BatchResult,
-    cached_evaluator,
     evaluate_batch,
     evaluate_lowered_batch,
     fraction_grid,
@@ -28,9 +27,6 @@ from .compile import (
     ENGINE_CHOICES,
     CompiledPhaseKernel,
     FusedBatchResult,
-    clear_compile_cache,
-    compile_cache_stats,
-    compile_digest,
     compile_phase,
 )
 from .blend import blend_workloads, interference_slowdown
@@ -130,10 +126,6 @@ __all__ = [
     "attainable_performance",
     "attainable_performance_dual",
     "blend_workloads",
-    "cached_evaluator",
-    "clear_compile_cache",
-    "compile_cache_stats",
-    "compile_digest",
     "compile_phase",
     "compose_result",
     "execute_lowered_phase",

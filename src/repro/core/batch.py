@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,16 +50,14 @@ from ..obs.trace import span as _span
 from ..resilience.partial import check_on_error, point_failure
 from .._validation import FRACTION_SUM_TOL
 from .compile import ENGINE_CHOICES, compile_phase
-from .gables import evaluate
 from .lowering import COORDINATION, LoweredPhase
-from .params import SoCSpec, Workload
+from .params import SoCSpec
 from .result import BINDING_REL_TOL, MEMORY, GablesResult, IPTerm
 
 #: Module-level instrument handles (one registry lookup at import).
 _BATCH_CALLS = _counter("core.evaluate_batch.calls")
 _BATCH_POINTS = _counter("core.evaluate_batch.points")
 _LOWERED_CALLS = _counter("core.evaluate_lowered_batch.calls")
-_CACHE_HITS = _counter("core.evaluate.cache_hits")
 
 
 @dataclass(frozen=True)
@@ -972,31 +969,3 @@ def fraction_grid(base_fractions, ip_index: int, values) -> np.ndarray:
     if np.any(drifted):
         grid[drifted] /= totals[drifted, np.newaxis]
     return grid
-
-
-def cached_evaluator(maxsize: int = 4096):
-    """A memoized :func:`~repro.core.gables.evaluate`.
-
-    Keyed on the frozen ``(SoCSpec, Workload)`` pair — both are frozen
-    dataclasses of hashable fields, so structurally equal specs built
-    by different calls share one cache slot.  Useful for repeated-point
-    patterns (portfolio slack checks, report regeneration) where the
-    same design point is evaluated over and over; hits skip the model
-    entirely and are counted on the ``core.evaluate.cache_hits``
-    counter.
-
-    Returns a callable with ``cache_info()`` / ``cache_clear()``
-    attached (the :func:`functools.lru_cache` introspection surface).
-    """
-    cached = lru_cache(maxsize=maxsize)(evaluate)
-
-    def evaluator(soc: SoCSpec, workload: Workload) -> GablesResult:
-        hits_before = cached.cache_info().hits
-        result = cached(soc, workload)
-        if cached.cache_info().hits > hits_before:
-            _CACHE_HITS.inc()
-        return result
-
-    evaluator.cache_info = cached.cache_info
-    evaluator.cache_clear = cached.cache_clear
-    return evaluator

@@ -8,9 +8,10 @@ reductions over ``(K, N)`` matrices, which numpy executes an order of
 magnitude slower than the equivalent chain of contiguous ``(K,)``
 column operations.  This module *compiles* a phase instead: given a
 :class:`~repro.core.params.SoCSpec` and a phase, it builds a
-:class:`CompiledPhaseKernel` — a specialized closure whose operation
-chain is fixed at build time — and caches it under a canonical
-(variant, SoC, phase-structure) key.
+:class:`CompiledPhaseKernel` — a specialized evaluator whose operation
+chain is fixed at build time.  A kernel holds only the constants it
+folded and costs microseconds to build, so one is built for every batch
+call.
 
 The kernel is the one compiled tier: plain numpy ufunc chains, with no
 generated code and no C toolchain needed at run time.  The interpreter
@@ -56,13 +57,9 @@ access by replaying the interpreted engine on the stored inputs.
 
 from __future__ import annotations
 
-import hashlib
-import threading
-
 import numpy as np
 
 from ..errors import EvaluationError, SpecError
-from ..obs.metrics import counter as _counter
 from .lowering import COORDINATION, LoweredPhase
 from .params import SoCSpec
 from .result import BINDING_REL_TOL, MEMORY
@@ -70,109 +67,17 @@ from .result import BINDING_REL_TOL, MEMORY
 #: Engine names accepted by the batch entry points and the CLI.
 ENGINE_CHOICES = ("auto", "compiled", "interpreted")
 
-#: Module-level instrument handles (one registry lookup at import).
-_COMPILE_HITS = _counter("core.compile.hits")
-_COMPILE_MISSES = _counter("core.compile.misses")
-_COMPILE_BUILDS = _counter("core.compile.builds")
-
-#: Kernels outlive any single sweep.  A kernel holds only the
-#: constants it folded at build time (a few hundred bytes, no per-call
-#: state), so the bound sits far above any realistic working set.
-_CACHE_LIMIT = 256
-
-_LOCK = threading.Lock()
-_KERNELS: dict = {}
-
-
-def compile_key(soc: SoCSpec, phase: LoweredPhase | None) -> tuple:
-    """The canonical (SoC, phase-structure) cache key.
-
-    Covers every build-time constant the kernel folds: the SoC's
-    hardware rates and IP names, the phase's memory rule, bus list,
-    solver bus names (the solver callable itself is supplied per call;
-    two lowerings of the same multipath spec share one kernel) and the
-    dispatch table.  Hashable by construction.
-    """
-    if phase is None:
-        phase = LoweredPhase()
-    solver_names = (
-        None
-        if phase.route_solver is None
-        else tuple(phase.route_solver.bus_names)
-    )
-    return (
-        soc.ip_names,
-        tuple(soc.ip_peak(i) for i in range(soc.n_ips)),
-        tuple(ip.bandwidth for ip in soc.ips),
-        soc.memory_bandwidth,
-        phase.combine,
-        phase.include_memory,
-        phase.fold_memory_per_ip,
-        phase.memory_weights,
-        tuple(
-            (bus.name, bus.bandwidth, bus.traffic_weights)
-            for bus in phase.buses
-        ),
-        solver_names,
-        phase.dispatch_seconds,
-        phase.ops_per_item,
-    )
-
-
-def compile_digest(soc: SoCSpec, phase: LoweredPhase | None) -> str:
-    """A short stable hex digest of :func:`compile_key` (for
-    provenance surfaces like ``gables eval --explain``)."""
-    key = compile_key(soc, phase)
-    return hashlib.sha1(repr(key).encode("utf-8")).hexdigest()[:12]
-
-
-def is_cached(soc: SoCSpec, phase: LoweredPhase | None) -> bool:
-    """Whether a kernel for this (SoC, phase) is already built."""
-    with _LOCK:
-        return compile_key(soc, phase) in _KERNELS
-
 
 def compile_phase(
     soc: SoCSpec, phase: LoweredPhase | None = None
 ) -> "CompiledPhaseKernel":
-    """The compiled kernel for one (SoC, phase) pair, built on miss.
+    """Build the compiled kernel for one (SoC, phase) pair.
 
-    Hits, misses and builds are counted on the ``core.compile.{hits,
-    misses,builds}`` metrics, which :func:`compile_cache_stats` reads.
+    The one constructor the batch engine calls, once per batch call (a
+    kernel holds only the constants it folds, and building one costs a
+    few microseconds); perfbench's tracer times it as ``core.compile``.
     """
-    key = compile_key(soc, phase)
-    with _LOCK:
-        kernel = _KERNELS.get(key)
-        if kernel is not None:
-            _COMPILE_HITS.inc()
-            return kernel
-        _COMPILE_MISSES.inc()
-    kernel = CompiledPhaseKernel(soc, phase)
-    with _LOCK:
-        _COMPILE_BUILDS.inc()
-        if len(_KERNELS) >= _CACHE_LIMIT:
-            _KERNELS.pop(next(iter(_KERNELS)))
-        return _KERNELS.setdefault(key, kernel)
-
-
-def compile_cache_stats() -> dict:
-    """Cache size plus the ``core.compile.*`` registry counters:
-    ``{"size", "hits", "misses", "builds"}``, all ints."""
-    with _LOCK:
-        size = len(_KERNELS)
-    return {
-        "size": size,
-        "hits": int(_COMPILE_HITS.value),
-        "misses": int(_COMPILE_MISSES.value),
-        "builds": int(_COMPILE_BUILDS.value),
-    }
-
-
-def clear_compile_cache() -> None:
-    """Drop every cached kernel (the counters live on the metrics
-    registry and persist)."""
-    with _LOCK:
-        _KERNELS.clear()
+    return CompiledPhaseKernel(soc, phase)
 
 
 def _is_array(value) -> bool:
@@ -305,7 +210,6 @@ class CompiledPhaseKernel:
     def __init__(self, soc: SoCSpec, phase: LoweredPhase | None) -> None:
         if phase is None:
             phase = LoweredPhase()
-        self.digest = compile_digest(soc, phase)
         self.n_ips = n = soc.n_ips
         self.combine = phase.combine
         self.folded = phase.fold_memory_per_ip

@@ -191,12 +191,12 @@ def evaluate_variant(
     if variant is None:
         variant = BaseVariant()
     if not _TRACER.enabled:
-        lowered = _lowered_cached(variant, soc)
+        lowered = variant.lower(soc)
         _VARIANT_CALLS.inc()
         result = _evaluate_lowered(soc, workload, lowered)
     else:
         with _span("core.variant.lower"):
-            lowered = _lowered_cached(variant, soc)
+            lowered = variant.lower(soc)
         _VARIANT_CALLS.inc()
         with _span(
             "core.evaluate_variant",
@@ -242,28 +242,6 @@ def _evaluate_phased(soc: SoCSpec, lowered: LoweredModel) -> PhasedResult:
         phase_times=tuple(times),
         bottleneck_phase=lowered.phases[slowest].name,
     )
-
-
-#: Identity-keyed lowering memo: sweep loops evaluate the same frozen
-#: (variant, SoC) pair thousands of times, and one ``lower()`` costs
-#: 3.5-10 us against 16-37 us for a whole scalar ``evaluate_variant``.
-#: Entries anchor the keyed objects, so ids cannot be recycled while
-#: cached.
-_LOWER_MEMO_LIMIT = 32
-_LOWER_MEMO: dict = {}
-
-
-def _lowered_cached(variant: "ModelVariant", soc: SoCSpec) -> LoweredModel:
-    """``variant.lower(soc)``, memoized on object identity."""
-    key = (id(variant), id(soc))
-    entry = _LOWER_MEMO.get(key)
-    if entry is not None and entry[0] is variant and entry[1] is soc:
-        return entry[2]
-    lowered = variant.lower(soc)
-    if len(_LOWER_MEMO) >= _LOWER_MEMO_LIMIT:
-        _LOWER_MEMO.clear()
-    _LOWER_MEMO[key] = (variant, soc, lowered)
-    return lowered
 
 
 @dataclass(frozen=True)
@@ -330,7 +308,7 @@ def evaluate_variant_batch(
 
     if variant is None:
         variant = BaseVariant()
-    lowered = _lowered_cached(variant, soc)
+    lowered = variant.lower(soc)
     if not lowered.workload_free:
         if fractions is None or intensities is None:
             raise WorkloadError(

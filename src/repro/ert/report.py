@@ -64,7 +64,7 @@ def variant_prediction_table(soc, workload, variants) -> str:
         )
         rows.append(
             f"{variant.kind:>14} "
-            f"{format_ops(result.attainable) + 'ops/s':>14} "
+            f"{format_ops(result.attainable):>14} "
             f"{result.bottleneck:>14}"
         )
     return "\n".join(rows)

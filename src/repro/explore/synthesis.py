@@ -25,14 +25,9 @@ import math
 from dataclasses import dataclass
 
 from .._validation import require_finite_positive
-from ..core.batch import cached_evaluator
+from ..core.gables import evaluate
 from ..core.params import IPBlock, SoCSpec
 from ..errors import SpecError
-
-#: Portfolio slack checks revisit the same (soc, workload) points across
-#: synthesize calls (and ranking/report flows reuse them); a shared
-#: memo makes the re-evaluations free.
-_EVALUATE = cached_evaluator()
 
 
 @dataclass(frozen=True)
@@ -167,7 +162,7 @@ def synthesize_soc(
     for requirement in requirements:
         if requirement.required <= 0:
             continue
-        attained = _EVALUATE(soc, requirement.workload).attainable
+        attained = evaluate(soc, requirement.workload).attainable
         slack[requirement.name] = attained / requirement.required
         if attained < requirement.required * (1 - 1e-9):
             raise SpecError(

@@ -10,18 +10,12 @@ single definition.
 from __future__ import annotations
 
 
-from .core import FIGURE_6_SEQUENCE, FIGURE_6_EXPECTED_GOPS, cached_evaluator
+from .core import FIGURE_6_SEQUENCE, FIGURE_6_EXPECTED_GOPS, evaluate
 from .errors import ReproError
 from .obs.metrics import counter as _counter
 from .obs.trace import span as _span
 from .resilience.partial import check_on_error, degraded_banner, record_failure
 from .units import GIGA
-
-#: Report generators re-evaluate the same Figure 6 design points every
-#: time they run (``report_all``, the CLI, the figure regenerator); the
-#: memo keys on the frozen (SoCSpec, Workload) pair so structurally
-#: equal scenarios share one evaluation.
-_EVALUATE = cached_evaluator()
 
 #: Paper-published targets for the Section IV measurements.
 PAPER_FIG7_CPU = {"peak_gflops": 7.5, "dram_gbs": 15.1}
@@ -37,7 +31,7 @@ def report_fig6() -> str:
     lines.append(f"{'step':>6} {'paper Gops/s':>14} {'model Gops/s':>14} "
                  f"{'bottleneck':>12} {'balanced':>9}")
     for scenario in FIGURE_6_SEQUENCE:
-        result = _EVALUATE(scenario.soc(), scenario.workload())
+        result = evaluate(scenario.soc(), scenario.workload())
         expected = FIGURE_6_EXPECTED_GOPS[scenario.name]
         lines.append(
             f"{scenario.name:>6} {expected:>14.4g} "

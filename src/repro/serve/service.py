@@ -58,7 +58,7 @@ from ..explore.sweep import (
     sweep_intensity,
     sweep_memory_bandwidth,
 )
-from ..io.json_codec import encode_result
+from ..io.json_codec import _encode_number, encode_result
 from ..io.jsonl import append_jsonl, read_jsonl_tolerant
 from ..obs.metrics import counter as _counter
 from .protocol import (
@@ -344,13 +344,17 @@ class EvaluationService:
             return {
                 "kind": "sweep",
                 "parameter": series.parameter,
-                "values": list(series.values()),
-                "attainables": list(series.attainables()),
+                # Infinite numbers read "inf", as in encode_result, so
+                # the body stays strict JSON.
+                "values": [_encode_number(v) for v in series.values()],
+                "attainables": [
+                    _encode_number(a) for a in series.attainables()
+                ],
                 "bottlenecks": list(series.bottlenecks()),
                 "transitions": [
                     {
-                        "value": t.value,
-                        "previous_value": t.previous_value,
+                        "value": _encode_number(t.value),
+                        "previous_value": _encode_number(t.previous_value),
                         "from": t.from_component,
                         "to": t.to_component,
                         "index": t.index,

@@ -19,14 +19,17 @@ from repro.core import (
     ENGINE_CHOICES,
     FIGURE_6_SEQUENCE,
     IPBlock,
+    MemorySideVariant,
     SoCSpec,
     Workload,
-    cached_evaluator,
     evaluate,
     evaluate_batch,
+    evaluate_variant,
+    evaluate_variant_batch,
     fraction_grid,
 )
 from repro.core.batch import BatchResult, _fraction_sums
+from repro.core.extensions import MemorySideCache
 from repro.core.gables import attainable_performance_dual
 from repro.errors import EvaluationError, SpecError, WorkloadError
 from repro.explore import (
@@ -294,6 +297,43 @@ class TestInPlaceMutation:
                            engine=engine)
 
 
+#: A 2-IP SoC whose memory interface binds when no traffic is filtered
+#: (2.5e9 ops/s) and whose IP links bind when a memory-side SRAM
+#: filters 90% of it (1e10 ops/s).
+EDIT_SOC = SoCSpec(
+    10e9, 5e9, (IPBlock("cpu", 1.0, 10e9), IPBlock("gpu", 4.0, 10e9))
+)
+EDIT_WORKLOAD = Workload((0.5, 0.5), (0.5, 0.5))
+
+
+def _memory_side_attainable(variant, path: str) -> float:
+    if path == "scalar":
+        return evaluate_variant(EDIT_SOC, EDIT_WORKLOAD, variant).attainable
+    batch = evaluate_variant_batch(
+        EDIT_SOC, variant, [list(EDIT_WORKLOAD.fractions)],
+        [list(EDIT_WORKLOAD.intensities)], engine=path,
+    )
+    return float(batch.attainables[0])
+
+
+class TestVariantEditedInPlace:
+    """Every call lowers the variant it is given.
+
+    A caller that edits a variant's fields in place between calls must
+    get the numbers of a fresh variant built with the edited fields, on
+    the scalar path and on both batch engines.
+    """
+
+    @pytest.mark.parametrize("path", ["scalar", "compiled", "interpreted"])
+    def test_miss_ratio_edit_is_seen_by_the_next_call(self, path):
+        variant = MemorySideVariant(MemorySideCache((1.0, 1.0)))
+        assert _memory_side_attainable(variant, "scalar") == 2.5e9
+        variant.cache.miss_ratios = (0.1, 0.1)
+        fresh = MemorySideVariant(MemorySideCache((0.1, 0.1)))
+        assert _memory_side_attainable(fresh, path) == 1e10
+        assert _memory_side_attainable(variant, path) == 1e10
+
+
 #: A 3-IP SoC and two fraction vectors on either side of the
 #: ``FRACTION_SUM_TOL`` boundary, where numpy's row sum and
 #: ``math.fsum`` round to opposite sides of it.
@@ -436,29 +476,6 @@ class TestFractionGrid:
             fraction_grid((0.5, 0.5), 1, np.array([1.5]))
         with pytest.raises(WorkloadError, match="1-D"):
             fraction_grid((0.5, 0.5), 1, np.array([[0.5]]))
-
-
-class TestCachedEvaluator:
-    """The memoized scalar evaluator for repeated-point patterns."""
-
-    def test_hits_skip_the_model_and_count(self, two_ip_soc):
-        cached = cached_evaluator()
-        hits = counter("core.evaluate.cache_hits")
-        workload = Workload.two_ip(f=0.5, i0=8, i1=2)
-        first = cached(two_ip_soc, workload)
-        assert cached.cache_info().hits == 0
-        # A structurally equal (but distinct) key shares the slot.
-        again = cached(two_ip_soc, Workload.two_ip(f=0.5, i0=8, i1=2))
-        assert again is first
-        assert cached.cache_info().hits == 1
-        assert hits.value == 1.0
-
-    def test_matches_plain_evaluate(self, two_ip_soc):
-        cached = cached_evaluator(maxsize=2)
-        workload = Workload.two_ip(f=0.8, i0=6, i1=2)
-        assert cached(two_ip_soc, workload) == evaluate(two_ip_soc, workload)
-        cached.cache_clear()
-        assert cached.cache_info().currsize == 0
 
 
 class TestDualEmptyBounds:

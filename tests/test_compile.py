@@ -11,8 +11,7 @@ the contract that makes the speed safe:
   relative** (and in practice bitwise) across every variant
   kind and SoCs of one to four IPs, including ``on_error="record"``
   NaN masking and per-point hardware overrides;
-- the kernel cache and its ``core.compile.*`` counters behave, and a
-  cached kernel holds no per-call state, so threads may share it;
+- compiled batches on concurrent threads match the interpreter;
 - the grid fleet's chunk-addressed generation and digests are
   deterministic and engine-independent, and evaluating a chunk in
   blocks is bitwise one batch over it.
@@ -43,10 +42,6 @@ from repro.core import (
     SerializedVariant,
     SoCSpec,
     Workload,
-    clear_compile_cache,
-    compile_cache_stats,
-    compile_digest,
-    compile_phase,
     evaluate_batch,
     evaluate_lowered_batch,
     evaluate_variant,
@@ -70,7 +65,6 @@ from repro.explore import (
     run_fleet_grid_sweep,
 )
 from repro.explore.fleet import GRID_BLOCK
-from repro.obs import metrics
 
 _REL = 1e-12
 
@@ -168,51 +162,6 @@ class TestEngineResolution:
         assert isinstance(auto, FusedBatchResult)
 
 
-# ---------------------------------------------------------------------------
-# Kernel cache
-# ---------------------------------------------------------------------------
-
-
-class TestCompileCache:
-    def test_digest_is_stable_and_short(self):
-        soc = _soc(3)
-        phase = BaseVariant().lower(soc).phases[0]
-        digest = compile_digest(soc, phase)
-        assert len(digest) == 12
-        assert digest == compile_digest(soc, phase)
-        other = compile_digest(_soc(2), BaseVariant().lower(_soc(2)).phases[0])
-        assert other != digest
-
-    def test_cache_hits_after_first_build(self):
-        clear_compile_cache()
-        soc = _soc(3)
-        fractions, intensities = _grid(3, k=8)
-        before = compile_cache_stats()
-        evaluate_batch(soc, fractions, intensities, engine="compiled")
-        mid = compile_cache_stats()
-        assert mid["size"] >= 1
-        assert mid["builds"] > before["builds"]
-        evaluate_batch(soc, fractions, intensities, engine="compiled")
-        after = compile_cache_stats()
-        assert after["builds"] == mid["builds"]
-        assert after["hits"] > mid["hits"]
-        clear_compile_cache()
-        assert compile_cache_stats()["size"] == 0
-
-    def test_counters_surface_in_the_obs_registry(self):
-        registry = metrics.get_registry()
-        names = registry.names()
-        for suffix in ("hits", "misses", "builds"):
-            assert f"core.compile.{suffix}" in names
-        hits = metrics.counter("core.compile.hits")
-        before = hits.value
-        soc = _soc(2)
-        fractions, intensities = _grid(2, k=8)
-        evaluate_batch(soc, fractions, intensities, engine="compiled")
-        evaluate_batch(soc, fractions, intensities, engine="compiled")
-        assert hits.value > before
-
-
 class TestSharedKernelThreads:
     """Served ``/sweep`` runs kernels on concurrent handler threads."""
 
@@ -226,8 +175,6 @@ class TestSharedKernelThreads:
             evaluate_lowered_batch(soc, phase, f, i, engine="interpreted")
             for f, i in grids
         ]
-        kernel = compile_phase(soc, phase)
-        builds = compile_cache_stats()["builds"]
         start = threading.Barrier(len(grids))
         # Bitwise-equal results per thread; a thread that raised
         # stops short of 25.
@@ -261,8 +208,6 @@ class TestSharedKernelThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert matched == [25] * len(grids)
-        assert compile_phase(soc, phase) is kernel
-        assert compile_cache_stats()["builds"] == builds
 
 
 # ---------------------------------------------------------------------------

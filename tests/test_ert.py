@@ -5,17 +5,29 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import (
+    BaseVariant,
+    MemorySideVariant,
+    PhasedVariant,
+    SerializedVariant,
+    Workload,
+    evaluate,
+)
+from repro.core.extensions import MemorySideCache, Phase, PhasedUsecase
 from repro.errors import FittingError
 from repro.ert import (
     acceleration_between,
     fit_roofline,
     gables_parameter_table,
+    measured_soc_spec,
     optimistic_roofline,
     pessimism_ratio,
     roofline_summary,
     run_sweep,
     sweep_table,
+    variant_prediction_table,
 )
+from repro.units import format_ops
 from repro.sim import simulated_snapdragon_835
 
 
@@ -166,3 +178,55 @@ class TestReports:
         text = gables_parameter_table(cpu_fit, [gpu_fit, dsp_fit])
         assert "46.6" in text
         assert "GPU" in text and "DSP" in text
+
+
+class TestMeasuredSoC:
+    """The Section IV hand-off: fitted engines become a model SoC."""
+
+    def test_measured_soc_spec_takes_the_fitted_parameters(
+        self, cpu_fit, gpu_fit, dsp_fit
+    ):
+        spec = measured_soc_spec(cpu_fit, (gpu_fit, dsp_fit))
+        assert spec.ip_names == ("CPU", "GPU", "DSP")
+        assert spec.peak_perf == cpu_fit.peak_gflops * 1e9
+        assert spec.ips[0].acceleration == 1.0
+        assert spec.ips[1].acceleration == acceleration_between(
+            cpu_fit, gpu_fit
+        )
+        assert spec.ips[1].acceleration == pytest.approx(46.6, rel=0.01)
+        assert spec.ips[2].acceleration == acceleration_between(
+            cpu_fit, dsp_fit
+        )
+        assert [ip.bandwidth for ip in spec.ips] == [
+            fit.dram_bandwidth for fit in (cpu_fit, gpu_fit, dsp_fit)
+        ]
+        assert spec.memory_bandwidth == max(
+            fit.dram_bandwidth for fit in (cpu_fit, gpu_fit, dsp_fit)
+        )
+
+    def test_variant_prediction_table_has_one_row_per_variant(
+        self, cpu_fit, gpu_fit, dsp_fit
+    ):
+        spec = measured_soc_spec(cpu_fit, (gpu_fit, dsp_fit))
+        workload = Workload((0.2, 0.7, 0.1), (8.0, 32.0, 2.0))
+        phased = PhasedUsecase((
+            Phase(0.5, Workload((1.0, 0.0, 0.0), (8.0, 1.0, 1.0)), "cpu"),
+            Phase(0.5, Workload((0.0, 1.0, 0.0), (1.0, 32.0, 1.0)), "gpu"),
+        ))
+        variants = (
+            BaseVariant(),
+            SerializedVariant(),
+            MemorySideVariant(MemorySideCache((0.5, 0.5, 0.5))),
+            PhasedVariant(phased),
+        )
+        rows = variant_prediction_table(spec, workload, variants).splitlines()
+        assert len(rows) == 1 + len(variants)
+        assert [row.split()[0] for row in rows[1:]] == [
+            variant.kind for variant in variants
+        ]
+        base = evaluate(spec, workload)
+        assert format_ops(base.attainable) in rows[1]
+        assert rows[1].split()[-1] == base.bottleneck
+        assert rows[4].split()[-1] in ("cpu", "gpu")
+        assert not any("ops/sops/s" in row for row in rows)
+        assert all(row.count("ops/s") == 1 for row in rows[1:])

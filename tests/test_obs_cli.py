@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import re
 
 import pytest
 
@@ -120,13 +119,7 @@ class TestExplainFlag:
         assert main(["eval", "--figure", "6b", "--explain"]) == 0
         out = capsys.readouterr().out
         assert "bound by 'memory'" in out
-        assert "audit vs bottleneck analysis: agrees" in out
-        line = out.splitlines()[-1]
-        assert re.fullmatch(
-            r"batch compiler: kernel [0-9a-f]{12} \((cached|uncompiled)\); "
-            r"cache size=\d+ hits=\d+ misses=\d+ builds=\d+",
-            line,
-        ), line
+        assert out.splitlines()[-1] == "audit vs bottleneck analysis: agrees"
 
     def test_eval_without_explain_is_unchanged(self, capsys):
         assert main(["eval", "--figure", "6b"]) == 0

@@ -803,26 +803,37 @@ class TestCachePersistenceOverHttp:
             second.shutdown_gracefully()
 
 
-def _post_strict(url: str, path: str, document: dict) -> tuple:
-    """POST ``document``; ``(status, payload)`` from a body parsed as
-    strict JSON (a bare ``Infinity`` or ``NaN`` token fails)."""
+def _reject_constant(token):
+    raise ValueError(f"non-JSON constant {token!r} in the body")
 
-    def reject(token):
-        raise ValueError(f"non-JSON constant {token!r} in the body")
 
+def _strict_loads(body):
+    """Parse ``body`` as strict JSON (a bare ``Infinity`` or ``NaN``
+    token fails)."""
+    return json.loads(body, parse_constant=_reject_constant)
+
+
+def _post_raw(url: str, path: str, body: str) -> tuple:
+    """POST the JSON text ``body``; ``(status, response bytes)``."""
     parts = urlsplit(url)
     connection = http.client.HTTPConnection(parts.hostname, parts.port,
                                             timeout=10)
     try:
         connection.request(
-            "POST", path, body=json.dumps(document),
+            "POST", path, body=body,
             headers={"Content-Type": "application/json"},
         )
         response = connection.getresponse()
-        body = response.read()
+        return response.status, response.read()
     finally:
         connection.close()
-    return response.status, json.loads(body, parse_constant=reject)
+
+
+def _post_strict(url: str, path: str, document: dict) -> tuple:
+    """POST ``document``; ``(status, payload)`` from a body parsed as
+    strict JSON."""
+    status, body = _post_raw(url, path, json.dumps(document))
+    return status, _strict_loads(body)
 
 
 class TestNonFiniteResultsOverHttp:
@@ -872,6 +883,106 @@ class TestNonFiniteResultsOverHttp:
         assert [term["time"] for term in result["ip_terms"]] == [
             term.time for term in offline.ip_terms
         ]
+
+
+#: ``/sweep`` documents whose responses carry infinite numbers, as JSON
+#: text: an ``f`` sweep whose attainable overflows to inf on the 1e308
+#: ops/s SoC, and an intensity sweep of Fig. 6b over ``1e400`` (inf)
+#: with a finite value between, so both transitions carry an inf end.
+#: ``json.dumps`` would write inf as ``Infinity``, so the strict-JSON
+#: literal ``1e400`` is spliced into the text.
+INF_SWEEPS = {
+    "attainable": json.dumps({
+        "soc": encode_soc(TestNonFiniteResultsOverHttp.SOC),
+        "workload": encode_workload(TestNonFiniteResultsOverHttp.WORKLOAD),
+        "param": "f",
+        "ip_index": 1,
+        "values": [0.5],
+    }),
+    "value": json.dumps({
+        "soc": encode_soc(SCENARIO.soc()),
+        "workload": encode_workload(SCENARIO.workload()),
+        "param": "intensity",
+        "ip_index": 1,
+        "values": [1.0, 1.0, 1.0],
+    }).replace("[1.0, 1.0, 1.0]", "[1e400, 1.0, 1e400]"),
+}
+
+
+def _expected_inf_sweep(case: str, payload: dict) -> None:
+    if case == "attainable":
+        assert payload["values"] == [0.5]
+        assert payload["attainables"] == ["inf"]
+        return
+    assert payload["values"] == ["inf", 1.0, "inf"]
+    assert [(t["previous_value"], t["value"])
+            for t in payload["transitions"]] == [("inf", 1.0), (1.0, "inf")]
+    assert all(isinstance(a, float) for a in payload["attainables"])
+
+
+class TestNonFiniteSweepsAsStrictJson:
+    """Served ``/sweep`` writes an infinite value, attainable or
+    transition end as ``"inf"``, as :func:`encode_result` does, so its
+    body is strict JSON; finite sweeps keep their bytes."""
+
+    @pytest.mark.parametrize("case", sorted(INF_SWEEPS))
+    def test_in_process_payload_is_strict_json(self, case):
+        service = EvaluationService(ServiceConfig())
+        try:
+            payload = service.handle_sweep(json.loads(INF_SWEEPS[case]))
+        finally:
+            service.drain(timeout_s=2.0)
+        _expected_inf_sweep(case, payload)
+        body = json.dumps(payload, sort_keys=True)
+        assert _strict_loads(body) == payload
+
+    @pytest.mark.parametrize("case", sorted(INF_SWEEPS))
+    def test_over_http_body_is_strict_json(self, case):
+        server = GablesServer(ServiceConfig(), port=0).start()
+        try:
+            status, body = _post_raw(server.url, "/sweep", INF_SWEEPS[case])
+        finally:
+            server.shutdown_gracefully()
+        assert status == 200
+        _expected_inf_sweep(case, _strict_loads(body))
+
+    def test_finite_sweep_keeps_its_bytes(self):
+        from repro.explore.sweep import sweep_intensity
+
+        values = [0.25 * 2 ** k for k in range(12)]
+        document = eval_document(param="intensity", ip_index=1,
+                                 values=values)
+        server = GablesServer(ServiceConfig(), port=0).start()
+        try:
+            status, body = _post_raw(server.url, "/sweep",
+                                     json.dumps(document))
+        finally:
+            server.shutdown_gracefully()
+        series = sweep_intensity(SCENARIO.soc(), SCENARIO.workload(), 1,
+                                 values)
+        transitions = series.bottleneck_transitions()
+        assert transitions
+        want = {
+            "kind": "sweep",
+            "parameter": series.parameter,
+            "values": list(series.values()),
+            "attainables": list(series.attainables()),
+            "bottlenecks": list(series.bottlenecks()),
+            "transitions": [
+                {
+                    "value": t.value,
+                    "previous_value": t.previous_value,
+                    "from": t.from_component,
+                    "to": t.to_component,
+                    "index": t.index,
+                }
+                for t in transitions
+            ],
+            "errors": [],
+            "meta": {"engine": "auto", "points": len(series)},
+        }
+        assert status == 200
+        assert body == json.dumps(want, sort_keys=True).encode("utf-8")
 
 
 class TestSigtermDrain:
