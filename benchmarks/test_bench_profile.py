@@ -17,11 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core import InterconnectVariant, SoCSpec, Workload, fraction_grid
-from repro.core.batch import (
-    _evaluate_batch_impl,
-    evaluate_lowered_batch,
-    prepare_batch,
-)
+from repro.core.batch import _run, evaluate_lowered_batch, prepare_batch
 from repro.core.extensions import Bus, InterconnectSpec
 from repro.explore import sweep_fraction
 from repro.obs import tracing_enabled
@@ -77,17 +73,10 @@ def test_disabled_observability_overhead_within_1pct():
     grid, intensities = _grid(soc, workload)
 
     def bare():
-        (
-            fractions, intens, memory_bandwidth, ip_bandwidths, ip_peaks,
-            valid, failures, _k,
-        ) = prepare_batch(
+        prepared = prepare_batch(
             soc, grid, intensities, None, None, None, False, "raise",
         )
-        return _evaluate_batch_impl(
-            soc, fractions, intens, memory_bandwidth, ip_bandwidths,
-            ip_peaks, valid=valid, on_error="raise", failures=failures,
-            phase=phase,
-        )
+        return _run(soc, phase, prepared, "raise", "compiled")
 
     def instrumented():
         return evaluate_lowered_batch(

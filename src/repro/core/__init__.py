@@ -19,16 +19,12 @@ The public surface:
 
 from .batch import (
     BatchResult,
+    FusedBatchResult,
     evaluate_batch,
     evaluate_lowered_batch,
     fraction_grid,
 )
-from .compile import (
-    ENGINE_CHOICES,
-    CompiledPhaseKernel,
-    FusedBatchResult,
-    compile_phase,
-)
+from .compile import ENGINE_CHOICES, CompiledPhaseKernel, compile_phase
 from .blend import blend_workloads, interference_slowdown
 from .curves import RooflineCurve, min_envelope
 from .gables import (

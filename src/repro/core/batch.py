@@ -25,16 +25,30 @@ sweeps in :mod:`repro.explore.sweep` and the generational projections
 in :mod:`repro.explore.scaling` ride the same batch path.
 
 :func:`evaluate_batch` (the base model) and
-:func:`evaluate_lowered_batch` (one lowered phase) share one body.  It
-resolves the ``engine`` switch, coerces and validates the inputs on
-every call (:func:`prepare_batch`), and runs either the interpreter in
-this module, which is the ground truth, or the one compiled tier, the
-fused ufunc kernel of :mod:`repro.core.compile`, under a single span.
+:func:`evaluate_lowered_batch` (one lowered phase) share one body, and
+every verdict a batch gives is made there, once, whichever engine runs:
 
-Validation accepts exactly the points the scalar constructors accept:
-a row's work fractions pass when, as in ``Workload``, their
-``math.fsum`` lies within ``FRACTION_SUM_TOL`` of one
-(:func:`_fraction_sums`).
+- :func:`prepare_batch` coerces the inputs and checks them against one
+  ordered table of the scalar constructors' rules (``_RULES``).  Under
+  ``on_error="raise"`` the first rule any point breaks raises over the
+  batch; under ``"record"`` and ``"skip"`` each row keeps the first rule
+  it breaks.  A row's work fractions pass when, as in ``Workload``,
+  their ``math.fsum`` lies within ``FRACTION_SUM_TOL`` of one
+  (:func:`_fraction_sums`).
+- An engine computes, under a single span: the interpreter in this
+  module, which is the ground truth, or the one compiled tier, the fused
+  ufunc kernel of :mod:`repro.core.compile`.
+- ``_judge`` rules on the engine's output.  A point whose every
+  component takes zero time has no bound (Equation 11); every failed
+  point becomes one :class:`~repro.resilience.PointFailure`.
+  ``_apply_verdict`` then writes NaN and code ``-1`` into the failed
+  rows of every computed array (never into the echoed inputs) and, under
+  ``"skip"``, compresses them out.
+
+The compiled engine returns a :class:`FusedBatchResult`: the bound and
+its attribution are eager, and the per-term matrices and
+:meth:`~FusedBatchResult.result` drill-downs are replayed by the
+interpreter on first access, under the original call's verdict.
 """
 
 from __future__ import annotations
@@ -60,8 +74,46 @@ _BATCH_POINTS = _counter("core.evaluate_batch.points")
 _LOWERED_CALLS = _counter("core.evaluate_lowered_batch.calls")
 
 
+class _Attribution:
+    """The attribution helpers both batch result types share."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        """Number of evaluated points K."""
+        return self.attainables.shape[0]
+
+    @property
+    def n_ips(self) -> int:
+        """Number of IPs N."""
+        return len(self.component_names) - 1 - len(self.extra_names)
+
+    @property
+    def memory_code(self) -> int:
+        """The ``bottleneck_codes`` value meaning "memory binds"."""
+        return self.n_ips
+
+    def bottleneck(self, index: int) -> str:
+        """The binding component's name at point ``index``.
+
+        Failed points under a tolerant mode report ``"invalid"``.
+        """
+        code = int(self.bottleneck_codes[index])
+        if code < 0:
+            return "invalid"
+        return self.component_names[code]
+
+    def bottlenecks(self) -> tuple:
+        """Binding component names for every point, in batch order."""
+        names = self.component_names
+        return tuple(
+            "invalid" if code < 0 else names[code]
+            for code in self.bottleneck_codes.tolist()
+        )
+
+
 @dataclass(frozen=True)
-class BatchResult:
+class BatchResult(_Attribution):
     """K model evaluations as parallel arrays (the batch dual of
     :class:`~repro.core.result.GablesResult`).
 
@@ -133,38 +185,6 @@ class BatchResult:
     extra_times_matrix: np.ndarray | None = None
     combine: str = "max"
     folded_memory: bool = False
-
-    def __len__(self) -> int:
-        """Number of evaluated points K."""
-        return self.attainables.shape[0]
-
-    @property
-    def n_ips(self) -> int:
-        """Number of IPs N."""
-        return len(self.component_names) - 1 - len(self.extra_names)
-
-    @property
-    def memory_code(self) -> int:
-        """The ``bottleneck_codes`` value meaning "memory binds"."""
-        return self.n_ips
-
-    def bottleneck(self, index: int) -> str:
-        """The binding component's name at point ``index``.
-
-        Failed points under a tolerant mode report ``"invalid"``.
-        """
-        code = int(self.bottleneck_codes[index])
-        if code < 0:
-            return "invalid"
-        return self.component_names[code]
-
-    def bottlenecks(self) -> tuple:
-        """Binding component names for every point, in batch order."""
-        names = self.component_names
-        return tuple(
-            "invalid" if code < 0 else names[code]
-            for code in self.bottleneck_codes.tolist()
-        )
 
     def result(self, index: int) -> GablesResult:
         """Materialize point ``index`` as a full scalar result object.
@@ -253,6 +273,89 @@ class BatchResult:
         )
 
 
+class FusedBatchResult(_Attribution):
+    """A compiled-engine batch result: eager bound, lazy drill-down.
+
+    Duck-types :class:`BatchResult`.  The kernel computes only what the
+    bound needs, ``attainables`` and ``bottleneck_codes``; ``valid``,
+    ``errors`` and ``point_indices`` are the call's verdict.  The other
+    fields (``ip_times``, ``data_bytes``, ``memory_perf_bounds``, ...)
+    and :meth:`result` reconstructions materialize on first access: the
+    interpreter replays the call on its inputs and the call's verdict is
+    applied to the replay, so drill-down values match the interpreted
+    engine bitwise and no failure is recorded twice.
+    """
+
+    __slots__ = (
+        "component_names",
+        "attainables",
+        "bottleneck_codes",
+        "valid",
+        "errors",
+        "point_indices",
+        "extra_names",
+        "combine",
+        "folded_memory",
+        "_replay",
+        "_full",
+    )
+
+    def __init__(
+        self,
+        *,
+        component_names: tuple,
+        attainables: np.ndarray,
+        bottleneck_codes: np.ndarray,
+        valid: np.ndarray | None,
+        errors: tuple,
+        point_indices: np.ndarray | None,
+        extra_names: tuple,
+        combine: str,
+        folded_memory: bool,
+        replay,
+    ) -> None:
+        self.component_names = component_names
+        self.attainables = attainables
+        self.bottleneck_codes = bottleneck_codes
+        self.valid = valid
+        self.errors = errors
+        self.point_indices = point_indices
+        self.extra_names = extra_names
+        self.combine = combine
+        self.folded_memory = folded_memory
+        self._replay = replay
+        self._full = None
+
+    def materialize(self) -> BatchResult:
+        """The full interpreted :class:`BatchResult` for this call
+        (replayed once, then kept on the instance)."""
+        if self._full is None:
+            self._full = self._replay()
+        return self._full
+
+    def result(self, index: int) -> GablesResult:
+        """Materialize point ``index`` as a full scalar result object."""
+        return self.materialize().result(index)
+
+    def __getattr__(self, name: str):
+        if name in BatchResult.__dataclass_fields__:
+            return getattr(self.materialize(), name)
+        raise AttributeError(name)
+
+
+def _private(array: np.ndarray, values) -> np.ndarray:
+    """``array``, copied when it shares memory with a writeable ndarray
+    the caller passed, so that no result reads a later edit of it.  A
+    read-only view (an ``np.broadcast_to`` grid) is not copied."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.flags.writeable
+        and np.may_share_memory(array, values)
+    ):
+        return array.copy()
+    return array
+
+
 def _as_batch_matrix(values, n_ips: int, name: str, exc: type) -> np.ndarray:
     """Coerce per-IP input to a float (K, N) matrix."""
     matrix = np.asarray(values, dtype=float)
@@ -265,7 +368,7 @@ def _as_batch_matrix(values, n_ips: int, name: str, exc: type) -> np.ndarray:
             f"{name} covers {matrix.shape[1]} IPs per point, "
             f"expected {n_ips}"
         )
-    return matrix
+    return _private(matrix, values)
 
 
 #: How close to the ``FRACTION_SUM_TOL`` boundary a numpy row sum must
@@ -307,162 +410,93 @@ def _fraction_sums(fractions: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _validate_workload_arrays(
-    fractions: np.ndarray, intensities: np.ndarray
-) -> None:
-    """Vectorized equivalent of the ``Workload`` constructor checks."""
-    if not np.all(np.isfinite(fractions) & (fractions >= 0)
-                  & (fractions <= 1)):
-        raise WorkloadError(
-            "batch fractions must be finite values in [0, 1]"
-        )
-    totals = _fraction_sums(fractions)
-    if not np.all(np.abs(totals - 1.0) <= FRACTION_SUM_TOL):
-        bad = int(np.argmax(np.abs(totals - 1.0)))
-        raise WorkloadError(
-            f"batch fractions must sum to 1 per point; point {bad} "
-            f"sums to {float(totals[bad])!r}"
-        )
-    # Positive, possibly inf, never NaN — mirrors require_positive.
-    if not np.all((intensities > 0) & ~np.isnan(intensities)):
-        raise WorkloadError("batch intensities must be positive (inf allowed)")
+def _in_unit_range(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (values >= 0) & (values <= 1)
 
 
-def _validate_hardware_arrays(
-    memory_bandwidth: np.ndarray,
-    ip_bandwidths: np.ndarray,
-    ip_peaks: np.ndarray,
-) -> None:
-    """Vectorized equivalent of the ``SoCSpec``/``IPBlock`` checks."""
-    if not np.all(np.isfinite(memory_bandwidth) & (memory_bandwidth > 0)):
-        raise SpecError(
-            "batch memory_bandwidth values must be finite and positive"
-        )
-    if not np.all((ip_bandwidths > 0) & ~np.isnan(ip_bandwidths)):
-        raise SpecError("batch IP bandwidths must be positive (inf allowed)")
+def _sums_to_one(fractions: np.ndarray) -> np.ndarray:
+    return np.abs(_fraction_sums(fractions) - 1.0) <= FRACTION_SUM_TOL
+
+
+def _positive(values: np.ndarray) -> np.ndarray:
+    """Positive, possibly inf, never NaN: ``require_positive``."""
+    return (values > 0) & ~np.isnan(values)
+
+
+def _finite_positive(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (values > 0)
+
+
+#: The scalar constructors' checks in the order they run (``Workload``,
+#: then ``SoCSpec``/``IPBlock``).  Each rule: error code, exception
+#: type, message, the position of the checked input in
+#: ``prepare_batch``'s inputs, whether that input has a trailing IP
+#: axis, and the elementwise test its acceptable values pass.
+_RULES = (
+    ("WORKLOAD_FRACTION_RANGE", WorkloadError,
+     "fractions must be finite values in [0, 1]", 0, True, _in_unit_range),
+    ("WORKLOAD_FRACTION_SUM", WorkloadError,
+     "fractions must sum to 1", 0, False, _sums_to_one),
+    ("WORKLOAD_INTENSITY_NONPOSITIVE", WorkloadError,
+     "intensities must be positive (inf allowed)", 1, True, _positive),
+    ("SPEC_NEGATIVE_BANDWIDTH", SpecError,
+     "memory_bandwidth must be finite and positive", 2, False,
+     _finite_positive),
+    ("SPEC_NEGATIVE_BANDWIDTH", SpecError,
+     "IP bandwidths must be positive (inf allowed)", 3, True, _positive),
     # A finite Ai * Ppeak can overflow to inf, which the scalar model
     # evaluates (the IP's compute time is 0).
-    if not np.all((ip_peaks > 0) & ~np.isnan(ip_peaks)):
-        raise SpecError("batch IP peaks must be positive (inf allowed)")
+    ("SPEC_NONPOSITIVE_PEAK", SpecError,
+     "IP peaks must be positive (inf allowed)", 4, True, _positive),
+)
 
 
-def _pointwise_failures(
-    fractions: np.ndarray,
-    intensities: np.ndarray,
-    memory_bandwidth: np.ndarray,
-    ip_bandwidths: np.ndarray,
-    ip_peaks: np.ndarray,
-) -> tuple:
-    """Per-row validity for the tolerant ``on_error`` modes.
+def _validate(inputs: tuple, on_error: str) -> tuple:
+    """Check the coerced ``inputs`` against ``_RULES``.
 
-    Runs the same checks as the all-or-nothing validators but flags
-    individual rows instead of raising, returning ``(valid_mask,
-    failures)`` where each failure is ``(index, code, message)`` and a
-    row keeps only its *first* failure (check order mirrors the scalar
-    constructors: workload before hardware).
+    Under ``"raise"`` the first rule any point breaks raises over the
+    whole batch, and ``(None, [])`` comes back.  The tolerant modes
+    return ``(valid, failures)``: each row keeps the first rule it
+    breaks, as one ``(index, code, message)`` failure.
     """
-    k = fractions.shape[0]
+    if on_error == "raise":
+        for _, exc, message, arg, _, accepts in _RULES:
+            if not np.all(accepts(inputs[arg])):
+                if accepts is _sums_to_one:
+                    totals = _fraction_sums(inputs[0])
+                    bad = int(np.argmax(np.abs(totals - 1.0)))
+                    message += (
+                        f" per point; point {bad} sums to "
+                        f"{float(totals[bad])!r}"
+                    )
+                raise exc(f"batch {message}")
+        return None, []
+    k, n = inputs[0].shape
     valid = np.ones(k, dtype=bool)
     failures: list = []
-
-    def flag(row_mask: np.ndarray, code: str, message: str) -> None:
-        fresh = row_mask & valid
-        for index in np.nonzero(fresh)[0].tolist():
-            failures.append((index, code, message))
-        valid[fresh] = False
-
-    with np.errstate(invalid="ignore"):
-        flag(
-            ~(
-                np.isfinite(fractions)
-                & (fractions >= 0)
-                & (fractions <= 1)
-            ).all(axis=1),
-            "WORKLOAD_FRACTION_RANGE",
-            "fractions must be finite values in [0, 1]",
-        )
-        totals = _fraction_sums(fractions)
-        flag(
-            ~(np.abs(totals - 1.0) <= FRACTION_SUM_TOL),
-            "WORKLOAD_FRACTION_SUM",
-            "fractions must sum to 1",
-        )
-        flag(
-            ~((intensities > 0) & ~np.isnan(intensities)).all(axis=1),
-            "WORKLOAD_INTENSITY_NONPOSITIVE",
-            "intensities must be positive (inf allowed)",
-        )
-        n = fractions.shape[1]
-        bandwidth = np.broadcast_to(np.atleast_1d(memory_bandwidth), (k,))
-        flag(
-            ~(np.isfinite(bandwidth) & (bandwidth > 0)),
-            "SPEC_NEGATIVE_BANDWIDTH",
-            "memory_bandwidth must be finite and positive",
-        )
-        ip_bw = np.broadcast_to(ip_bandwidths, (k, n))
-        flag(
-            ~((ip_bw > 0) & ~np.isnan(ip_bw)).all(axis=1),
-            "SPEC_NEGATIVE_BANDWIDTH",
-            "IP bandwidths must be positive (inf allowed)",
-        )
-        peaks = np.broadcast_to(ip_peaks, (k, n))
-        flag(
-            ~((peaks > 0) & ~np.isnan(peaks)).all(axis=1),
-            "SPEC_NONPOSITIVE_PEAK",
-            "IP peaks must be positive (inf allowed)",
-        )
+    with np.errstate(invalid="ignore", over="ignore"):
+        for code, _, message, arg, per_ip, accepts in _RULES:
+            ok = accepts(inputs[arg])
+            if per_ip:
+                ok = np.broadcast_to(ok, (k, n)).all(axis=1)
+            else:
+                ok = np.broadcast_to(ok, (k,))
+            failures.extend(
+                (index, code, message)
+                for index in np.flatnonzero(valid & ~ok).tolist()
+            )
+            valid &= ok
     return valid, failures
 
 
-def _resolve_engine(engine: str, on_error: str) -> str:
-    """Map the three-way ``engine`` switch onto an executable choice.
-
-    ``auto`` picks the compiled kernel whenever the batch qualifies;
-    ``on_error="skip"`` compresses rows out of every array, which only
-    the interpreter implements (``auto`` falls back silently,
-    ``compiled`` refuses).
-    """
+def _resolve_engine(engine: str) -> str:
+    """The engine a batch runs on; ``"auto"`` is the compiled kernel."""
     if engine not in ENGINE_CHOICES:
         raise SpecError(
             f"unknown engine {engine!r}; choose from "
             f"{', '.join(ENGINE_CHOICES)}"
         )
-    if engine == "interpreted":
-        return "interpreted"
-    if on_error == "skip":
-        if engine == "compiled":
-            raise SpecError(
-                "engine='compiled' does not support on_error='skip'; "
-                "use engine='auto' or 'interpreted'"
-            )
-        return "interpreted"
-    return "compiled"
-
-
-def _compiled_call(
-    soc, fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks,
-    valid, on_error, failures, phase,
-):
-    """Run the fused kernel, wiring the lazy interpreted replay (called
-    like :func:`_evaluate_batch_impl`)."""
-    kernel = compile_phase(soc, phase)
-    valid_init = None if valid is None else valid.copy()
-    failures_init = tuple(failures)
-
-    def replay() -> BatchResult:
-        return _evaluate_batch_impl(
-            soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-            ip_peaks,
-            valid=None if valid_init is None else valid_init.copy(),
-            on_error=on_error, failures=list(failures_init), phase=phase,
-        )
-
-    return kernel(
-        fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks,
-        valid=valid, on_error=on_error, failures=failures,
-        route_solver=None if phase is None else phase.route_solver,
-        replay=replay,
-    )
+    return "interpreted" if engine == "interpreted" else "compiled"
 
 
 def evaluate_batch(
@@ -511,17 +545,16 @@ def evaluate_batch(
         empty batch) always raise.
 
     engine:
-        ``"auto"`` (default) runs the fused compiled kernel
-        (:mod:`repro.core.compile`) whenever the batch qualifies and
-        falls back to the interpreter otherwise (``on_error="skip"``);
-        ``"compiled"`` forces the kernel (raising when unsupported);
-        ``"interpreted"`` forces the original engine.  Both engines
-        produce bitwise-identical numbers; the compiled path returns a
-        lazy :class:`~repro.core.compile.FusedBatchResult` duck-type.
+        ``"auto"`` (default) and ``"compiled"`` run the fused compiled
+        kernel (:mod:`repro.core.compile`); ``"interpreted"`` runs the
+        interpreter.  Both engines produce bitwise-identical numbers
+        and the same verdict in every ``on_error`` mode; the compiled
+        path returns a lazy :class:`FusedBatchResult` duck-type.
 
     The inputs are coerced and validated on every call, so a caller
     that edits its arrays in place gets the edited values' numbers and
-    errors.
+    errors; a writeable array the caller passed is copied, so a later
+    edit changes no result already returned.
 
     Returns a :class:`BatchResult`; raises the same exception types as
     the scalar constructors and evaluator (:class:`WorkloadError` for
@@ -585,14 +618,12 @@ def _evaluate(
     ``core.evaluate_batch`` span and counters; a lowered phase reports
     as ``core.evaluate_lowered_batch``.
     """
-    use = _resolve_engine(engine, on_error)
-    (
-        fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks,
-        valid, failures, k,
-    ) = prepare_batch(
+    use = _resolve_engine(engine)
+    prepared = prepare_batch(
         soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
         ip_peaks, validate, on_error,
     )
+    k = prepared[0][0].shape[0]
     if phase is None:
         name = "core.evaluate_batch"
         _BATCH_CALLS.inc()
@@ -600,15 +631,10 @@ def _evaluate(
         name = "core.evaluate_lowered_batch"
         _LOWERED_CALLS.inc()
     _BATCH_POINTS.inc(k)
-    run = _compiled_call if use == "compiled" else _evaluate_batch_impl
     # One span per batch — never one per point; a shared no-op
     # singleton while tracing is off.
     with _span(name, soc=soc.name, points=k, engine=use):
-        return run(
-            soc, fractions, intensities, memory_bandwidth, ip_bandwidths,
-            ip_peaks, valid=valid, on_error=on_error, failures=failures,
-            phase=phase,
-        )
+        return _run(soc, phase, prepared, on_error, use)
 
 
 def prepare_batch(
@@ -624,9 +650,11 @@ def prepare_batch(
     """Coerce and validate raw batch inputs; the batch's one way in.
 
     Both entry points call this on every call, so an input edited in
-    place between calls is judged afresh.  Returns ``(fractions,
-    intensities, memory_bandwidth, ip_bandwidths, ip_peaks, valid,
-    failures, k)`` as the evaluators take them.
+    place between calls is judged afresh.  Returns ``(inputs, valid,
+    failures)``: the coerced ``(fractions, intensities,
+    memory_bandwidth, ip_bandwidths, ip_peaks)``, then the validation
+    verdict (``valid`` is ``None`` under ``"raise"``; failures are
+    ``(index, code, message)``).
     """
     check_on_error(on_error)
     n = soc.n_ips
@@ -647,7 +675,9 @@ def prepare_batch(
     if memory_bandwidth is None:
         memory_bandwidth = np.asarray(soc.memory_bandwidth, dtype=float)
     else:
-        memory_bandwidth = np.asarray(memory_bandwidth, dtype=float)
+        memory_bandwidth = _private(
+            np.asarray(memory_bandwidth, dtype=float), memory_bandwidth
+        )
         if memory_bandwidth.ndim > 1 or (
             memory_bandwidth.ndim == 1 and memory_bandwidth.shape[0] != k
         ):
@@ -665,25 +695,119 @@ def prepare_batch(
     else:
         ip_peaks = _as_batch_matrix(ip_peaks, n, "ip_peaks", SpecError)
 
-    valid = None
-    failures: list = []
-    if on_error == "raise":
-        if validate:
-            _validate_workload_arrays(fractions, intensities)
-            _validate_hardware_arrays(
-                memory_bandwidth, ip_bandwidths, ip_peaks
-            )
-    elif validate:
-        valid, failures = _pointwise_failures(
-            fractions, intensities, memory_bandwidth, ip_bandwidths,
-            ip_peaks,
+    inputs = (
+        fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks
+    )
+    if validate:
+        return (inputs, *_validate(inputs, on_error))
+    return inputs, None if on_error == "raise" else np.ones(k, dtype=bool), []
+
+
+def _run(soc, phase, prepared: tuple, on_error: str, use: str):
+    """One prepared batch call: the engine computes, then the verdict."""
+    inputs, valid, failures = prepared
+    if use == "interpreted":
+        fields, progress = _evaluate_batch_impl(
+            soc, *inputs, valid=valid, phase=phase
         )
     else:
-        valid = np.ones(k, dtype=bool)
-    return (
-        fractions, intensities, memory_bandwidth, ip_bandwidths, ip_peaks,
-        valid, failures, k,
+        fields, progress = compile_phase(soc, phase)(
+            *inputs, valid=valid,
+            route_solver=None if phase is None else phase.route_solver,
+        )
+    valid, errors = _judge(progress, valid, failures, fields["combine"])
+    fields = _apply_verdict(fields, valid, on_error)
+    if use == "interpreted":
+        return BatchResult(errors=errors, **fields)
+
+    def replay() -> BatchResult:
+        full, _ = _evaluate_batch_impl(soc, *inputs, valid=valid, phase=phase)
+        return BatchResult(errors=errors, **_apply_verdict(full, valid, on_error))
+
+    return FusedBatchResult(errors=errors, replay=replay, **fields)
+
+
+#: The verdict on a point whose every component takes zero time, per
+#: combine rule: the message raised over the batch (``{bad}`` is the
+#: first such point) and the one a tolerant mode records.
+_DEGENERATE = {
+    "max": (
+        "degenerate usecase at batch point {bad}: every component takes "
+        "zero time",
+        "degenerate usecase: every component takes zero time",
+    ),
+    "sum": (
+        "serialized usecase takes zero time",
+        "serialized usecase takes zero time",
+    ),
+}
+
+
+def _judge(progress, valid, failures: list, combine: str) -> tuple:
+    """Rule on an engine's output; returns ``(valid, errors)``.
+
+    ``progress`` is each row's binding time (or serialized total): a
+    row whose progress is not positive has no bound (Equation 11).
+    Under ``"raise"`` (``valid is None``) such a row raises over the
+    batch.  Otherwise it fails as ``EVAL_DEGENERATE_POINT`` beside the
+    validation ``failures``, and each failure becomes one
+    :class:`~repro.resilience.PointFailure`, in row order: the one place
+    a batch builds them.
+    """
+    raised, recorded = _DEGENERATE[combine]
+    if valid is None:
+        # min > 0 is all(progress > 0), a NaN row included.
+        if not np.min(progress) > 0:
+            bad = int(np.argmin(progress > 0))
+            raise EvaluationError(raised.format(bad=bad))
+        return None, ()
+    degenerate = np.flatnonzero(valid & ~(progress > 0)).tolist()
+    valid[degenerate] = False
+    failures = failures + [
+        (index, "EVAL_DEGENERATE_POINT", recorded) for index in degenerate
+    ]
+    failures.sort(key=lambda failure: failure[0])
+    return valid, tuple(
+        point_failure((index,), code, message)
+        for index, code, message in failures
     )
+
+
+#: The per-row arrays an engine computes: a failed row reads NaN in each.
+_COMPUTED = (
+    "compute_times", "data_bytes", "transfer_times", "ip_times",
+    "memory_times", "memory_perf_bounds", "average_intensities",
+    "attainables", "extra_times_matrix",
+)
+
+
+def _apply_verdict(fields: dict, valid, on_error: str) -> dict:
+    """Write the verdict into an engine's freshly computed ``fields``.
+
+    A failed row reads NaN in every computed array and code ``-1``; the
+    echoed inputs are never touched, so every valid row keeps the exact
+    bit pattern of an all-valid run.  ``"skip"`` then compresses the
+    failed rows out of every per-row array and keeps the surviving rows'
+    original indices as ``point_indices``.
+    """
+    fields.update(valid=valid, point_indices=None)
+    if valid is None:
+        return fields
+    invalid = ~valid
+    fields["bottleneck_codes"][invalid] = -1
+    computed = [name for name in _COMPUTED if fields.get(name) is not None]
+    for name in computed:
+        fields[name][invalid] = np.nan
+    if on_error == "skip":
+        keep = np.flatnonzero(valid)
+        for name in (*computed, "bottleneck_codes", "fractions",
+                     "intensities"):
+            if name in fields:
+                fields[name] = fields[name][keep]
+        fields.update(
+            valid=np.ones(keep.shape[0], dtype=bool), point_indices=keep
+        )
+    return fields
 
 
 def _evaluate_batch_impl(
@@ -694,10 +818,15 @@ def _evaluate_batch_impl(
     ip_bandwidths: np.ndarray,
     ip_peaks: np.ndarray,
     valid: np.ndarray | None = None,
-    on_error: str = "raise",
-    failures: list | None = None,
     phase: LoweredPhase | None = None,
-) -> BatchResult:
+) -> tuple:
+    """The interpreter, the ground-truth engine.
+
+    Returns ``(fields, progress)``: the :class:`BatchResult` fields it
+    computes, before any verdict, and each row's binding time (or
+    serialized total).  ``valid`` only picks the rows the route solver
+    runs on.
+    """
     k = fractions.shape[0]
     combine = "max" if phase is None else phase.combine
     folded = phase is not None and phase.fold_memory_per_ip
@@ -819,50 +948,15 @@ def _evaluate_batch_impl(
         # as pick_bottleneck().
         if combine == "sum":
             all_times = ip_times
-            total_times = ip_times.sum(axis=1)
-            if on_error == "raise":
-                if not np.all(total_times > 0):
-                    raise EvaluationError(
-                        "serialized usecase takes zero time"
-                    )
-            else:
-                progressing = total_times > 0
-                degenerate = valid & ~progressing
-                for index in np.nonzero(degenerate)[0].tolist():
-                    failures.append((
-                        index,
-                        "EVAL_DEGENERATE_POINT",
-                        "serialized usecase takes zero time",
-                    ))
-                valid = valid & progressing
-            attainables = 1.0 / total_times
+            progress = ip_times.sum(axis=1)
             binding = all_times.max(axis=1)
         else:
             columns = [ip_times, memory_times[:, np.newaxis]]
             if extra_matrix is not None:
                 columns.append(extra_matrix)
             all_times = np.concatenate(columns, axis=1)
-            binding = all_times.max(axis=1)
-            if on_error == "raise":
-                if not np.all(binding > 0):
-                    bad = int(np.argmin(binding > 0))
-                    raise EvaluationError(
-                        f"degenerate usecase at batch point {bad}: every "
-                        "component takes zero time"
-                    )
-            else:
-                # NaN compares False, so invalid rows are excluded too.
-                progressing = binding > 0
-                degenerate = valid & ~progressing
-                for index in np.nonzero(degenerate)[0].tolist():
-                    failures.append((
-                        index,
-                        "EVAL_DEGENERATE_POINT",
-                        "degenerate usecase: every component takes zero "
-                        "time",
-                    ))
-                valid = valid & progressing
-            attainables = 1.0 / binding
+            binding = progress = all_times.max(axis=1)
+        attainables = 1.0 / progress
         binding_col = binding[:, np.newaxis]
         ties = (all_times == binding_col) | (
             np.abs(all_times - binding_col)
@@ -870,47 +964,7 @@ def _evaluate_batch_impl(
         )
         bottleneck_codes = ties.argmax(axis=1)
 
-    errors = ()
-    point_indices = None
-    if on_error != "raise":
-        failures.sort(key=lambda item: item[0])
-        errors = tuple(
-            point_failure((index,), code, message)
-            for index, code, message in failures
-        )
-        # Masking touches only the freshly computed arrays (never the
-        # echoed inputs), so every valid row keeps the exact bit
-        # pattern an all-valid run produces.
-        bottleneck_codes = np.where(valid, bottleneck_codes, -1)
-        invalid = ~valid
-        for array in (
-            attainables, memory_times, memory_perf_bounds,
-            average_intensities,
-        ):
-            array[invalid] = np.nan
-        for array in (compute_times, data_bytes, transfer_times, ip_times):
-            array[invalid, :] = np.nan
-        if extra_matrix is not None:
-            extra_matrix[invalid, :] = np.nan
-        if on_error == "skip":
-            point_indices = np.nonzero(valid)[0]
-            keep = point_indices
-            fractions = fractions[keep]
-            intensities = intensities[keep]
-            compute_times = compute_times[keep]
-            data_bytes = data_bytes[keep]
-            transfer_times = transfer_times[keep]
-            ip_times = ip_times[keep]
-            memory_times = memory_times[keep]
-            memory_perf_bounds = memory_perf_bounds[keep]
-            average_intensities = average_intensities[keep]
-            attainables = attainables[keep]
-            bottleneck_codes = bottleneck_codes[keep]
-            if extra_matrix is not None:
-                extra_matrix = extra_matrix[keep]
-            valid = np.ones(keep.shape[0], dtype=bool)
-
-    return BatchResult(
+    fields = dict(
         component_names=soc.ip_names + (MEMORY,) + tuple(extra_names),
         fractions=fractions,
         intensities=intensities,
@@ -923,14 +977,12 @@ def _evaluate_batch_impl(
         average_intensities=average_intensities,
         attainables=attainables,
         bottleneck_codes=bottleneck_codes,
-        valid=valid,
-        errors=errors,
-        point_indices=point_indices,
         extra_names=tuple(extra_names),
         extra_times_matrix=extra_matrix,
         combine=combine,
         folded_memory=folded,
     )
+    return fields, progress
 
 
 def fraction_grid(base_fractions, ip_index: int, values) -> np.ndarray:

@@ -40,26 +40,26 @@ uses identical operands, and numpy's ``axis=1`` reductions over
 kernel's explicit accumulation.  Compiled and interpreted results are
 therefore **bitwise identical** — the equivalence suite
 (``tests/test_compile.py``) pins this across all variant kinds,
-tolerant ``on_error`` modes and per-point hardware overrides.
+grids with failed rows and per-point hardware overrides.
 
 Route-solver phases (the multi-path LP) keep their per-point Python
 loop embedded in the compiled kernel: the surrounding term chain stays
 fused and only the solver itself runs row-wise, exactly as the
 interpreter does.
 
-The result type, :class:`FusedBatchResult`, is a lazy duck-type of
-:class:`~repro.core.batch.BatchResult`: the fields every sweep
-consumes (``attainables``, ``bottleneck_codes``, ``component_names``,
-``errors``…) are eager; the full per-term matrices and
-:meth:`~FusedBatchResult.result` drill-downs materialize on first
-access by replaying the interpreted engine on the stored inputs.
+A kernel only computes.  It returns the bound, its attribution and each
+row's progress (the binding time, or the serialized total); the batch
+body in :mod:`repro.core.batch` judges degenerate and invalid points,
+records failures and packages the
+:class:`~repro.core.batch.FusedBatchResult`, the same way for both
+engines.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import EvaluationError, SpecError
+from ..errors import SpecError
 from .lowering import COORDINATION, LoweredPhase
 from .params import SoCSpec
 from .result import BINDING_REL_TOL, MEMORY
@@ -84,127 +84,15 @@ def _is_array(value) -> bool:
     return isinstance(value, np.ndarray)
 
 
-_LAZY_FIELDS = frozenset(
-    (
-        "fractions",
-        "intensities",
-        "compute_times",
-        "data_bytes",
-        "transfer_times",
-        "ip_times",
-        "memory_times",
-        "memory_perf_bounds",
-        "average_intensities",
-        "extra_times_matrix",
-    )
-)
-
-
-class FusedBatchResult:
-    """A compiled-engine batch result: eager bounds, lazy drill-down.
-
-    Duck-types :class:`~repro.core.batch.BatchResult`.  The kernel
-    computes only what the bound needs — ``attainables`` and
-    ``bottleneck_codes`` (plus the tolerant-mode ``valid``/``errors``)
-    — so the full per-term matrices (``ip_times``, ``data_bytes``,
-    ``memory_perf_bounds``, …) and :meth:`result` reconstructions are
-    materialized on first access by replaying the interpreted engine
-    on the stored inputs.  The replay is the interpreter itself, so
-    drill-down values match the interpreted backend bitwise.
-    """
-
-    __slots__ = (
-        "component_names",
-        "attainables",
-        "bottleneck_codes",
-        "valid",
-        "errors",
-        "point_indices",
-        "extra_names",
-        "combine",
-        "folded_memory",
-        "_replay",
-        "_full",
-    )
-
-    def __init__(
-        self,
-        *,
-        component_names: tuple,
-        attainables: np.ndarray,
-        bottleneck_codes: np.ndarray,
-        valid: np.ndarray | None,
-        errors: tuple,
-        extra_names: tuple,
-        combine: str,
-        folded_memory: bool,
-        replay,
-    ) -> None:
-        self.component_names = component_names
-        self.attainables = attainables
-        self.bottleneck_codes = bottleneck_codes
-        self.valid = valid
-        self.errors = errors
-        self.point_indices = None
-        self.extra_names = extra_names
-        self.combine = combine
-        self.folded_memory = folded_memory
-        self._replay = replay
-        self._full = None
-
-    def __len__(self) -> int:
-        """Number of evaluated points K."""
-        return self.attainables.shape[0]
-
-    @property
-    def n_ips(self) -> int:
-        """Number of IPs N."""
-        return len(self.component_names) - 1 - len(self.extra_names)
-
-    @property
-    def memory_code(self) -> int:
-        """The ``bottleneck_codes`` value meaning "memory binds"."""
-        return self.n_ips
-
-    def bottleneck(self, index: int) -> str:
-        """The binding component's name at point ``index``."""
-        code = int(self.bottleneck_codes[index])
-        if code < 0:
-            return "invalid"
-        return self.component_names[code]
-
-    def bottlenecks(self) -> tuple:
-        """Binding component names for every point, in batch order."""
-        names = self.component_names
-        return tuple(
-            "invalid" if code < 0 else names[code]
-            for code in self.bottleneck_codes.tolist()
-        )
-
-    def materialize(self):
-        """The full interpreted :class:`BatchResult` for these inputs
-        (computed once, then cached on the instance)."""
-        if self._full is None:
-            self._full = self._replay()
-        return self._full
-
-    def result(self, index: int):
-        """Materialize point ``index`` as a full scalar result object."""
-        return self.materialize().result(index)
-
-    def __getattr__(self, name: str):
-        if name in _LAZY_FIELDS:
-            return getattr(self.materialize(), name)
-        raise AttributeError(name)
-
-
 class CompiledPhaseKernel:
     """One fused batch evaluator, specialized to (SoC, phase structure).
 
     Built by :func:`compile_phase`; called with the already-prepared
-    inputs of :func:`repro.core.batch.prepare_batch`.  Supports the
-    ``"raise"`` and ``"record"`` error modes (``"skip"`` compresses
-    rows and stays on the interpreter).
+    inputs of :func:`repro.core.batch.prepare_batch`.  Returns
+    ``(fields, progress)``: the bound, its attribution and the
+    component names, then each row's binding time (or serialized
+    total), before any verdict.  ``valid`` only picks the rows the
+    route solver runs on.
     """
 
     def __init__(self, soc: SoCSpec, phase: LoweredPhase | None) -> None:
@@ -250,7 +138,6 @@ class CompiledPhaseKernel:
         # per-point override is supplied).
         self.peaks = tuple(soc.ip_peak(i) for i in range(n))
         self.ip_bandwidths = tuple(ip.bandwidth for ip in soc.ips)
-        self.memory_bandwidth = soc.memory_bandwidth
 
     # -- operand loading ------------------------------------------------
 
@@ -292,14 +179,10 @@ class CompiledPhaseKernel:
         ip_bandwidths: np.ndarray,
         ip_peaks: np.ndarray,
         valid: np.ndarray | None = None,
-        on_error: str = "raise",
-        failures: list | None = None,
         route_solver=None,
-        replay=None,
-    ) -> FusedBatchResult:
+    ) -> tuple:
         k = fractions.shape[0]
         n = self.n_ips
-        failures = list(failures or ())
         mem_bw = self._axis(memory_bandwidth)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # Equation 9, column-wise: Ci = fi / (Ai * Ppeak);
@@ -410,52 +293,30 @@ class CompiledPhaseKernel:
             # Equation 11 (or 19) + first-tie-wins attribution.
             if self.combine == "sum":
                 components = ip_cols
-                total = ip_cols[0]
+                progress = ip_cols[0]
                 for j in range(1, n):
-                    total = np.add(total, ip_cols[j])
-                valid, attainables = self._bound(
-                    total, on_error, valid, failures, k,
-                    "serialized usecase takes zero time",
-                    "serialized usecase takes zero time",
-                )
+                    progress = np.add(progress, ip_cols[j])
                 binding = self._binding(components)
             else:
                 components = list(ip_cols)
                 components.append(memory_times)
                 components.extend(extra_cols)
-                binding = self._binding(components)
-                valid, attainables = self._bound(
-                    binding, on_error, valid, failures, k,
-                    "degenerate usecase at batch point {bad}: every "
-                    "component takes zero time",
-                    "degenerate usecase: every component takes zero "
-                    "time",
-                )
+                binding = progress = self._binding(components)
+            if _is_array(progress):
+                attainables = np.reciprocal(progress)
+            else:
+                attainables = np.full(k, float(np.reciprocal(progress)))
             codes = self._codes(binding, components, k)
 
-        errors = ()
-        if on_error != "raise":
-            from ..resilience.partial import point_failure
-
-            failures.sort(key=lambda item: item[0])
-            errors = tuple(
-                point_failure((index,), code, message)
-                for index, code, message in failures
-            )
-            codes = np.where(valid, codes, -1)
-            attainables[~valid] = np.nan
-
-        return FusedBatchResult(
+        fields = dict(
             component_names=self.ip_names + (MEMORY,) + tuple(extra_names),
             attainables=attainables,
             bottleneck_codes=codes,
-            valid=valid,
-            errors=errors,
             extra_names=tuple(extra_names),
             combine=self.combine,
             folded_memory=self.folded,
-            replay=replay,
         )
+        return fields, progress
 
     @staticmethod
     def _weighted_sum(d_cols, weights):
@@ -477,35 +338,6 @@ class CompiledPhaseKernel:
         for col in components[1:]:
             binding = np.maximum(binding, col)
         return binding
-
-    @staticmethod
-    def _bound(total, on_error, valid, failures, k, raise_msg, record_msg):
-        """Degenerate-point policy + the exposed attainable bound."""
-        if on_error == "raise":
-            if _is_array(total):
-                # min > 0 == all(total > 0) here (a NaN min compares
-                # False, matching the interpreter's all() on NaN rows).
-                if not total.min() > 0:
-                    bad = int(np.argmin(total > 0))
-                    raise EvaluationError(raise_msg.format(bad=bad))
-                return valid, np.reciprocal(total)
-            if not total > 0:
-                raise EvaluationError(raise_msg.format(bad=0))
-            return valid, np.full(k, float(np.reciprocal(total)))
-        progressing = (
-            total > 0
-            if _is_array(total)
-            else np.full(k, bool(total > 0))
-        )
-        degenerate = valid & ~progressing
-        for index in np.nonzero(degenerate)[0].tolist():
-            failures.append((index, "EVAL_DEGENERATE_POINT", record_msg))
-        valid = valid & progressing
-        if _is_array(total):
-            attainables = np.reciprocal(total)
-        else:
-            attainables = np.full(k, float(np.reciprocal(total)))
-        return valid, attainables
 
     @staticmethod
     def _codes(binding, components, k):
@@ -550,7 +382,7 @@ class CompiledPhaseKernel:
                 np.logical_and(prefix, nb, out=prefix)
                 np.add(codes, prefix, out=codes)
             return codes
-        # Non-finite rows (inf, or NaN in record mode) follow the
+        # Non-finite rows (inf, or NaN on an invalid row) follow the
         # interpreter: tie is (diff <= thresh) | (col == binding), and
         # an all-false tie row (NaN binding) resolves to argmax == 0,
         # so the accumulated count is cancelled when even the top

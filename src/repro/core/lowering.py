@@ -166,11 +166,6 @@ class LoweredModel:
     phases: tuple
 
     @property
-    def single_phase(self) -> bool:
-        """True when the model is one concurrent phase (no sequencing)."""
-        return len(self.phases) == 1
-
-    @property
     def workload_free(self) -> bool:
         """True when every phase carries its own workload vector."""
         return all(phase.workload is not None for phase in self.phases)

@@ -292,12 +292,3 @@ class Workload:
         fractions = tuple(1.0 if i == index else 0.0 for i in range(n_ips))
         intensities = tuple(intensity if i == index else 1.0 for i in range(n_ips))
         return cls(fractions=fractions, intensities=intensities, **kwargs)
-
-
-@dataclass(frozen=True)
-class NamedParameter:
-    """A (name, value, unit) triple used by sweep and report helpers."""
-
-    name: str
-    value: float
-    unit: str = ""

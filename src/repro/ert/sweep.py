@@ -67,11 +67,6 @@ class SweepResult:
     samples: tuple
     faults: dict | None = None
 
-    def at_intensity(self, intensity: float) -> tuple:
-        """Samples of one intensity column, ordered by footprint."""
-        selected = [s for s in self.samples if s.intensity == intensity]
-        return tuple(sorted(selected, key=lambda s: s.footprint_bytes))
-
     def dram_samples(self) -> tuple:
         """Samples whose working set spilled to DRAM."""
         return tuple(s for s in self.samples if s.service_level == "DRAM")

@@ -691,6 +691,10 @@ def evaluate_grid_chunks(
             if heartbeat is not None:
                 heartbeat()
             fractions, intensities = grid_chunk(n, chunk_index, size, seed)
+            # Read-only, so the batch does not copy each block (it
+            # copies a writeable input its caller could edit later).
+            fractions.flags.writeable = False
+            intensities.flags.writeable = False
             attainables = np.empty(size)
             codes = np.empty(size, dtype=np.intp)
             for start in range(0, size, GRID_BLOCK):
@@ -775,7 +779,7 @@ def run_fleet_grid_sweep(
     """
     if workers < 1:
         raise SpecError(f"workers must be >= 1, got {workers}")
-    resolved_engine = _resolve_engine(engine, "raise")
+    resolved_engine = _resolve_engine(engine)
     plan = grid_chunk_plan(points, chunk)
     run_id = fleet_run_id or new_run_id()
     context = new_context(run_id)

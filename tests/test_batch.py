@@ -180,12 +180,7 @@ class TestBatchValidation:
     def test_empty_batch_raises_in_every_mode(
             self, two_ip_soc, engine, on_error, validate):
         empty = np.empty((0, 2))
-        if (engine, on_error) == ("compiled", "skip"):
-            # The compiled engine refuses skip mode before reading input.
-            expected, match = SpecError, "skip"
-        else:
-            expected, match = WorkloadError, "at least one point"
-        with pytest.raises(expected, match=match):
+        with pytest.raises(WorkloadError, match="at least one point"):
             evaluate_batch(
                 two_ip_soc, empty, empty, validate=validate,
                 on_error=on_error, engine=engine,
@@ -295,6 +290,42 @@ class TestInPlaceMutation:
         with pytest.raises(WorkloadError, match=r"finite values in \[0, 1\]"):
             evaluate_batch(generic_spec, fractions, intensities,
                            engine=engine)
+
+
+    @pytest.mark.parametrize("on_error", ["raise", "record", "skip"])
+    @pytest.mark.parametrize("engine", ENGINE_CHOICES)
+    def test_edit_after_the_call_changes_no_result(self, engine, on_error):
+        def inputs():
+            hardware = dict(
+                memory_bandwidth=np.full(3, 5e9),
+                ip_bandwidths=np.full((3, 2), 10e9),
+                ip_peaks=np.tile([10e9, 40e9], (3, 1)),
+            )
+            return np.full((3, 2), 0.5), np.full((3, 2), 0.5), hardware
+
+        fractions, intensities, hardware = inputs()
+        got = evaluate_batch(
+            EDIT_SOC, fractions, intensities, on_error=on_error,
+            engine=engine, **hardware,
+        )
+        # Edit every array the caller passed before reading anything
+        # the compiled result computes on first access.
+        for array in (fractions, intensities, *hardware.values()):
+            array[...] = 100.0
+        fractions, intensities, hardware = inputs()
+        want = evaluate_batch(
+            EDIT_SOC, fractions, intensities, on_error=on_error,
+            engine="interpreted", **hardware,
+        )
+        assert want.attainables[0] == 2.5e9
+        for name in BatchResult.__dataclass_fields__:
+            value, expected = getattr(got, name), getattr(want, name)
+            if isinstance(expected, np.ndarray):
+                assert np.array_equal(value, expected), name
+            else:
+                assert value == expected, name
+        for index in range(len(want)):
+            assert got.result(index) == want.result(index)
 
 
 #: A 2-IP SoC whose memory interface binds when no traffic is filtered
@@ -654,7 +685,7 @@ class TestTransitionBracketing:
 
 
 def test_batch_result_is_frozen(two_ip_soc):
-    from repro.core.compile import FusedBatchResult
+    from repro.core.batch import FusedBatchResult
 
     batch = evaluate_batch(two_ip_soc, [[0.5, 0.5]], [[8.0, 2.0]])
     # The default engine returns the compiled duck-type; forcing the

@@ -11,6 +11,8 @@ the contract that makes the speed safe:
   relative** (and in practice bitwise) across every variant
   kind and SoCs of one to four IPs, including ``on_error="record"``
   NaN masking and per-point hardware overrides;
+- both engines give one verdict on grids with failed rows, in every
+  ``on_error`` mode (``TestOneVerdict``);
 - compiled batches on concurrent threads match the interpreter;
 - the grid fleet's chunk-addressed generation and digests are
   deterministic and engine-independent, and evaluating a chunk in
@@ -57,7 +59,7 @@ from repro.core.extensions import (
     Phase,
     PhasedUsecase,
 )
-from repro.errors import SpecError
+from repro.errors import ReproError, SpecError
 from repro.explore import (
     evaluate_grid_chunks,
     grid_chunk,
@@ -133,19 +135,25 @@ class TestEngineResolution:
                 soc, [[0.5, 0.5]], [[8.0, 2.0]], engine="vectorised"
             )
 
-    def test_compiled_refuses_skip_mode(self):
-        with pytest.raises(SpecError, match="skip"):
-            _resolve_engine("compiled", "skip")
-
-    def test_auto_falls_back_to_interpreter_for_skip(self):
-        assert _resolve_engine("auto", "skip") == "interpreted"
+    def test_compiled_serves_skip_mode(self):
         soc = _soc(2)
         batch = evaluate_batch(
             soc, [[0.5, 0.5], [0.9, 0.9]], [[8.0, 2.0], [8.0, 2.0]],
-            on_error="skip", engine="auto",
+            on_error="skip", engine="compiled",
         )
-        assert isinstance(batch, BatchResult)
-        assert len(batch.errors) == 1
+        assert isinstance(batch, FusedBatchResult)
+        assert batch.point_indices.tolist() == [0]
+        assert [f.coords for f in batch.errors] == [(1,)]
+
+    @pytest.mark.parametrize("on_error", ["raise", "record", "skip"])
+    def test_auto_is_the_compiled_engine_in_every_mode(self, on_error):
+        assert _resolve_engine("auto") == "compiled"
+        soc = _soc(2)
+        batch = evaluate_batch(
+            soc, [[0.5, 0.5], [0.25, 0.75]], [[8.0, 2.0], [8.0, 2.0]],
+            on_error=on_error, engine="auto",
+        )
+        assert isinstance(batch, FusedBatchResult)
 
     def test_engine_choice_picks_the_result_type(self):
         soc = _soc(2)
@@ -389,6 +397,97 @@ class TestUfuncLane:
         )
         _assert_equivalent(compiled, interpreted)
         assert math.isnan(compiled.attainables[1])
+
+
+# ---------------------------------------------------------------------------
+# One verdict for both engines
+# ---------------------------------------------------------------------------
+
+
+#: Poisoned rows of :func:`_poisoned_grid` and the verdict each gets.
+POISONED = {
+    1: "WORKLOAD_FRACTION_RANGE",         # a NaN fraction
+    3: "WORKLOAD_FRACTION_SUM",           # fractions summing to 1.8
+    5: "WORKLOAD_INTENSITY_NONPOSITIVE",  # a zero intensity
+    6: "SPEC_NONPOSITIVE_PEAK",           # a zero IP peak
+    8: "EVAL_DEGENERATE_POINT",           # every component takes 0 s
+}
+
+
+def _poisoned_grid(soc):
+    """A 10-row grid with one row per verdict in :data:`POISONED`."""
+    n = soc.n_ips
+    fractions, intensities = _grid(n, k=10, seed=5)
+    peaks = np.tile([soc.ip_peak(i) for i in range(n)], (10, 1))
+    fractions[1, 0] = math.nan
+    fractions[3] = 1.8 / n
+    intensities[5, n - 1] = 0.0
+    peaks[6, 0] = 0.0
+    # All work on IP 0 with infinite peaks and perfect reuse: no time
+    # anywhere, not even host dispatch (no other IP is active).
+    fractions[8] = [1.0] + [0.0] * (n - 1)
+    intensities[8] = math.inf
+    peaks[8] = math.inf
+    return fractions, intensities, peaks
+
+
+class TestOneVerdict:
+    """Both engines give one verdict: the shared body validates, judges
+    and packages every batch, in every ``on_error`` mode."""
+
+    @pytest.mark.parametrize("on_error", ["record", "skip"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tolerant_modes_agree_bitwise(self, n, on_error):
+        soc = _soc(n)
+        fractions, intensities, peaks = _poisoned_grid(soc)
+        for variant in _variants(n):
+            compiled, interpreted = (
+                evaluate_variant_batch(
+                    soc, variant, fractions, intensities, ip_peaks=peaks,
+                    on_error=on_error, engine=engine,
+                )
+                for engine in ("compiled", "interpreted")
+            )
+            assert isinstance(compiled, FusedBatchResult)
+            assert np.array_equal(
+                compiled.attainables, interpreted.attainables,
+                equal_nan=True,
+            )
+            assert np.array_equal(
+                compiled.bottleneck_codes, interpreted.bottleneck_codes
+            )
+            assert np.array_equal(compiled.valid, interpreted.valid)
+            assert np.array_equal(
+                compiled.ip_times, interpreted.ip_times, equal_nan=True
+            )
+            assert compiled.errors == interpreted.errors
+            assert [(f.coords, f.code) for f in compiled.errors] == [
+                ((index,), code) for index, code in POISONED.items()
+            ], variant.kind
+            if on_error == "record":
+                assert compiled.point_indices is None
+                assert interpreted.point_indices is None
+                assert np.isnan(compiled.attainables[list(POISONED)]).all()
+            else:
+                kept = [i for i in range(10) if i not in POISONED]
+                assert compiled.point_indices.tolist() == kept
+                assert interpreted.point_indices.tolist() == kept
+
+    @pytest.mark.parametrize("row", sorted(POISONED))
+    def test_raise_mode_raises_alike(self, row):
+        soc = _soc(3)
+        fractions, intensities, peaks = _poisoned_grid(soc)
+        rows = [0, row]
+        for variant in _variants(3):
+            raised = []
+            for engine in ("compiled", "interpreted"):
+                with pytest.raises(ReproError) as info:
+                    evaluate_variant_batch(
+                        soc, variant, fractions[rows], intensities[rows],
+                        ip_peaks=peaks[rows], engine=engine,
+                    )
+                raised.append((type(info.value), str(info.value)))
+            assert raised[0] == raised[1], variant.kind
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,28 @@ class TestPartialBatch:
         skipped = get_registry().counter("resilience.points.skipped")
         assert skipped.value == 1
 
+    @pytest.mark.parametrize("on_error", ["record", "skip"])
+    @pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+    def test_each_failed_row_counted_once(self, engine, on_error):
+        from repro.core.batch import evaluate_batch
+
+        batch = evaluate_batch(
+            self._soc(),
+            np.array([[0.5, 0.5], [0.7, 0.7], [0.25, 0.75]]),
+            np.full((3, 2), 4.0),
+            on_error=on_error,
+            engine=engine,
+        )
+        skipped = get_registry().counter("resilience.points.skipped")
+        assert skipped.value == 1
+        # Drill-downs replay the compiled call under its verdict; they
+        # record no failure of their own.
+        for _ in range(2):
+            batch.ip_times, batch.data_bytes, batch.memory_perf_bounds
+            batch.result(0)
+        assert len(batch.errors) == 1
+        assert skipped.value == 1
+
     def test_invalid_mode_rejected(self):
         with pytest.raises(SpecError):
             check_on_error("ignore")
