@@ -100,27 +100,40 @@ def _load_pair(args) -> tuple:
     return repro_io.load(args.soc), repro_io.load(args.workload)
 
 
+def _variant_config(args):
+    """``--variant-config`` as parsed JSON (inline or a file path),
+    or None when it is not given."""
+    raw = getattr(args, "variant_config", None)
+    if not raw:
+        return None
+    import json
+
+    try:
+        if raw.lstrip().startswith("{"):
+            return json.loads(raw)
+        with open(raw, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as err:
+        raise ReproError(f"cannot read --variant-config: {err}") from err
+
+
 def _variant_from_args(args, soc):
     """Build the requested :class:`ModelVariant`, or None for base."""
     name = getattr(args, "variant", None)
     if not name:
         return None
-    config = None
-    raw = getattr(args, "variant_config", None)
-    if raw:
-        import json
+    return variant_from_config(name, soc, _variant_config(args))
 
-        try:
-            if raw.lstrip().startswith("{"):
-                config = json.loads(raw)
-            else:
-                with open(raw, encoding="utf-8") as handle:
-                    config = json.load(handle)
-        except (OSError, ValueError) as err:
-            raise ReproError(
-                f"cannot read --variant-config: {err}"
-            ) from err
-    return variant_from_config(name, soc, config)
+
+def _retry_policy(args):
+    """``--retries N`` as ``RetryPolicy(N)``; with a fault plan and no
+    ``--retries``, the default policy (injected dropouts need retries
+    to converge); otherwise None."""
+    from .resilience import DEFAULT_RETRY_POLICY, RetryPolicy
+
+    if args.retries is not None:
+        return RetryPolicy(max_attempts=args.retries)
+    return DEFAULT_RETRY_POLICY if args.fault_plan else None
 
 
 def _cmd_eval(args) -> int:
@@ -214,23 +227,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_measure(args) -> int:
     from .ert import fit_roofline, roofline_summary, run_sweep
-    from .resilience import DEFAULT_RETRY_POLICY, RetryPolicy
     from .sim import simulated_snapdragon_835
 
-    retry_policy = None
-    if args.retries is not None:
-        retry_policy = RetryPolicy(max_attempts=args.retries)
-    elif args.fault_plan:
-        # Injected dropouts need retries to converge; default to the
-        # stock policy whenever a fault plan is active.
-        retry_policy = DEFAULT_RETRY_POLICY
     platform = simulated_snapdragon_835()
     sweep = run_sweep(
         platform,
         args.engine,
         seed=args.seed,
         fault_plan=args.fault_plan,
-        retry_policy=retry_policy,
+        retry_policy=_retry_policy(args),
         checkpoint=args.checkpoint,
     )
     fitted = fit_roofline(sweep)
@@ -502,25 +507,17 @@ def _cmd_bench_compare(args) -> int:
 def _cmd_fleet_run(args) -> int:
     from .explore import run_fleet_sweep
     from .market import market_spec_population
-    from .resilience import DEFAULT_RETRY_POLICY, RetryPolicy
 
     if args.grid:
         return _fleet_run_tail(args, _fleet_grid_run(args))
     cases = market_spec_population(since=args.since, limit=args.specs)
-    retry_policy = None
-    if args.retries is not None:
-        retry_policy = RetryPolicy(max_attempts=args.retries)
-    elif args.fault_plan:
-        # Same convention as ``gables measure``: injected dropouts need
-        # retries to converge.
-        retry_policy = DEFAULT_RETRY_POLICY
     result = run_fleet_sweep(
         cases,
         workers=args.workers,
         on_error=args.on_error,
         fault_plan_name=args.fault_plan,
         seed=args.seed,
-        retry_policy=retry_policy,
+        retry_policy=_retry_policy(args),
         checkpoint_path=args.checkpoint,
         telemetry_dir=args.telemetry,
     )
@@ -687,17 +684,7 @@ def _cmd_client_eval(args) -> int:
     from .serve import ServiceClient
 
     soc, workload = _load_pair(args)
-    config = None
-    raw = getattr(args, "variant_config", None)
-    if raw:
-        try:
-            if raw.lstrip().startswith("{"):
-                config = json.loads(raw)
-            else:
-                with open(raw, encoding="utf-8") as handle:
-                    config = json.load(handle)
-        except (OSError, ValueError) as err:
-            raise ReproError(f"cannot read --variant-config: {err}") from err
+    config = _variant_config(args)
     with ServiceClient(args.url) as client:
         if args.variant:
             payload = client.evaluate_variant(

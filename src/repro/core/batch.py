@@ -211,6 +211,14 @@ class BatchResult(_Attribution):
                 f"batch point {index} failed during tolerant "
                 f"evaluation{detail}"
             )
+        extra = {
+            name: float(self.extra_times_matrix[index, j])
+            for j, name in enumerate(self.extra_names)
+        }
+        # As in the scalar fold, coordination is a component only on a
+        # point that dispatches work, and then it lands on the host.
+        if extra.get(COORDINATION) == 0:
+            del extra[COORDINATION]
         terms = []
         for i, name in enumerate(self.component_names[: self.n_ips]):
             fraction = float(self.fractions[index, i])
@@ -219,7 +227,9 @@ class BatchResult(_Attribution):
             transfer_time = float(self.transfer_times[index, i])
             if fraction == 0:
                 limiter = "idle"
-                perf_bound = None
+                perf_bound = (
+                    1.0 / time if i == 0 and COORDINATION in extra else None
+                )
             elif self.folded_memory and time > max(
                 transfer_time, compute_time
             ):
@@ -247,10 +257,6 @@ class BatchResult(_Attribution):
                 )
             )
         memory_time = float(self.memory_times[index])
-        extra = {
-            name: float(self.extra_times_matrix[index, j])
-            for j, name in enumerate(self.extra_names)
-        }
         times = {term.name: term.time for term in terms}
         if self.combine == "max":
             times[MEMORY] = memory_time

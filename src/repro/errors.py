@@ -106,7 +106,7 @@ class MeasurementError(ReproError, RuntimeError):
     Raised by the ERT sweep driver (:mod:`repro.ert.sweep`) when a
     sample drops out — an injected measurement fault, or a real one on
     hardware — and the active :class:`repro.resilience.RetryPolicy`
-    exhausts its attempts or its per-sample time budget.
+    exhausts its attempts.
     """
 
     code = "MEASUREMENT_FAILED"
@@ -141,9 +141,7 @@ FINE_GRAINED_CODES: dict = {
     "EVAL_DEGENERATE_POINT": EvaluationError,
     "SERIALIZATION_NONFINITE": SerializationError,
     "MEASUREMENT_DROPOUT": MeasurementError,
-    "MEASUREMENT_TIMEOUT": MeasurementError,
     "MEASUREMENT_RETRIES_EXHAUSTED": MeasurementError,
-    "MEASUREMENT_DEADLINE_EXCEEDED": MeasurementError,
     "SERVE_BAD_REQUEST": ServeError,
     "SERVE_UNKNOWN_ENDPOINT": ServeError,
     "SERVE_METHOD_NOT_ALLOWED": ServeError,

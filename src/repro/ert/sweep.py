@@ -262,23 +262,16 @@ def _measure_sample(
     repeat set is MAD-trimmed before the best-of reduction; without
     one, a :class:`~repro.errors.MeasurementError` propagates.
     """
+    def attempt():
+        return platform.run_kernel(engine, kernel)
+
+    context = (
+        f"{engine} sample at I={intensity:g}, {kernel.footprint_bytes:g} B"
+    )
     observations = []
     with _span("ert.measure"):
         for _ in range(repeats):
-            def attempt():
-                return platform.run_kernel(engine, kernel)
-
-            if retry_policy is not None:
-                result = call_with_retry(
-                    attempt,
-                    retry_policy,
-                    context=(
-                        f"{engine} sample at I={intensity:g}, "
-                        f"{kernel.footprint_bytes:g} B"
-                    ),
-                )
-            else:
-                result = attempt()
+            result = call_with_retry(attempt, retry_policy, context=context)
             observed = result.gflops
             if rng is not None:
                 observed *= 1.0 - noise * float(rng.random())
@@ -286,7 +279,7 @@ def _measure_sample(
     values = [value for value, _ in observations]
     if retry_policy is not None:
         with _span("ert.outlier_reject"):
-            values = reject_outliers_mad(values, retry_policy.mad_threshold)
+            values = reject_outliers_mad(values)
     best = max(values)
     service_level = next(
         level for value, level in observations if value == best

@@ -212,7 +212,7 @@ def evaluate_population(
     # within the 1% overhead budget, so nothing per point may build a
     # span, a closure, or a kwargs dict unless its collector is live.
     logged = logging_configured()
-    plain = injector is None and retry_policy is None and not tracing_enabled()
+    plain = not (injector or retry_policy or tracing_enabled())
     key = None
     reused = 0
     with _span("fleet.shard", cases=len(cases)):
@@ -276,11 +276,9 @@ def _instrumented_attempt(case, injector, retry_policy):
         return evaluate(case.soc, case.workload)
 
     with _span("fleet.point"):
-        if retry_policy is not None:
-            return call_with_retry(
-                attempt, retry_policy, context=f"fleet point {case.key}",
-            )
-        return attempt()
+        return call_with_retry(
+            attempt, retry_policy, context=f"fleet point {case.key}",
+        )
 
 
 def worker_checkpoint_path(checkpoint_path, worker_id: str):

@@ -49,7 +49,6 @@ from .bench import (
     ComparisonRow,
     append_history,
     compare_runs,
-    detect_regressions,
     git_revision,
     host_fingerprint,
     make_record,
@@ -209,7 +208,6 @@ __all__ = [
     "counter",
     "current_context",
     "default_objectives",
-    "detect_regressions",
     "discover_shards",
     "disable_tracing",
     "enable_tracing",
@@ -283,8 +281,8 @@ def reset_observability() -> None:
 
     The test-suite hook: tracing disabled and emptied,
     every metric zeroed in place (handles stay live), the structured
-    logger closed and removed, and this thread's trace context
-    dropped.
+    logger closed and removed, this thread's trace context dropped,
+    and the SLO window cleared.
     """
     reset_tracing()
     reset_metrics()

@@ -8,7 +8,7 @@ capabilities on top of it:
   ``BENCH_HISTORY.jsonl`` (:func:`append_history`), a greppable JSONL
   trajectory that survives across PRs and CI runs, and the one
   benchmark-record format;
-- **regression detection**: :func:`detect_regressions` compares the
+- **regression detection**: :func:`compare_runs` compares the
   latest run against a rolling-median baseline with a MAD noise gate,
   flagging timing metrics that got >= 20% slower — the check behind
   ``gables bench compare`` and the CI ``bench-history`` job.
@@ -26,6 +26,7 @@ import json
 import math
 import os
 import platform as _platform
+import statistics
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -150,7 +151,7 @@ def host_fingerprint() -> dict:
     """Where this run happened: platform, python, machine, cpu count.
 
     Timing comparisons across different fingerprints are meaningless;
-    :func:`detect_regressions` and the overhead benchmarks use this to
+    :func:`compare_runs` and the overhead benchmarks use this to
     restrict baselines to same-host records.
     """
     return {
@@ -318,14 +319,6 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _median(values) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 def rolling_baseline(values, window: int = DEFAULT_WINDOW) -> tuple:
     """``(median, mad)`` of the most recent ``window`` values.
 
@@ -338,8 +331,8 @@ def rolling_baseline(values, window: int = DEFAULT_WINDOW) -> tuple:
     recent = list(values)[-window:]
     if not recent:
         raise ObservabilityError("rolling baseline needs at least one value")
-    median = _median(recent)
-    mad = _median([abs(v - median) for v in recent])
+    median = statistics.median(recent)
+    mad = statistics.median([abs(v - median) for v in recent])
     return median, mad
 
 
@@ -417,20 +410,3 @@ def compare_runs(
         run_id=current_run, rows=tuple(rows), threshold=threshold
     )
 
-
-def detect_regressions(
-    history,
-    *,
-    current_run: str | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
-    window: int = DEFAULT_WINDOW,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-) -> tuple:
-    """The flagged rows of :func:`compare_runs` (empty when clean)."""
-    return compare_runs(
-        history,
-        current_run=current_run,
-        threshold=threshold,
-        window=window,
-        min_samples=min_samples,
-    ).regressions

@@ -6,9 +6,9 @@ contention, thermal governors interfere.  This package provides:
 
 - :class:`FaultPlan` / :class:`FaultInjector` — seeded, deterministic
   fault injection the simulated SoC consults (``docs/robustness.md``).
-- :class:`RetryPolicy` / :func:`call_with_retry` — bounded retry with
-  exponential backoff, per-sample timeout budgets, and MAD outlier
-  rejection for the ERT sweep driver.
+- :class:`RetryPolicy` / :func:`call_with_retry` — retry a dropped
+  sample up to ``max_attempts`` times, and MAD outlier rejection for
+  the ERT sweep driver.
 - :class:`SweepCheckpoint` — JSONL checkpoint/resume for long sweeps.
 - :class:`PointFailure` / ``on_error`` modes — the shared vocabulary
   for partial-failure batch and sweep evaluation.

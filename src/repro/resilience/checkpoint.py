@@ -43,15 +43,13 @@ class SweepCheckpoint:
 
     ``SweepCheckpoint(path)`` loads any existing records; ``get``
     answers "was this sample already measured?" and ``record`` appends
-    a new one, flushing eagerly so progress survives a kill.  Pass
-    ``path=None`` for a disabled, in-memory-only checkpoint (every
-    sweep can then use the same code path).
+    a new one, flushing eagerly so progress survives a kill.
     """
 
-    def __init__(self, path=None) -> None:
-        self.path = os.fspath(path) if path is not None else None
+    def __init__(self, path) -> None:
+        self.path = os.fspath(path)
         self._records: dict = {}
-        if self.path is not None and os.path.exists(self.path):
+        if os.path.exists(self.path):
             self._records = load_checkpoint(self.path)
 
     def __len__(self) -> int:
@@ -68,8 +66,6 @@ class SweepCheckpoint:
         """Store ``payload`` under ``key``, appending to the file."""
         self._records[key] = payload
         _CHECKPOINT_WRITES.inc()
-        if self.path is None:
-            return
         line = json.dumps(
             {"schema": SCHEMA, "key": key, "payload": payload},
             allow_nan=False,

@@ -146,8 +146,8 @@ class FaultInjector:
     The simulator asks in a *fixed order* per run — dropout first, then
     bandwidth, then (inside the thermal model) throttle, then noise —
     so the draw sequence, and therefore every injected fault, is a pure
-    function of ``(plan, seed, call order)``.  :meth:`reset` rewinds
-    the RNG so a fresh run replays the identical fault timeline.
+    function of ``(plan, seed, call order)``: a fresh injector with the
+    same plan and seed replays the identical fault timeline.
     """
 
     def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
@@ -158,14 +158,9 @@ class FaultInjector:
         self._rng = random.Random(self.seed)
         self.counts = {"dropout": 0, "bandwidth": 0, "thermal": 0, "noise": 0}
 
-    def reset(self) -> None:
-        """Rewind the RNG and zero the event counts (replay the plan)."""
-        self._rng = random.Random(self.seed)
-        self.counts = {"dropout": 0, "bandwidth": 0, "thermal": 0, "noise": 0}
-
     @property
     def injected(self) -> int:
-        """Episodic faults injected since construction/reset.
+        """Episodic faults injected since construction.
 
         Dropouts, bandwidth episodes, and thermal episodes; ambient
         noise applications are tracked in ``counts["noise"]`` but are

@@ -1,10 +1,11 @@
-"""Retry, timeout, backoff, and outlier rejection for noisy measurement.
+"""Retry and outlier rejection for noisy measurement.
 
 The ERT methodology the paper adopts already assumes repetition ("we
 repeatedly benchmark this kernel ... to seek the best achievable
-performance"); this module adds the *failure* half of that story: what
-to do when a sample drops out entirely, how long to keep trying, and
-how to keep an anomalous sample from polluting the best-of reduction.
+performance"); this module adds the *failure* half of that story: a
+sample that drops out is measured again, up to a fixed number of
+attempts, and an anomalous sample is kept from polluting the best-of
+reduction.
 
 :class:`RetryPolicy` is a frozen value object; :func:`call_with_retry`
 executes one measurement closure under a policy, and
@@ -14,8 +15,7 @@ deviation before the pessimistic best-of reduction.
 
 from __future__ import annotations
 
-import math
-import time
+import statistics
 from dataclasses import dataclass
 
 from ..errors import MeasurementError, SpecError
@@ -23,162 +23,53 @@ from ..obs.metrics import counter as _counter
 
 _RETRIES = _counter("resilience.retries")
 _RETRIES_EXHAUSTED = _counter("resilience.retries_exhausted")
-_DEADLINE_EXCEEDED = _counter("resilience.deadline_exceeded")
+
+#: Modified z-score cutoff for :func:`reject_outliers_mad` (Iglewicz &
+#: Hoaglin's recommended 3.5).
+MAD_THRESHOLD = 3.5
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How hard to fight for one measurement sample.
+    """How many times to try one measurement sample.
 
-    Parameters
-    ----------
-    max_attempts:
-        Total tries per sample (first attempt included).
-    timeout_s:
-        Wall-clock budget per sample across all of its attempts;
-        ``inf`` (default) never times out.  Checked *between* attempts,
-        so a single slow attempt is never interrupted mid-flight.
-    deadline_s:
-        Overall wall-clock budget for the whole :func:`call_with_retry`
-        call, *including* backoff sleeps; ``inf`` (default) never
-        expires.  Unlike ``timeout_s`` (which only cuts retries short)
-        the deadline is also checked before the first attempt, so a
-        caller-imposed budget that has already elapsed — a server
-        request whose deadline passed while queued — fails fast with
-        code ``MEASUREMENT_DEADLINE_EXCEEDED`` instead of burning one
-        more attempt.
-    backoff_base_s:
-        Sleep before the first retry; 0 (default) retries immediately,
-        which is right for a simulator and for tests.
-    backoff_multiplier:
-        Exponential growth of the backoff between successive retries.
-    jitter:
-        Relative randomization of each backoff delay (0.1 = up to
-        ±10%), drawn from the caller-supplied RNG so retried sweeps
-        stay reproducible.
-    mad_threshold:
-        Modified z-score cutoff for :func:`reject_outliers_mad`; 0
-        disables outlier rejection.
+    ``max_attempts`` counts every try, the first one included.
     """
 
     max_attempts: int = 5
-    timeout_s: float = math.inf
-    deadline_s: float = math.inf
-    backoff_base_s: float = 0.0
-    backoff_multiplier: float = 2.0
-    jitter: float = 0.0
-    mad_threshold: float = 3.5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise SpecError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if not self.timeout_s > 0:
-            raise SpecError(f"timeout_s must be positive, got {self.timeout_s!r}")
-        if not self.deadline_s > 0:
-            raise SpecError(
-                f"deadline_s must be positive, got {self.deadline_s!r}"
-            )
-        if self.backoff_base_s < 0:
-            raise SpecError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s!r}"
-            )
-        if self.backoff_multiplier < 1.0:
-            raise SpecError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier!r}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise SpecError(f"jitter must lie in [0, 1], got {self.jitter!r}")
-        if self.mad_threshold < 0:
-            raise SpecError(
-                f"mad_threshold must be >= 0, got {self.mad_threshold!r}"
-            )
-
-    def backoff_delay(self, retry_index: int, rng=None) -> float:
-        """Seconds to wait before retry ``retry_index`` (1-based)."""
-        if retry_index < 1:
-            raise SpecError(f"retry_index must be >= 1, got {retry_index}")
-        delay = self.backoff_base_s * self.backoff_multiplier ** (retry_index - 1)
-        if self.jitter > 0 and rng is not None:
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return max(0.0, delay)
 
 
 #: The policy the CLI and ``run_sweep`` reach for when asked to retry.
 DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
-def call_with_retry(
-    fn,
-    policy: RetryPolicy,
-    *,
-    retryable: tuple = (MeasurementError,),
-    rng=None,
-    sleep=time.sleep,
-    clock=time.monotonic,
-    context: str = "measurement",
-    deadline: float | None = None,
-):
+def call_with_retry(fn, policy: RetryPolicy | None, *,
+                    context: str = "measurement"):
     """Run ``fn()`` under ``policy``; return its value or raise.
 
-    Only ``retryable`` exceptions trigger a retry; anything else (a
-    genuine :class:`~repro.errors.SimulationError`, a programming
-    error) propagates immediately.  After the attempt or time budget is
-    spent, raises :class:`MeasurementError` with code
-    ``MEASUREMENT_RETRIES_EXHAUSTED`` (or ``MEASUREMENT_TIMEOUT``)
-    chaining the last underlying failure.
-
-    ``deadline`` is an optional *absolute* instant on ``clock``'s
-    timeline by which the whole call must finish; it composes with the
-    policy's own relative ``deadline_s`` (the earlier one wins).  A
-    spent deadline — checked before the first attempt and between
-    attempts — raises :class:`MeasurementError` with code
-    ``MEASUREMENT_DEADLINE_EXCEEDED``, so a server-imposed request
-    budget propagates through retried measurement work as a catalogued
-    error instead of an over-budget success.
+    A :class:`MeasurementError` is retried; anything else (a genuine
+    :class:`~repro.errors.SimulationError`, a programming error)
+    propagates immediately.  Once ``policy.max_attempts`` attempts have
+    failed, raises :class:`MeasurementError` with code
+    ``MEASUREMENT_RETRIES_EXHAUSTED`` chaining the last failure.  A
+    ``None`` policy runs ``fn`` once and lets its error propagate
+    unchanged.
     """
-    now = clock()
-    timeout_at = None
-    if math.isfinite(policy.timeout_s):
-        timeout_at = now + policy.timeout_s
-    if math.isfinite(policy.deadline_s):
-        policy_deadline = now + policy.deadline_s
-        deadline = (
-            policy_deadline if deadline is None
-            else min(deadline, policy_deadline)
-        )
-
-    def deadline_spent(attempts: int, err) -> None:
-        if deadline is not None and clock() >= deadline:
-            _DEADLINE_EXCEEDED.inc()
-            raise MeasurementError(
-                f"{context} exceeded its deadline after "
-                f"{attempts} attempt(s): {err}",
-                code="MEASUREMENT_DEADLINE_EXCEEDED",
-            ) from err
-
-    deadline_spent(0, None)
-    last_error = None
+    if policy is None:
+        return fn()
     for attempt in range(1, policy.max_attempts + 1):
         try:
             return fn()
-        except retryable as err:
+        except MeasurementError as err:
             last_error = err
-            if attempt == policy.max_attempts:
-                break
-            deadline_spent(attempt, err)
-            if timeout_at is not None and clock() >= timeout_at:
-                _RETRIES_EXHAUSTED.inc()
-                raise MeasurementError(
-                    f"{context} exceeded its {policy.timeout_s:g}s budget "
-                    f"after {attempt} attempt(s): {err}",
-                    code="MEASUREMENT_TIMEOUT",
-                ) from err
-            _RETRIES.inc()
-            delay = policy.backoff_delay(attempt, rng)
-            if delay > 0:
-                sleep(delay)
+            if attempt < policy.max_attempts:
+                _RETRIES.inc()
     _RETRIES_EXHAUSTED.inc()
     raise MeasurementError(
         f"{context} failed after {policy.max_attempts} attempt(s): "
@@ -187,7 +78,7 @@ def call_with_retry(
     ) from last_error
 
 
-def reject_outliers_mad(values, threshold: float = 3.5) -> list:
+def reject_outliers_mad(values, threshold: float = MAD_THRESHOLD) -> list:
     """Drop values whose modified z-score exceeds ``threshold``.
 
     The modified z-score (Iglewicz & Hoaglin) is
@@ -199,18 +90,8 @@ def reject_outliers_mad(values, threshold: float = 3.5) -> list:
     values = list(values)
     if threshold <= 0 or len(values) < 3:
         return values
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        median = ordered[mid]
-    else:
-        median = 0.5 * (ordered[mid - 1] + ordered[mid])
-    deviations = sorted(abs(v - median) for v in values)
-    mid = len(deviations) // 2
-    if len(deviations) % 2:
-        mad = deviations[mid]
-    else:
-        mad = 0.5 * (deviations[mid - 1] + deviations[mid])
+    median = statistics.median(values)
+    mad = statistics.median([abs(v - median) for v in values])
     if mad == 0:
         return values
     kept = [

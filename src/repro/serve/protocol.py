@@ -74,9 +74,7 @@ HTTP_STATUS_BY_CODE: dict = {
     "EVAL_DEGENERATE_POINT": 422,
     "SERIALIZATION_NONFINITE": 400,
     "MEASUREMENT_DROPOUT": 500,
-    "MEASUREMENT_TIMEOUT": 504,
     "MEASUREMENT_RETRIES_EXHAUSTED": 500,
-    "MEASUREMENT_DEADLINE_EXCEEDED": 504,
     "SERVE_BAD_REQUEST": 400,
     "SERVE_UNKNOWN_ENDPOINT": 404,
     "SERVE_METHOD_NOT_ALLOWED": 405,

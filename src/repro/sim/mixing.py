@@ -132,8 +132,6 @@ def run_mixing_sweep(
                 platform, cpu_engine, gpu_engine,
                 fraction, intensity, elements, total_flops,
             )
-        if retry_policy is None:
-            return attempt()
         return call_with_retry(
             attempt, retry_policy,
             context=f"mixing cell (f={fraction:g}, I={intensity:g})",

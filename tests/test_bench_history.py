@@ -10,7 +10,6 @@ from repro.obs.bench import (
     BenchRecord,
     append_history,
     compare_runs,
-    detect_regressions,
     host_fingerprint,
     make_record,
     new_run_id,
@@ -119,18 +118,18 @@ class TestRollingBaseline:
 class TestRegressionDetection:
     def test_synthetic_25pct_slowdown_is_flagged(self):
         history = _history([1.0, 1.01, 0.99, 1.0, 1.25])
-        (row,) = detect_regressions(history)
+        (row,) = compare_runs(history).regressions
         assert row.name == "bench.sweep"
         assert row.ratio == pytest.approx(1.25)
 
     def test_10pct_slowdown_is_not_flagged(self):
         history = _history([1.0, 1.01, 0.99, 1.0, 1.10])
-        assert detect_regressions(history) == ()
+        assert compare_runs(history).regressions == ()
 
     def test_noisy_baseline_mad_gate_suppresses_flag(self):
         # A 25% jump that is within 3 sigma of a very noisy baseline.
         history = _history([1.0, 1.6, 0.7, 1.4, 0.8, 1.25])
-        assert detect_regressions(history) == ()
+        assert compare_runs(history).regressions == ()
 
     def test_min_samples_guard(self):
         history = _history([1.0, 2.0])  # one baseline run only

@@ -185,10 +185,8 @@ FROZEN_CLASS_CATALOG = (
 
 FROZEN_FINE_GRAINED_CATALOG = (
     ("EVAL_DEGENERATE_POINT", "EvaluationError", 422),
-    ("MEASUREMENT_DEADLINE_EXCEEDED", "MeasurementError", 504),
     ("MEASUREMENT_DROPOUT", "MeasurementError", 500),
     ("MEASUREMENT_RETRIES_EXHAUSTED", "MeasurementError", 500),
-    ("MEASUREMENT_TIMEOUT", "MeasurementError", 504),
     ("OBS_EXPOSITION_MALFORMED", "ObservabilityError", 500),
     ("SERIALIZATION_NONFINITE", "SerializationError", 400),
     ("SERVE_BAD_REQUEST", "ServeError", 400),

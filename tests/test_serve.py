@@ -194,11 +194,11 @@ class TestProtocol:
 
     def test_error_body_round_trips_fine_grained_code(self):
         body = error_body(
-            MeasurementError("late", code="MEASUREMENT_DEADLINE_EXCEEDED")
+            MeasurementError("gave up", code="MEASUREMENT_RETRIES_EXHAUSTED")
         )
         err = error_from_payload(body)
         assert isinstance(err, MeasurementError)
-        assert err.code == "MEASUREMENT_DEADLINE_EXCEEDED"
+        assert err.code == "MEASUREMENT_RETRIES_EXHAUSTED"
 
     def test_unknown_payload_degrades_to_serve_error(self):
         err = error_from_payload({"nonsense": True})

@@ -398,10 +398,19 @@ def _assert_batch_matches_scalar(soc, workloads, variant):
             scalar.bottleneck
         )
         point = batch.result(index)
+        assert point.extra_times.keys() == scalar.extra_times.keys()
         for name, time in scalar.extra_times.items():
             assert point.extra_times[name] == pytest.approx(
                 time, rel=_REL, abs=0.0
             )
+        for term, expected in zip(point.ip_terms, scalar.ip_terms):
+            assert term.limiter == expected.limiter
+            if expected.perf_bound is None:
+                assert term.perf_bound is None
+            else:
+                assert term.perf_bound == pytest.approx(
+                    expected.perf_bound, rel=_REL, abs=0.0
+                )
 
 
 @given(st.data())
@@ -528,6 +537,36 @@ def test_zero_fraction_ips_stay_idle_across_backends():
         scalar.attainable, rel=_REL
     )
     assert batch.result(0).ip_terms[1].limiter == "idle"
+
+
+@pytest.mark.parametrize("engine", ["interpreted", "compiled"])
+def test_coordination_drill_down_is_the_scalar_result(engine):
+    """An idle host still runs the coordination work it dispatches,
+    so its drill-down term is bound at 1 / t_coord, as the scalar fold
+    bounds it; a point that dispatches nothing has no coordination
+    component, even beside one that does."""
+    soc = SoCSpec(
+        peak_perf=10e9,
+        memory_bandwidth=5e9,
+        ips=(IPBlock("cpu", 1.0, 10e9), IPBlock("gpu", 4.0, 10e9)),
+    )
+    variant = CoordinationVariant(
+        CoordinationModel((0.0, 1e-3), ops_per_item=1.0)
+    )
+    idle_host = Workload(fractions=(0.0, 1.0), intensities=(2.0, 2.0))
+    host_only = Workload(fractions=(1.0, 0.0), intensities=(2.0, 2.0))
+    scalars = [
+        evaluate_variant(soc, workload, variant)
+        for workload in (idle_host, host_only)
+    ]
+    assert scalars[0].ip_terms[0].limiter == "idle"
+    assert scalars[0].ip_terms[0].perf_bound == 1000.0
+    assert scalars[1].extra_times == {}
+    fractions, intensities = _batch_grid(soc, [idle_host, host_only])
+    batch = evaluate_variant_batch(
+        soc, variant, fractions, intensities, engine=engine
+    )
+    assert [batch.result(i) for i in range(2)] == scalars
 
 
 def test_record_mode_masks_invalid_rows_with_nan():
