@@ -20,7 +20,7 @@ Structure:
   (synthetic grids) shard their work round-robin and run every shard
   through one lifecycle: inline for one worker, otherwise on worker
   *processes*.  Each shard's :class:`~repro.obs.context.TraceContext`
-  travels in its pickled payload, and with a telemetry directory every
+  travels in its payload, and with a telemetry directory every
   worker drains its telemetry into a
   :class:`~repro.obs.collect.ShardCollector` directory for ``gables
   telemetry merge``.
@@ -30,9 +30,12 @@ other Python thread, and *spawned* otherwise.  A forked worker starts
 with the caller's numpy and ``repro`` already imported, so no call pays
 an interpreter start; it also starts with the caller's memory —
 collectors and monkeypatches included — which is why the worker entry
-resets every collector first.  Fork is unsafe while another thread may
-hold a lock, and on platforms whose system libraries do not survive it;
-there a spawned worker imports what it needs in a fresh interpreter.
+resets every collector first.  That memory holds every shard's payload
+too, so a forked worker is sent only which shard to run, and no payload
+is pickled.  Fork is unsafe while another thread may hold a lock, and
+on platforms whose system libraries do not survive it; there a spawned
+worker imports what it needs in a fresh interpreter and is sent each
+shard's payload, pickled.
 
 Determinism is a hard contract, pinned by tests: cases are assigned
 ``indices[shard::workers]`` and reassembled by original index, and the
@@ -51,6 +54,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -80,7 +84,7 @@ _FLEET_CHECKPOINT_REUSED = _counter("explore.fleet.checkpoint_reused")
 HEARTBEAT_EVERY = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FleetPoint:
     """One evaluated case — pure model outputs plus its population index.
 
@@ -302,8 +306,9 @@ def _run_shard(payload: dict) -> dict:
     the previous one restored on exit; with a ``telemetry_dir`` the
     shard gets a :class:`~repro.obs.collect.ShardCollector`, structured
     logs, tracing and heartbeats.  ``payload["work"]`` — a module-level
-    body per driver, so the payload pickles — does the shard's work and
-    returns its result fields, ``elapsed_s`` among them.
+    body per driver, so a spawned worker can be sent the payload — does
+    the shard's work and returns its result fields, ``elapsed_s`` among
+    them.
 
     Assumes the process-global collectors are in the desired state:
     the worker entry (:func:`_fleet_worker`) resets them first, the
@@ -331,14 +336,32 @@ def _run_shard(payload: dict) -> dict:
     }
 
 
-def _fleet_worker(payload: dict) -> dict:
+#: Every shard's payload, in a forked worker: set there by the pool
+#: initializer, :func:`_inherit`.  The caller never sets it.
+_INHERITED: list = []
+
+
+def _inherit(payloads: list) -> None:
+    """Fork-pool initializer: keep the payloads the worker inherited.
+
+    A forked process gets its initializer's arguments with the caller's
+    memory, not through a pickle, so a task need only name its shard.
+    """
+    global _INHERITED
+    _INHERITED = payloads
+
+
+def _fleet_worker(task) -> dict:
     """Worker-process entry point (module-level for picklability).
 
-    Resets every process-global collector first — a forked worker
-    starts with the caller's, and a pool process may serve more than
-    one shard — then runs the shard.
+    ``task`` is the shard's payload on a spawned worker, and the
+    shard's position in the inherited payloads on a forked one.  Resets
+    every process-global collector first — a forked worker starts with
+    the caller's, and a pool process may serve more than one shard —
+    then runs the shard.
     """
     reset_observability()
+    payload = _INHERITED[task] if isinstance(task, int) else task
     return _run_shard(payload)
 
 
@@ -360,6 +383,14 @@ def _run_shards(payloads: list, workers: int) -> list:
     thread runs could copy a lock that thread holds.  Forked workers
     skip the interpreter start and import, and inherit the caller's
     memory, which :func:`_fleet_worker` resets.
+
+    Forked workers inherit the payloads too, as the pool initializer's
+    arguments, so each task is only a shard's position and no payload
+    is pickled.  Spawned workers are sent each payload with its task.
+    A spawn pool pickles the initializer's arguments into the child's
+    start-up pipe, and a payload-sized write there blocks until the
+    child has imported ``repro``, so each worker would start only after
+    the one before it had imported.
     """
     if workers == 1:
         return [_run_shard(payload) for payload in payloads]
@@ -367,20 +398,22 @@ def _run_shards(payloads: list, workers: int) -> list:
     with ProcessPoolExecutor(
         max_workers=len(payloads),
         mp_context=get_context("fork" if fork else "spawn"),
+        initializer=_inherit if fork else None,
+        initargs=(payloads,) if fork else (),
     ) as pool:
-        if fork:
-            # A fork pool starts every worker on the first submit.  The
-            # rule above leaves no other Python thread to hold a lock,
-            # and the native BLAS pools behind the OS thread count
-            # re-initialise in the child through pthread_atfork.
-            with warnings.catch_warnings():
+        tasks = range(len(payloads)) if fork else payloads
+        with warnings.catch_warnings() if fork else nullcontext():
+            if fork:
+                # A fork pool starts every worker on the first submit.
+                # The rule above leaves no other Python thread to hold a
+                # lock, and the native BLAS pools behind the OS thread
+                # count re-initialise in the child through
+                # pthread_atfork.
                 warnings.filterwarnings(
                     "ignore", message=_FORK_THREADS_WARNING,
                     category=DeprecationWarning,
                 )
-                futures = [pool.submit(_fleet_worker, p) for p in payloads]
-        else:
-            futures = [pool.submit(_fleet_worker, p) for p in payloads]
+            futures = [pool.submit(_fleet_worker, task) for task in tasks]
         return [future.result() for future in futures]
 
 
@@ -522,12 +555,21 @@ def run_fleet_sweep(
     failures = []
     for result in results:
         for data in result["points"]:
-            point = FleetPoint.from_dict(data)
-            if point.index in by_index:
+            index = data["index"]
+            if index in by_index:
                 raise ObservabilityError(
-                    f"fleet point index {point.index} produced twice"
+                    f"fleet point index {index} produced twice"
                 )
-            by_index[point.index] = point
+            # The caller's own key string, not the worker's copy, which
+            # every retained result would otherwise keep alive.
+            by_index[index] = FleetPoint(
+                index=index,
+                key=cases[index].key,
+                attainable=data["attainable"],
+                bottleneck=data["bottleneck"],
+                memory_time=data["memory_time"],
+                average_intensity=data["average_intensity"],
+            )
         failures.extend(
             PointFailure(
                 coords=tuple(f["coords"]), code=f["code"],

@@ -10,8 +10,9 @@ or :func:`context_scope` and read back by the structured logger and
 the service client (:func:`current_context`).
 
 It travels explicitly, in the data the receiver gets: the fleet runner
-(:mod:`repro.explore.fleet`) pickles each shard's context into the
-shard's payload and installs it for the shard's duration, and the
+(:mod:`repro.explore.fleet`) puts each shard's context in the shard's
+payload, which a forked worker inherits and a spawned one is sent, and
+installs it for the shard's duration, and the
 service propagates it across HTTP as ``X-Gables-*`` headers
 (:func:`inject_headers` / :func:`extract_headers`), so a child's
 telemetry carries its parent's ``trace_id`` and everything merges into

@@ -13,10 +13,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ import repro.explore.fleet as fleet_module
 from repro import obs
 from repro.cli import main
 from repro.core import FIGURE_6B
-from repro.errors import SpecError
+from repro.errors import MeasurementError, SpecError
 from repro.explore import (
     FleetPoint,
     evaluate_grid_chunks,
@@ -35,7 +37,7 @@ from repro.explore import (
     run_fleet_sweep,
     worker_checkpoint_path,
 )
-from repro.market import market_spec_population
+from repro.market import MarketSpecCase, market_spec_population
 from repro.resilience import RetryPolicy
 
 #: Both fleet drivers run their shards through one lifecycle.
@@ -79,6 +81,49 @@ def _small_fleet(driver: str, workers: int, **kwargs):
         FIGURE_6B.soc(), points=4_000, chunk=1_000, workers=workers,
         **kwargs,
     )
+
+
+class _UnpicklableCase(MarketSpecCase):
+    """A case that refuses to be pickled, so it can reach a worker only
+    in the memory the worker was forked with."""
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError("a fleet case must not be pickled")
+
+
+@contextmanager
+def _helper_thread(helper: bool):
+    """With ``helper``, one more Python thread runs for the body, which
+    puts a fleet call's workers on spawn."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if helper:
+        thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        if helper:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _expected_start_method(helper: bool) -> str:
+    return ("fork" if sys.platform.startswith("linux") and not helper
+            else "spawn")
+
+
+@pytest.fixture
+def start_methods(monkeypatch):
+    """The start method of every pool the fleet module builds, in order."""
+    chosen = []
+
+    def spy(method):
+        chosen.append(method)
+        return multiprocessing.get_context(method)
+
+    monkeypatch.setattr(fleet_module, "get_context", spy)
+    return chosen
 
 
 @pytest.fixture(scope="module")
@@ -145,29 +190,12 @@ class TestFleetIdentity:
                              ids=["one-thread", "helper-thread"])
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_start_method_follows_the_thread_rule(self, driver, helper,
-                                                  monkeypatch):
-        chosen = []
-
-        def spy(method):
-            chosen.append(method)
-            return multiprocessing.get_context(method)
-
-        monkeypatch.setattr(fleet_module, "get_context", spy)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        if helper:
-            thread.start()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                fleet = _small_fleet(driver, 2)
-        finally:
-            release.set()
-        if helper:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        fork = sys.platform.startswith("linux") and not helper
-        assert chosen == ["fork" if fork else "spawn"]
+                                                  start_methods):
+        with _helper_thread(helper), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fleet = _small_fleet(driver, 2)
+        assert start_methods == [_expected_start_method(helper)]
         # CPython >= 3.12 warns on a fork while BLAS threads run.
         assert not [w for w in caught if "multi-threaded" in str(w.message)]
         serial = _small_fleet(driver, 1)
@@ -175,6 +203,26 @@ class TestFleetIdentity:
             assert fleet.points == serial.points
         else:
             assert fleet.digest == serial.digest
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="fleet workers are forked on Linux only")
+    def test_forked_workers_are_sent_no_payload(self, start_methods):
+        cases = tuple(
+            _UnpicklableCase(case.record, case.soc, case.workload)
+            for case in market_spec_population(limit=40)
+        )
+        with pytest.raises(TypeError, match="must not be pickled"):
+            pickle.dumps(cases[0])
+        serial, _ = evaluate_population(cases)
+        fleet = run_fleet_sweep(cases, workers=2)
+        assert start_methods == ["fork"]
+        assert fleet.points == serial
+        for point in fleet.points:
+            # Reassembled with the caller's own key strings, into slots.
+            assert point.key is cases[point.index].key
+            assert not hasattr(point, "__dict__")
+            assert pickle.loads(pickle.dumps(point)) == point
+            assert FleetPoint.from_dict(point.to_dict()) == point
 
     def test_three_workers_same_answer(self, small_population):
         two = run_fleet_sweep(small_population, workers=2)
@@ -206,6 +254,21 @@ class TestFleetResilience:
             report.fault_summary["injected"] for report in fleet.workers
         )
         assert injected > 0
+
+    @pytest.mark.parametrize("helper", [False, True],
+                             ids=["one-thread", "helper-thread"])
+    def test_worker_error_reaches_the_caller(self, small_population, helper,
+                                             start_methods):
+        # No retry policy and on_error="raise": a worker's first dropout
+        # ends its shard, and the caller raises that catalogued error.
+        with _helper_thread(helper), \
+                pytest.raises(MeasurementError) as caught:
+            run_fleet_sweep(
+                small_population, workers=2,
+                fault_plan_name="chaos-default", seed=0,
+            )
+        assert start_methods == [_expected_start_method(helper)]
+        assert caught.value.code == "MEASUREMENT_DROPOUT"
 
     def test_record_mode_surfaces_unretried_dropouts(self, small_population):
         fleet = run_fleet_sweep(
