@@ -10,6 +10,7 @@ noise) and track the absolute throughput of both paths.
 from __future__ import annotations
 
 import timeit
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +82,10 @@ def test_batch_sweep_10x_faster_than_scalar_loop():
 def test_sweep_call_costs_at_most_2x_its_batch_and_points():
     """A sweep call is one batch plus one ``SweepPoint`` per point: a
     20k-point f-sweep costs at most 2x a raw ``evaluate_batch(...,
-    validate=False)`` on the same grid plus the positional build of its
-    points, so no other per-point work creeps into the driver."""
+    validate=False)`` on the same grid plus the build of its points,
+    made as ``sweep_fraction`` makes them (``tuple.__new__`` over the
+    zipped columns), so no other per-point work creeps into the
+    sweep."""
     soc, workload = _pair()
     values = [k / 19_999 for k in range(20_000)]
     grid = fraction_grid(workload.fractions, 1, np.asarray(values))
@@ -97,10 +100,10 @@ def test_sweep_call_costs_at_most_2x_its_batch_and_points():
     sweep = best(lambda: sweep_fraction(soc, workload, 1, values))
     raw = best(lambda: evaluate_batch(soc, grid, intensities,
                                       validate=False))
-    build = best(lambda: tuple(map(
-        SweepPoint, values, batch.attainables.tolist(),
+    build = best(lambda: tuple(map(tuple.__new__, repeat(SweepPoint), zip(
+        values, batch.attainables.tolist(),
         map(names.__getitem__, batch.bottleneck_codes.tolist()),
-    )))
+    ))))
     ratio = sweep / (raw + build)
     print(f"\n20k-point f-sweep: sweep {sweep * 1e3:.2f} ms, raw batch "
           f"{raw * 1e3:.2f} ms, points {build * 1e3:.2f} ms, "

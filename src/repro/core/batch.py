@@ -417,7 +417,8 @@ def _fraction_sums(fractions: np.ndarray) -> np.ndarray:
 
 
 def _in_unit_range(values: np.ndarray) -> np.ndarray:
-    return np.isfinite(values) & (values >= 0) & (values <= 1)
+    """In ``[0, 1]``: both comparisons are False for NaN and +-inf."""
+    return (values >= 0) & (values <= 1)
 
 
 def _sums_to_one(fractions: np.ndarray) -> np.ndarray:
@@ -425,8 +426,9 @@ def _sums_to_one(fractions: np.ndarray) -> np.ndarray:
 
 
 def _positive(values: np.ndarray) -> np.ndarray:
-    """Positive, possibly inf, never NaN: ``require_positive``."""
-    return (values > 0) & ~np.isnan(values)
+    """Positive, possibly inf, never NaN (``> 0`` is False for NaN):
+    ``require_positive``."""
+    return values > 0
 
 
 def _finite_positive(values: np.ndarray) -> np.ndarray:

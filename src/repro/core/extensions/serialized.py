@@ -21,7 +21,6 @@ transfer is already accounted inside each ``T'``:
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from ..gables import ip_terms
 from ..lowering import LoweredModel, LoweredPhase
@@ -51,7 +50,9 @@ def serialized_ip_times(soc: SoCSpec, workload: Workload) -> tuple:
         else:
             limiter = term.limiter
             perf_bound = math.inf if time == 0 else 1.0 / time
-        terms.append(replace(term, time=time, perf_bound=perf_bound, limiter=limiter))
+        terms.append(
+            term._replace(time=time, perf_bound=perf_bound, limiter=limiter)
+        )
     return tuple(terms)
 
 

@@ -70,20 +70,12 @@ def ip_terms(soc: SoCSpec, workload: Workload) -> tuple:
             # A denormal fraction can underflow the time to exactly 0;
             # the bound is then effectively unconstrained.
             perf_bound = math.inf if time == 0 else 1.0 / time
-        terms.append(
-            IPTerm(
-                index=index,
-                name=ip.name,
-                fraction=fraction,
-                intensity=intensity,
-                compute_time=compute_time,
-                data_bytes=data_bytes,
-                transfer_time=transfer_time,
-                time=time,
-                perf_bound=perf_bound,
-                limiter=limiter,
-            )
-        )
+        # Positional, in ``IPTerm._fields`` order: the keyword call
+        # costs more, and this runs once per IP per evaluation.
+        terms.append(IPTerm(
+            index, ip.name, fraction, intensity, compute_time, data_bytes,
+            transfer_time, time, perf_bound, limiter,
+        ))
     return tuple(terms)
 
 

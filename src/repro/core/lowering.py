@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import SpecError
 from ..obs.trace import get_tracer as _get_tracer
@@ -189,7 +189,7 @@ def _folded_terms(soc: SoCSpec, terms: tuple) -> tuple:
             limiter = term.limiter
             perf_bound = math.inf if time == 0 else 1.0 / time
         folded.append(
-            replace(term, time=time, perf_bound=perf_bound, limiter=limiter)
+            term._replace(time=time, perf_bound=perf_bound, limiter=limiter)
         )
     return tuple(folded)
 
@@ -238,8 +238,7 @@ def _execute_lowered_phase_impl(
             host = terms[0]
             host_time = host.time + t_coord
             terms = (
-                replace(
-                    host,
+                host._replace(
                     time=host_time,
                     perf_bound=(
                         1.0 / host_time

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import EvaluationError
 from ..obs.trace import get_tracer as _get_tracer
@@ -28,9 +29,12 @@ BINDING_REL_TOL = 1e-9
 MEMORY = "memory"
 
 
-@dataclass(frozen=True)
-class IPTerm:
+class IPTerm(NamedTuple):
     """Evaluated quantities for one IP (Equations 9 / 1-2).
+
+    A named tuple, because one is built per IP per evaluation and a
+    tuple is the cheapest immutable record to build.  Copy one with
+    ``term._replace(...)``.
 
     Attributes
     ----------

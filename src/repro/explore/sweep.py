@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -38,8 +39,7 @@ _SWEEP_POINTS = _counter("explore.sweep.points")
 _SWEEP_BATCHES = _counter("explore.sweep.batches")
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """One sweep sample: input value, bound, and attribution."""
 
     value: float
@@ -142,18 +142,19 @@ def _records(record: type, batch, *coords: np.ndarray) -> tuple:
     """One ``record`` per row the batch evaluated (code >= 0).
 
     ``coords`` holds one array per axis, aligned with the batch's rows.
-    ``record`` takes a row's coordinates, then its attainable bound and
-    bottleneck name, by position: a dense sweep builds tens of
-    thousands of them, and a keyword call each costs ~40% more.
+    ``record`` is a named tuple whose fields are a row's coordinates,
+    then its attainable bound and bottleneck name.  A dense sweep
+    builds tens of thousands of them, so each is made by
+    ``tuple.__new__`` over the zipped columns, all in C: calling
+    ``record`` would run its Python ``__new__`` once per row.
     """
     evaluated = batch.bottleneck_codes >= 0
     names = batch.component_names
-    return tuple(map(
-        record,
+    return tuple(map(tuple.__new__, repeat(record), zip(
         *(column[evaluated].tolist() for column in coords),
         batch.attainables[evaluated].tolist(),
         map(names.__getitem__, batch.bottleneck_codes[evaluated].tolist()),
-    ))
+    )))
 
 
 def _series(

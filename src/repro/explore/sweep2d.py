@@ -14,8 +14,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
+
+from .._validation import require_same_length
 
 # The grid evaluates through ``sweep._evaluate_points``; the two batch
 # entry points stay importable here because perfbench's tracer lists
@@ -23,14 +28,13 @@ import numpy as np
 from ..core.batch import evaluate_batch  # noqa: F401
 from ..core.params import SoCSpec, Workload
 from ..core.variants import ModelVariant, evaluate_variant_batch  # noqa: F401
-from ..errors import ReproError, SpecError
+from ..errors import ReproError, SpecError, WorkloadError
 from ..obs.trace import span as _span
 from ..resilience.partial import PointFailure, check_on_error, record_failure
 from .sweep import _evaluate_points, _records
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """One (x, y) evaluation."""
 
     x: float
@@ -89,6 +93,17 @@ class SweepGrid:
         return census
 
 
+def _gather(workloads: list, name: str, n: int) -> np.ndarray:
+    """Workload field ``name`` of every cell as a (K, n) array.
+
+    ``np.fromiter`` stops at ``count`` without complaint, so every
+    workload must already be checked to be ``n`` wide.
+    """
+    k = len(workloads)
+    values = chain.from_iterable(map(attrgetter(name), workloads))
+    return np.fromiter(values, dtype=float, count=k * n).reshape(k, n)
+
+
 def sweep_grid(
     soc: SoCSpec,
     x_name: str,
@@ -109,11 +124,14 @@ def sweep_grid(
     With ``variant`` set, the batch routes through the lowered pipeline
     (:func:`repro.core.variants.evaluate_variant_batch`) instead.
 
-    Under ``on_error="skip"``/``"record"``, cells whose ``build`` call
-    or model evaluation raises a :class:`~repro.errors.ReproError` are
-    dropped from the grid (and, for ``"record"``, captured in
-    ``errors``) instead of aborting the sweep; the surviving cells are
-    bitwise identical to a fault-free run.
+    A cell whose workload does not cover ``soc.n_ips`` IPs fails with
+    the scalar evaluators' ``WORKLOAD_INVALID`` error, as if its
+    ``build`` call had raised it.  Under ``on_error="skip"``/
+    ``"record"``, cells whose ``build`` call or model evaluation raises
+    a :class:`~repro.errors.ReproError` are dropped from the grid (and,
+    for ``"record"``, captured in ``errors``) instead of aborting the
+    sweep; the surviving cells are bitwise identical to a fault-free
+    run.
     """
     check_on_error(on_error)
     if variant is not None and not variant.requires_workload:
@@ -124,23 +142,27 @@ def sweep_grid(
     if not x_values or not y_values:
         raise SpecError("both axes need at least one value")
     coords = [(x, y) for y in y_values for x in x_values]
+    n = soc.n_ips
     with _span("explore.sweep_grid", points=len(coords)):
         failures: list = []
-        built = None  # indices of the cells built, when not all were
-        if on_error == "raise":
-            workloads = [build(x, y) for x, y in coords]
-        else:
-            built = []
-            workloads = []
-            for index, (x, y) in enumerate(coords):
-                try:
-                    workloads.append(build(x, y))
-                except ReproError as err:
-                    failures.append(
-                        record_failure((float(x), float(y)), err)
-                    )
-                    continue
-                built.append(index)
+        built = []  # indices of the cells built
+        workloads = []
+        for index, (x, y) in enumerate(coords):
+            try:
+                workload = build(x, y)
+                # The scalar evaluators' shape check, per cell: the
+                # gather below needs every row to be N wide.
+                require_same_length(
+                    soc.ips, workload.fractions,
+                    "soc.ips", "workload.fractions", WorkloadError,
+                )
+            except ReproError as err:
+                if on_error == "raise":
+                    raise
+                failures.append(record_failure((float(x), float(y)), err))
+                continue
+            workloads.append(workload)
+            built.append(index)
         if not workloads:
             return SweepGrid(
                 x_name=x_name,
@@ -151,7 +173,7 @@ def sweep_grid(
         # Row-major coordinate columns, as float(x) and float(y).
         xs = np.tile(np.array(list(map(float, x_values))), len(y_values))
         ys = np.repeat(np.array(list(map(float, y_values))), len(x_values))
-        if built is not None:
+        if len(built) < len(coords):
             xs, ys = xs[built], ys[built]
         # Workload construction already validated every row; the batch
         # record mode still weeds out degenerate (all-zero-time) points.
@@ -161,8 +183,8 @@ def sweep_grid(
             None,
             len(workloads),
             validate=False,
-            fractions=np.array([w.fractions for w in workloads]),
-            intensities=np.array([w.intensities for w in workloads]),
+            fractions=_gather(workloads, "fractions", n),
+            intensities=_gather(workloads, "intensities", n),
             on_error="raise" if on_error == "raise" else "record",
             engine=engine,
         )

@@ -58,6 +58,10 @@ def generate_api_doc() -> str:
         "lowered variant pipeline every model variant evaluates",
         "through, see [architecture.md](architecture.md).",
         "",
+        "The per-item records `IPTerm`, `SweepPoint` and `GridCell`",
+        "are named tuples: read their fields by name, and copy one",
+        "with some fields changed by `record._replace(field=...)`.",
+        "",
     ]
     for module_name, title in PACKAGES:
         module = importlib.import_module(module_name)

@@ -165,6 +165,18 @@ class TestMarketSpecPopulation:
         assert not failures
         assert len(points) == len(small_population)
         assert all(point.attainable > 0 for point in points)
+        assert [point.index for point in points] == list(
+            range(len(small_population))
+        )
+
+    def test_given_indices_key_the_points(self, small_population):
+        cases = small_population[:3]
+        points, _ = evaluate_population(cases, indices=(5.0, 7, True))
+        assert [(type(p.index), p.index) for p in points] == [
+            (int, 5), (int, 7), (int, 1),
+        ]
+        with pytest.raises(SpecError, match="must match cases"):
+            evaluate_population(cases, indices=[1, 2])
 
 
 class TestFleetIdentity:

@@ -8,7 +8,7 @@ import xml.dom.minidom
 import pytest
 
 from repro.core import FIGURE_6A, FIGURE_6D, SoCSpec, Workload, evaluate
-from repro.errors import ReproError, SpecError
+from repro.errors import ReproError, SpecError, WorkloadError
 from repro.explore import GridCell, analytic_mixing_grid, sweep_grid
 from repro.market import (
     concentration_series,
@@ -140,6 +140,51 @@ class TestGridCells:
                           self.build, on_error="record")
         assert grid.cells == ()
         assert [f.code for f in grid.errors] == ["WORKLOAD_INVALID"]
+
+
+class TestWrongWidthCells:
+    """A cell whose workload covers the wrong number of IPs fails as
+    scalar ``evaluate`` fails it, alone; the other cells are unchanged."""
+
+    SOC = FIGURE_6A.soc()  # two IPs
+    X = (0.0, 0.5, 0.25, 0.5, 1.0)
+    Y = (1.0, 16.0)
+
+    @staticmethod
+    def build(f, intensity):
+        if f == 0.5:  # three IPs
+            return Workload((0.5, 0.25, 0.25), (intensity,) * 3)
+        return Workload.two_ip(f, intensity, intensity)
+
+    def scalar_error(self) -> tuple:
+        with pytest.raises(WorkloadError) as excinfo:
+            evaluate(self.SOC, self.build(0.5, 1.0))
+        return excinfo.value.code, str(excinfo.value)
+
+    @pytest.mark.parametrize("xs", [X, (0.5,)], ids=["some", "every"])
+    def test_raise_gives_the_scalar_error(self, xs):
+        with pytest.raises(WorkloadError) as excinfo:
+            sweep_grid(self.SOC, "f", xs, "I", self.Y, self.build)
+        assert (excinfo.value.code, str(excinfo.value)) == self.scalar_error()
+
+    @pytest.mark.parametrize("on_error", ["record", "skip"])
+    @pytest.mark.parametrize("xs", [X, (0.5,)], ids=["some", "every"])
+    def test_tolerant_modes_fail_each_such_cell(self, xs, on_error):
+        grid = sweep_grid(self.SOC, "f", xs, "I", self.Y, self.build,
+                          on_error=on_error)
+        kept = tuple(x for x in xs if x != 0.5)
+        reference = (
+            sweep_grid(self.SOC, "f", kept, "I", self.Y, self.build).cells
+            if kept else ()
+        )
+        assert _bits(grid.cells) == _bits(reference)
+        failed = [
+            ((0.5, y), *self.scalar_error())
+            for y in self.Y for x in xs if x == 0.5
+        ]
+        assert [(f.coords, f.code, f.message) for f in grid.errors] == (
+            failed if on_error == "record" else []
+        )
 
 
 class TestHeatmap:

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import IPBlock, SoCSpec, Workload, evaluate
+from repro.core import IPBlock, IPTerm, SoCSpec, Workload, evaluate
+from repro.core import batch as core_batch
 from repro.core.extensions.phases import Phase, PhasedUsecase
 from repro.core.variants import (
     VARIANT_CHOICES,
@@ -28,6 +29,7 @@ from repro.core.variants import (
 )
 from repro.errors import ReproError, SpecError, WorkloadError
 from repro.explore import (
+    GridCell,
     SweepPoint,
     analytic_mixing_grid,
     sweep_acceleration,
@@ -250,6 +252,17 @@ PREDICATES = {
     "Bpeak": (_finite_positive, SOC.with_memory_bandwidth),
     "Bi": (_positive, lambda v: SOC.with_ip(1, bandwidth=v)),
     "Ai": (_finite_positive, lambda v: SOC.with_ip(1, acceleration=v)),
+    # The batch engine's elementwise validation rules.
+    "batch fractions": (
+        core_batch._in_unit_range,
+        lambda v: Workload((v, 1.0 - v), (1.0, 1.0)),
+    ),
+    "batch intensities": (
+        core_batch._positive,
+        lambda v: replace(WORKLOAD, intensities=(6.0, v, 10.0)),
+    ),
+    "batch Bpeak": (core_batch._finite_positive, SOC.with_memory_bandwidth),
+    "batch Bi": (core_batch._positive, lambda v: SOC.with_ip(1, bandwidth=v)),
 }
 EDGES = (
     NAN, INF, -INF, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -269,6 +282,54 @@ def test_predicate_agrees_with_constructor(driver, value):
     else:
         constructed = True
     assert bool(accepts(np.array([value]))[0]) is constructed
+
+
+#: record -> (its field order, one record's fields, that record's repr)
+RECORDS = {
+    SweepPoint: (
+        ("value", "attainable", "bottleneck"),
+        (0.5, 2.0, "memory"),
+        "SweepPoint(value=0.5, attainable=2.0, bottleneck='memory')",
+    ),
+    GridCell: (
+        ("x", "y", "attainable", "bottleneck"),
+        (0.25, 16.0, 3.0, "GPU"),
+        "GridCell(x=0.25, y=16.0, attainable=3.0, bottleneck='GPU')",
+    ),
+    IPTerm: (
+        ("index", "name", "fraction", "intensity", "compute_time",
+         "data_bytes", "transfer_time", "time", "perf_bound", "limiter"),
+        (1, "GPU", 0.0, INF, 0.0, 0.0, 0.0, 0.0, None, "idle"),
+        "IPTerm(index=1, name='GPU', fraction=0.0, intensity=inf, "
+        "compute_time=0.0, data_bytes=0.0, transfer_time=0.0, time=0.0, "
+        "perf_bound=None, limiter='idle')",
+    ),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+def test_record_contract(record):
+    fields, values, text = RECORDS[record]
+    assert record._fields == fields
+    built = record(**dict(zip(fields, values)))
+    assert built == record(*values)
+    assert repr(built) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(built, name, 1.0)
+
+
+def test_each_path_makes_its_record_type():
+    series = sweep_fraction(SOC, WORKLOAD, 1, [0.0, 0.5, 1.0])
+    grid = analytic_mixing_grid(SOC)
+    batch = evaluate_variant_batch(
+        SOC, variant_from_config("base", SOC), [WORKLOAD.fractions],
+        [WORKLOAD.intensities],
+    )
+    assert {type(point) for point in series.points} == {SweepPoint}
+    assert {type(cell) for cell in grid.cells} == {GridCell}
+    for result in (evaluate(SOC, WORKLOAD), batch.result(0)):
+        assert {type(term) for term in result.ip_terms} == {IPTerm}
 
 
 class TestBatchVerdicts:

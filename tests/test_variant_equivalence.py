@@ -18,7 +18,6 @@ masking of invalid batch rows).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +29,7 @@ from repro.core import (
     CoordinationVariant,
     InterconnectVariant,
     IPBlock,
+    IPTerm,
     MemorySideVariant,
     MultipathVariant,
     PhasedVariant,
@@ -157,9 +157,7 @@ def legacy_coordination(soc, workload, coordination):
     if t_coord > 0:
         host = terms[0]
         host_time = host.time + t_coord
-        terms[0] = dataclasses.replace(
-            host, time=host_time, perf_bound=1.0 / host_time
-        )
+        terms[0] = host._replace(time=host_time, perf_bound=1.0 / host_time)
     times = {term.name: term.time for term in terms}
     times[MEMORY] = t_memory
     if t_coord > 0:
@@ -350,6 +348,26 @@ def test_coordination_scalar_bitwise(pair, data):
         evaluate_variant(soc, workload, CoordinationVariant(model)),
         legacy_coordination(soc, workload, model),
     )
+
+
+@pytest.mark.parametrize(("variant", "replaced"), [
+    (SerializedVariant(), True),
+    (MemorySideVariant(MemorySideCache((0.5, 0.25))), False),
+    (CoordinationVariant(CoordinationModel((0.0, 1e-4), ops_per_item=1e6)),
+     True),
+], ids=["serialized", "memory-side", "coordination"])
+def test_lowered_terms_are_ip_terms(variant, replaced):
+    """A term copied with ``_replace`` is still an ``IPTerm``."""
+    soc = SoCSpec.two_ip(40e9, 10e9, acceleration=5, cpu_bandwidth=6e9,
+                         acc_bandwidth=15e9)
+    workload = Workload.two_ip(f=0.75, i0=8, i1=0.1)
+    terms = evaluate_variant(soc, workload, variant).ip_terms
+    assert [type(term) for term in terms] == [IPTerm, IPTerm]
+    assert (terms != ip_terms(soc, workload)) is replaced
+    if variant.kind == "serialized":
+        folded = serialized_ip_times(soc, workload)
+        assert [type(term) for term in folded] == [IPTerm, IPTerm]
+        assert folded == terms
 
 
 @given(soc_and_workload(n_min=2), st.data())
