@@ -8,8 +8,6 @@ Section IV findings on both simulated devices side by side.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.ert import acceleration_between, fit_roofline, run_sweep
 from repro.sim import (
     run_mixing_sweep,

@@ -19,7 +19,6 @@ from repro.ert import (
     run_sweep,
 )
 from repro.explore import (
-    TechnologyTrend,
     bottleneck_drift,
     years_until_memory_bound,
 )

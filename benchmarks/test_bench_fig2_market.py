@@ -7,8 +7,6 @@ including the named facts (Qualcomm 49 -> 27; TI/Intel exits; >30 IPs).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.market import (
     SOC_INTRODUCTIONS_BY_YEAR,
     generate_market_dataset,

@@ -19,8 +19,8 @@ Three published extensions plus one composition layer:
   cites for future work.
 """
 
+from ..lowering import COORDINATION
 from .coordination import (
-    COORDINATION,
     CoordinationModel,
     coordination_break_even_items,
     lower_coordination,

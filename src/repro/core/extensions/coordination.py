@@ -26,7 +26,7 @@ import math
 
 from ..._validation import require_finite_positive, require_nonnegative
 from ...errors import SpecError, WorkloadError
-from ..lowering import COORDINATION, LoweredModel, LoweredPhase
+from ..lowering import LoweredModel, LoweredPhase
 from ..params import SoCSpec, Workload
 
 

@@ -22,6 +22,7 @@ clustered topologies of real SoCs (paper Figure 3).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -33,14 +34,24 @@ from ..params import SoCSpec, Workload
 from ..result import MEMORY
 
 
+@dataclass(frozen=True)
 class Bus:
-    """One interconnection network (fabric) with a bandwidth bound."""
+    """One interconnection network (fabric) with a bandwidth bound.
 
-    def __init__(self, name: str, bandwidth: float) -> None:
-        if not name:
+    Frozen: the multi-path route-split memo
+    (:mod:`~repro.core.extensions.multipath`) is solved for these
+    bandwidths, so a different bandwidth is a different ``Bus``.
+    """
+
+    name: str
+    bandwidth: float
+
+    def __post_init__(self) -> None:
+        if not self.name:
             raise SpecError("Bus name must be non-empty")
-        self.name = name
-        self.bandwidth = require_positive(bandwidth, f"bus {name!r} bandwidth")
+        object.__setattr__(self, "bandwidth", require_positive(
+            self.bandwidth, f"bus {self.name!r} bandwidth"
+        ))
 
     def __repr__(self) -> str:
         return f"Bus({self.name!r}, bandwidth={self.bandwidth!r})"

@@ -70,8 +70,21 @@ class MultiPathInterconnect:
         self.routes = tuple(resolved)
         # Memoized LP solutions keyed by traffic *ratios*: the optimal
         # splits are scale-invariant in the byte volumes, so a sweep
-        # that only rescales traffic re-solves nothing.
+        # that only rescales traffic re-solves nothing.  The key holds
+        # no bandwidth or route: ``buses`` and ``routes`` cannot be
+        # rebound (below) and ``Bus`` is frozen.
         self._split_cache: dict = {}
+
+    def __setattr__(self, name: str, value) -> None:
+        # A guard on writes, not a property: the LP and the per-point
+        # bus times read ``buses`` and ``routes`` in their inner loops
+        # (``hasattr``, not ``self.__dict__``, which would slow them).
+        if name in ("buses", "routes") and hasattr(self, name):
+            raise AttributeError(
+                f"MultiPathInterconnect.{name} cannot be rebound: the "
+                f"memoized route splits were solved for it"
+            )
+        super().__setattr__(name, value)
 
     def _resolve(self, route, ip_index: int) -> tuple:
         indices = []

@@ -81,7 +81,7 @@ _FLEET_POINTS = _counter("explore.fleet.points")
 _FLEET_FAILURES = _counter("explore.fleet.failures")
 _FLEET_CHECKPOINT_REUSED = _counter("explore.fleet.checkpoint_reused")
 
-#: Default heartbeat cadence, in evaluated points.
+#: Heartbeat cadence, in evaluated points.
 HEARTBEAT_EVERY = 25
 
 
@@ -180,7 +180,6 @@ def evaluate_population(
     retry_policy: RetryPolicy | None = None,
     checkpoint: SweepCheckpoint | None = None,
     heartbeat=None,
-    heartbeat_every: int = HEARTBEAT_EVERY,
 ) -> tuple:
     """One shard of cases through the model; returns (points, failures).
 
@@ -189,7 +188,7 @@ def evaluate_population(
     the fleet's reassembly.  ``injector`` may fail attempts (dropouts),
     which ``retry_policy`` retries; a point that still fails is raised,
     skipped, or recorded per ``on_error``.  ``heartbeat`` (a callable)
-    fires every ``heartbeat_every`` evaluated points.
+    fires every :data:`HEARTBEAT_EVERY` evaluated points.
 
     The telemetry hooks on this loop — a span per shard, a span and a
     structured-log event per point, the fleet counters — cost
@@ -209,10 +208,6 @@ def evaluate_population(
             raise SpecError(
                 f"indices ({len(indices)}) must match cases ({len(cases)})"
             )
-    if heartbeat_every < 1:
-        raise SpecError(
-            f"heartbeat_every must be >= 1, got {heartbeat_every}"
-        )
     points, failures = [], []
     # Hoisted enablement checks: the loop's disabled path must stay
     # within the 1% overhead budget, so nothing per point may build a
@@ -225,7 +220,7 @@ def evaluate_population(
         # A flat three-way unpack: ~40 ns a point cheaper than
         # ``enumerate(zip(...))``'s nested one.
         for position, index, case in zip(count(), indices, cases):
-            if heartbeat is not None and position % heartbeat_every == 0:
+            if heartbeat is not None and position % HEARTBEAT_EVERY == 0:
                 heartbeat()
             if checkpoint is not None:
                 key = sample_key(case=case.key)
@@ -452,7 +447,6 @@ def _case_shard(payload: dict, heartbeat) -> dict:
         retry_policy=payload["retry_policy"],
         checkpoint=checkpoint,
         heartbeat=heartbeat,
-        heartbeat_every=payload["heartbeat_every"],
     )
     elapsed = time.perf_counter() - start
     log_event(
@@ -498,7 +492,6 @@ def run_fleet_sweep(
     checkpoint_path=None,
     telemetry_dir=None,
     fleet_run_id: str | None = None,
-    heartbeat_every: int = HEARTBEAT_EVERY,
 ) -> FleetResult:
     """Evaluate a case population across ``workers`` processes.
 
@@ -549,7 +542,6 @@ def run_fleet_sweep(
                 os.fspath(checkpoint_path) if checkpoint_path is not None
                 else None
             ),
-            "heartbeat_every": heartbeat_every,
         })
     start = time.perf_counter()
     results = _run_shards(payloads, workers)

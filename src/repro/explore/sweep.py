@@ -26,7 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core.batch import evaluate_batch, fraction_grid
+from ..core.batch import (
+    _finite_positive,
+    _in_unit_range,
+    _positive,
+    evaluate_batch,
+    fraction_grid,
+)
 from ..core.params import SoCSpec, Workload
 from ..core.variants import ModelVariant, evaluate_variant_batch
 from ..errors import ReproError, SpecError, WorkloadError
@@ -121,21 +127,6 @@ class SweepSeries:
                     )
                 )
         return tuple(transitions)
-
-
-def _unit_interval(values: np.ndarray) -> np.ndarray:
-    """Where :meth:`Workload.with_fraction_at` accepts: ``0 <= f <= 1``."""
-    return (values >= 0) & (values <= 1)
-
-
-def _positive(values: np.ndarray) -> np.ndarray:
-    """Where ``require_positive`` accepts: ``> 0``, inf allowed, NaN not."""
-    return values > 0
-
-
-def _finite_positive(values: np.ndarray) -> np.ndarray:
-    """Where ``require_finite_positive`` accepts."""
-    return np.isfinite(values) & (values > 0)
 
 
 def _records(record: type, batch, *coords: np.ndarray) -> tuple:
@@ -298,7 +289,7 @@ def sweep_fraction(
     return _series(
         f"f[{ip_index}]",
         fractions,
-        _unit_interval,
+        _in_unit_range,
         lambda f: workload.with_fraction_at(ip_index, f),
         batch_fn,
         on_error,

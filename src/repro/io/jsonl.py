@@ -9,9 +9,10 @@ one partial final line, so a reader silently drops a torn *final*
 line but fails loudly on corruption anywhere earlier (an artifact
 worth appending to is an artifact worth refusing to misread).  The
 evaluation service's result cache (:mod:`repro.serve`) is the fourth
-such file.  :func:`read_jsonl_tolerant` is the one implementation of
-that contract; the per-artifact readers supply only their decoding
-and error flavor.
+such file, and span traces (:func:`repro.obs.read_trace_jsonl`, also
+under every telemetry shard) the fifth.  :func:`read_jsonl_tolerant`
+is the one implementation of that contract; the per-artifact readers
+supply only their decoding and error flavor.
 """
 
 from __future__ import annotations

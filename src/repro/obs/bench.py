@@ -16,7 +16,7 @@ capabilities on top of it:
 The rolling median + MAD rule: a current value is a regression when it
 exceeds *both* ``median * (1 + threshold)`` (the material-slowdown
 bar) and ``median + 3 * 1.4826 * MAD`` (the this-isn't-just-noise
-bar).  With fewer than ``min_samples`` baseline points nothing is
+bar).  With fewer than ``DEFAULT_MIN_SAMPLES`` baseline points nothing is
 flagged — one noisy first run must not poison the trajectory.
 """
 
@@ -342,7 +342,6 @@ def compare_runs(
     current_run: str | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     window: int = DEFAULT_WINDOW,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
 ) -> ComparisonReport:
     """Compare one run's timing records against the rolling baseline.
 
@@ -387,7 +386,7 @@ def compare_runs(
         baseline_values = [
             runs[rid].value for rid in baseline_runs if rid in runs
         ]
-        if len(baseline_values) < min_samples:
+        if len(baseline_values) < DEFAULT_MIN_SAMPLES:
             rows.append(ComparisonRow(
                 name=name, unit=current.unit, current=current.value,
                 baseline_median=None, baseline_mad=0.0,

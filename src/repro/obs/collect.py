@@ -52,12 +52,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 from ..errors import ObservabilityError
+from ..io.jsonl import read_jsonl_tolerant
 from .context import TraceContext, anchor_offset, clock_anchor
-from .export import chrome_span_events, write_trace_jsonl
+from .export import chrome_span_events, read_trace_jsonl, write_trace_jsonl
 from .logging import get_logger, read_log_jsonl
 from .metrics import get_registry, merge_snapshots
 from .profile import profile_to_dict, summarize_spans
-from .trace import SpanRecord, get_tracer
+from .trace import get_tracer
 
 #: Shard file names (the on-disk contract of a worker directory).
 MANIFEST_FILE = "manifest.json"
@@ -208,11 +209,9 @@ def _read_metrics(path) -> dict:
     return snapshot
 
 
-def _read_stream(path, decode, label: str) -> tuple:
-    from ..io.jsonl import read_jsonl_tolerant
-
+def _read_heartbeats(path) -> tuple:
     return read_jsonl_tolerant(
-        path, decode, error=ObservabilityError, label=label
+        path, error=ObservabilityError, label="heartbeat sample"
     )
 
 
@@ -236,25 +235,21 @@ def read_shard(shard_dir) -> TelemetryShard:
             f"{shard_dir}: unreadable shard manifest ({err})"
         ) from None
 
-    def optional(name, empty, reader, *args):
+    def optional(name, empty, reader):
         path = os.path.join(shard_dir, name)
         if not os.path.exists(path):
             return empty
-        return reader(path, *args)
+        return reader(path)
 
     return TelemetryShard(
         dir=shard_dir,
         context=context,
         pid=pid,
         anchor=anchor,
-        spans=optional(
-            SPANS_FILE, (), _read_stream, SpanRecord.from_dict, "trace event"
-        ),
+        spans=optional(SPANS_FILE, (), read_trace_jsonl),
         metrics=optional(METRICS_FILE, {}, _read_metrics),
         logs=optional(LOGS_FILE, (), read_log_jsonl),
-        heartbeats=optional(
-            HEARTBEATS_FILE, (), _read_stream, None, "heartbeat sample"
-        ),
+        heartbeats=optional(HEARTBEATS_FILE, (), _read_heartbeats),
     )
 
 

@@ -25,6 +25,7 @@ import math
 import os
 
 from ..errors import ObservabilityError
+from ..io.jsonl import read_jsonl_tolerant
 from .metrics import get_registry
 from .trace import SpanRecord, get_tracer
 
@@ -46,21 +47,16 @@ def write_trace_jsonl(path, spans=None) -> int:
 
 
 def read_trace_jsonl(path) -> tuple:
-    """Parse a JSONL trace file back into :class:`SpanRecord` objects."""
-    records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                records.append(SpanRecord.from_dict(data))
-            except (ValueError, KeyError, TypeError) as err:
-                raise ObservabilityError(
-                    f"{path}:{line_no}: bad trace event ({err})"
-                ) from None
-    return tuple(records)
+    """Parse a JSONL trace file back into :class:`SpanRecord` objects.
+
+    A torn final line (a writer killed mid-append) is dropped; a bad
+    line anywhere earlier raises :class:`ObservabilityError` naming the
+    file and line (:func:`repro.io.jsonl.read_jsonl_tolerant`).
+    """
+    return read_jsonl_tolerant(
+        path, SpanRecord.from_dict, error=ObservabilityError,
+        label="trace event",
+    )
 
 
 def write_metrics_json(path, registry=None) -> dict:

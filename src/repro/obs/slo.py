@@ -189,9 +189,8 @@ def default_objectives(*, availability: float = 0.999,
                        windows=None) -> tuple:
     """The serve stack's standard objective pair.
 
-    ``threshold_s`` should come from
-    :attr:`~repro.serve.service.ServiceConfig.slo_p99_s` so the SLO the
-    engine enforces is the one the service declares.
+    The ``threshold_s`` default is the served p99 latency target:
+    ``GET /slo`` evaluates these defaults.
     """
     windows = tuple(windows) if windows else DEFAULT_BURN_WINDOWS
     return (

@@ -14,7 +14,7 @@ from __future__ import annotations
 import http.client
 import json
 
-from ..errors import ReproError, ServeError
+from ..errors import ServeError
 from ..io.json_codec import encode_soc, encode_workload
 from ..obs.context import current_context, inject_headers, new_context
 from ..obs.trace import span

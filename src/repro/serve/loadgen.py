@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core import FIGURE_6_SEQUENCE
 from ..errors import ServeError

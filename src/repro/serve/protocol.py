@@ -263,6 +263,9 @@ def parse_eval_request(document) -> EvalRequest:
 #: Sweepable parameters and the ``repro.explore`` driver each maps to.
 SWEEP_PARAMS = ("f", "intensity", "bpeak")
 
+#: The most values one sweep request may carry.
+MAX_SWEEP_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class SweepRequest:
@@ -277,7 +280,7 @@ class SweepRequest:
     deadline_s: float | None
 
 
-def parse_sweep_request(document, *, max_points: int = 10_000) -> SweepRequest:
+def parse_sweep_request(document) -> SweepRequest:
     """Validate a ``/v1/sweep`` body into a :class:`SweepRequest`."""
     document = _require_object(document, "sweep request")
     _check_keys(
@@ -293,10 +296,10 @@ def parse_sweep_request(document, *, max_points: int = 10_000) -> SweepRequest:
     values = document["values"]
     if not isinstance(values, list) or not values:
         raise _bad("values must be a non-empty JSON array of numbers")
-    if len(values) > max_points:
+    if len(values) > MAX_SWEEP_POINTS:
         raise ServeError(
             f"sweep of {len(values)} points exceeds the service limit "
-            f"of {max_points}",
+            f"of {MAX_SWEEP_POINTS}",
             code="SERVE_PAYLOAD_TOO_LARGE",
         )
     numbers = []

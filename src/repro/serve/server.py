@@ -65,13 +65,23 @@ from .service import EvaluationService, ServiceConfig
 #: Seconds clients are told to wait after a 429/503.
 RETRY_AFTER_S = 1
 
+#: Every route: ``(method, path)`` -> the :class:`_Handler` method
+#: that answers it with ``(status, document)``.
+_ROUTES = {
+    ("GET", "/healthz"): "_do_healthz",
+    ("GET", "/readyz"): "_do_readyz",
+    ("GET", "/variants"): "_do_variants_catalog",
+    ("GET", "/metrics"): "_do_metrics",
+    ("GET", "/slo"): "_do_slo",
+    ("POST", "/eval"): "_do_eval",
+    ("POST", "/sweep"): "_do_sweep",
+    ("POST", "/variants"): "_do_variants",
+}
+
 #: Paths allowed as ``endpoint`` label values; anything else is folded
 #: into ``other`` so unknown-path probes cannot explode label
 #: cardinality in the registry.
-KNOWN_ENDPOINTS = frozenset((
-    "/healthz", "/readyz", "/variants", "/metrics", "/slo",
-    "/eval", "/sweep",
-))
+KNOWN_ENDPOINTS = frozenset(path for _, path in _ROUTES)
 
 #: Endpoints that *report* observability rather than serve traffic;
 #: they are exposed in the latency series but excluded from the SLO
@@ -96,11 +106,19 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:
         log_event("debug", "serve.http", format % args)
 
-    def _send_json(self, status: int, document: dict, *,
-                   request_id: str = "", close: bool = False) -> None:
-        body = json.dumps(document, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, document, *, request_id: str = "",
+              close: bool = False) -> None:
+        """Answer with ``document``: a str is the metrics exposition,
+        anything else JSON.  ``end_headers`` flushes the headers, then
+        the body is written."""
+        if isinstance(document, str):
+            content_type, text = exposition_content_type(), document
+        else:
+            content_type = "application/json"
+            text = json.dumps(document, sort_keys=True)
+        body = text.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if request_id:
             self.send_header("X-Gables-Request-Id", request_id)
@@ -112,24 +130,13 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(self, status: int, text: str, *,
-                   request_id: str = "") -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", exposition_content_type())
-        self.send_header("Content-Length", str(len(body)))
-        if request_id:
-            self.send_header("X-Gables-Request-Id", request_id)
-        self.end_headers()
-        self.wfile.write(body)
-
     def _send_error_json(self, err: ReproError, *,
                          request_id: str = "") -> None:
         # An error answered before _read_body consumed the body (404,
         # 405, 413, a bad Content-Length) leaves that body in the
         # keep-alive stream, where it would parse as the next request:
         # answer, then close the connection.
-        self._send_json(
+        self._send(
             http_status_for(err),
             error_body(err, request_id=request_id),
             request_id=request_id,
@@ -199,8 +206,8 @@ class _Handler(BaseHTTPRequestHandler):
             trace_id=context.trace_id,
         ):
             try:
-                handler = self._route(method)
-                handler(request_id)
+                status, document = self._route(method, path)()
+                self._send(status, document, request_id=request_id)
             except ReproError as err:
                 outcome = err.code
                 log_event(
@@ -241,22 +248,11 @@ class _Handler(BaseHTTPRequestHandler):
         ):
             observe_request(ok=outcome == "ok", latency_s=elapsed_s)
 
-    def _route(self, method: str):
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        routes = {
-            ("GET", "/healthz"): self._do_healthz,
-            ("GET", "/readyz"): self._do_readyz,
-            ("GET", "/variants"): self._do_variants_catalog,
-            ("GET", "/metrics"): self._do_metrics,
-            ("GET", "/slo"): self._do_slo,
-            ("POST", "/eval"): self._do_eval,
-            ("POST", "/sweep"): self._do_sweep,
-            ("POST", "/variants"): self._do_variants,
-        }
-        handler = routes.get((method, path))
-        if handler is not None:
-            return handler
-        if any(known == path for _, known in routes):
+    def _route(self, method: str, path: str):
+        name = _ROUTES.get((method, path))
+        if name is not None:
+            return getattr(self, name)
+        if path in KNOWN_ENDPOINTS:
             raise ServeError(
                 f"{method} is not allowed on {path}",
                 code="SERVE_METHOD_NOT_ALLOWED",
@@ -266,45 +262,35 @@ class _Handler(BaseHTTPRequestHandler):
             code="SERVE_UNKNOWN_ENDPOINT",
         )
 
-    # -- routes --------------------------------------------------------
+    # -- routes: each returns ``(status, document)`` -------------------
 
-    def _do_healthz(self, request_id: str) -> None:
-        self._send_json(200, self.service.health(), request_id=request_id)
+    def _do_healthz(self) -> tuple:
+        return 200, self.service.health()
 
-    def _do_readyz(self, request_id: str) -> None:
+    def _do_readyz(self) -> tuple:
         ready, document = self.service.ready()
-        self._send_json(
-            200 if ready else 503, document, request_id=request_id
-        )
+        return 200 if ready else 503, document
 
-    def _do_variants_catalog(self, request_id: str) -> None:
-        self._send_json(
-            200, self.service.handle_variants(None), request_id=request_id
-        )
+    def _do_variants_catalog(self) -> tuple:
+        return 200, self.service.handle_variants(None)
 
-    def _do_metrics(self, request_id: str) -> None:
-        gauge("serve.inflight").set(self.service.load_stats()["inflight"])
-        self._send_text(200, render_exposition(), request_id=request_id)
+    def _do_metrics(self) -> tuple:
+        gauge("serve.inflight").set(self.service.health()["inflight"])
+        return 200, render_exposition()
 
-    def _do_slo(self, request_id: str) -> None:
-        objectives = default_objectives(
-            threshold_s=self.service.config.slo_p99_s
-        )
-        report = evaluate_slos(objectives, request_window().events())
+    def _do_slo(self) -> tuple:
+        report = evaluate_slos(default_objectives(), request_window().events())
         report["window_events"] = len(request_window())
-        self._send_json(200, report, request_id=request_id)
+        return 200, report
 
-    def _do_eval(self, request_id: str) -> None:
-        payload = self.service.handle_eval(self._read_body())
-        self._send_json(200, payload, request_id=request_id)
+    def _do_eval(self) -> tuple:
+        return 200, self.service.handle_eval(self._read_body())
 
-    def _do_sweep(self, request_id: str) -> None:
-        payload = self.service.handle_sweep(self._read_body())
-        self._send_json(200, payload, request_id=request_id)
+    def _do_sweep(self) -> tuple:
+        return 200, self.service.handle_sweep(self._read_body())
 
-    def _do_variants(self, request_id: str) -> None:
-        payload = self.service.handle_variants(self._read_body())
-        self._send_json(200, payload, request_id=request_id)
+    def _do_variants(self) -> tuple:
+        return 200, self.service.handle_variants(self._read_body())
 
     # -- HTTP verbs ----------------------------------------------------
 

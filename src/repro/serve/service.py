@@ -11,8 +11,10 @@ design, one mechanism per failure mode:
   it are *shed* with ``SERVE_OVERLOADED`` (HTTP 429 + ``Retry-After``)
   instead of queuing without bound, and a draining service refuses new
   work with ``SERVE_SHUTTING_DOWN`` (503).
-- **deadlines** — every request carries a wall-clock budget (default
-  and cap from :class:`ServiceConfig`); a request that is over budget
+- **deadlines** — every ``/eval``, ``/sweep`` and ``/variants``
+  request carries a wall-clock budget (default from
+  :class:`ServiceConfig`, capped at :data:`MAX_DEADLINE_S`) and
+  evaluates inside one budget step: a request that is over budget
   before it evaluates, or whose result comes back late, returns
   ``SERVE_DEADLINE_EXCEEDED`` (504).  A late result is neither
   returned nor cached.
@@ -23,7 +25,8 @@ design, one mechanism per failure mode:
   offline :mod:`repro.explore.sweep` drivers on the configured batch
   ``engine``.  A request the model rejects fails alone, with the
   model's own catalogued code; a slow one holds only its own handler
-  thread and admission slot.
+  thread and admission slot.  A failure outside the model's catalog
+  is ``SERVE_WORKER_CRASHED``, on every endpoint.
 - **result cache** — ``/eval`` responses are cached on the canonical
   spec/workload hash; with a ``cache_path`` the cache is an
   append-only JSONL file recovered on restart through the shared
@@ -68,14 +71,17 @@ from .protocol import (
 )
 
 _REQUESTS = _counter("serve.requests")
-_REQ_EVAL = _counter("serve.requests.eval")
-_REQ_SWEEP = _counter("serve.requests.sweep")
-_REQ_VARIANTS = _counter("serve.requests.variants")
 _SHED = _counter("serve.shed")
 _DEADLINE_MISSES = _counter("serve.deadline_exceeded")
 _CACHE_HITS = _counter("serve.cache.hits")
 _CACHE_MISSES = _counter("serve.cache.misses")
 _FAULTS = _counter("serve.faults.injected")
+
+#: The longest budget a request may ask for, in seconds.
+MAX_DEADLINE_S = 60.0
+
+#: Responses the result cache keeps.
+CACHE_CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -84,36 +90,29 @@ class ServiceConfig:
 
     The defaults are sized for a small shared box: shed beyond 64
     in-flight requests, and give every request 10 s unless it asks for
-    less (never more than 60 s).  ``engine`` picks the batch tier of
-    ``/sweep``; ``/eval`` and ``/variants`` evaluate with the scalar
-    model.
+    less (never more than :data:`MAX_DEADLINE_S`).  ``engine`` picks
+    the batch tier of ``/sweep``; ``/eval`` and ``/variants`` evaluate
+    with the scalar model.
     """
 
     queue_limit: int = 64
     default_deadline_s: float = 10.0
-    max_deadline_s: float = 60.0
-    max_sweep_points: int = 10_000
     max_body_bytes: int = 1_000_000
-    cache_capacity: int = 1024
     cache_path: str | None = None
     engine: str = "auto"
     allow_fault_injection: bool = False
-    slo_p99_s: float = 0.25
 
     def __post_init__(self) -> None:
-        for name, minimum in (
-            ("queue_limit", 1), ("cache_capacity", 1),
-            ("max_sweep_points", 1), ("max_body_bytes", 1),
-        ):
-            if getattr(self, name) < minimum:
+        for name in ("queue_limit", "max_body_bytes"):
+            if getattr(self, name) < 1:
                 raise SpecError(
-                    f"{name} must be >= {minimum}, got {getattr(self, name)}"
+                    f"{name} must be >= 1, got {getattr(self, name)}"
                 )
-        for name in ("default_deadline_s", "max_deadline_s", "slo_p99_s"):
-            if not getattr(self, name) > 0:
-                raise SpecError(
-                    f"{name} must be positive, got {getattr(self, name)!r}"
-                )
+        if not self.default_deadline_s > 0:
+            raise SpecError(
+                f"default_deadline_s must be positive, got "
+                f"{self.default_deadline_s!r}"
+            )
         if self.engine not in ENGINE_CHOICES:
             raise SpecError(
                 f"engine must be {'|'.join(ENGINE_CHOICES)}, got "
@@ -229,9 +228,7 @@ class EvaluationService:
                  clock=time.monotonic) -> None:
         self.config = config if config is not None else ServiceConfig()
         self._clock = clock
-        self.cache = ResultCache(
-            self.config.cache_capacity, self.config.cache_path
-        )
+        self.cache = ResultCache(CACHE_CAPACITY, self.config.cache_path)
         self._cv = threading.Condition()
         self._inflight = 0
         self._draining = False
@@ -262,12 +259,29 @@ class EvaluationService:
                 self._inflight -= 1
                 self._cv.notify_all()
 
-    def _request_deadline(self, requested) -> float:
-        budget = (
+    @contextmanager
+    def _budget(self, requested, what: str, *, crashed_on: str = ""):
+        """Run one request's evaluation within its deadline budget.
+
+        The budget is the ``requested`` seconds, capped at
+        :data:`MAX_DEADLINE_S`, or the configured default.  Fails with
+        ``SERVE_DEADLINE_EXCEEDED`` when it is already spent on entry
+        (a microscopic deadline fails before the cache can
+        short-circuit the verdict) and when the body finishes late (a
+        late result is neither returned nor cached).  The body runs
+        inside :func:`_crash_boundary`, labelled ``crashed_on``
+        (default ``what``).
+        """
+        deadline = self._clock() + (
             self.config.default_deadline_s if requested is None
-            else min(requested, self.config.max_deadline_s)
+            else min(requested, MAX_DEADLINE_S)
         )
-        return self._clock() + budget
+        if self._clock() >= deadline:
+            raise _deadline_error(what)
+        with _crash_boundary(crashed_on or what):
+            yield
+        if self._clock() >= deadline:
+            raise _deadline_error(what)
 
     def _check_fault_allowed(self, fault) -> None:
         if fault is not None and not self.config.allow_fault_injection:
@@ -282,31 +296,23 @@ class EvaluationService:
     def handle_eval(self, document) -> dict:
         """Scalar evaluation: validate, evaluate inline, respond."""
         _REQUESTS.inc()
-        _REQ_EVAL.inc()
         with self._admitted():
             request = parse_eval_request(document)
             self._check_fault_allowed(request.fault)
-            deadline = self._request_deadline(request.deadline_s)
-            if self._clock() >= deadline:
-                # Already over budget (e.g. a microscopic deadline):
-                # fail before the cache can short-circuit the verdict.
-                raise _deadline_error("eval request")
-            if request.fault == "crash":
-                # Faulted requests never reach the cache.
-                _FAULTS.inc()
-                raise ServeError(
-                    "injected fault: evaluation crashed on this request",
-                    code="SERVE_WORKER_CRASHED",
-                )
-            cached = self.cache.get(request.cache_key)
-            if cached is not None:
-                meta = dict(cached.get("meta", {}))
-                meta["cached"] = True
-                return {**cached, "meta": meta}
-            with _crash_boundary("eval request"):
+            with self._budget(request.deadline_s, "eval request"):
+                if request.fault == "crash":
+                    # Faulted requests never reach the cache.
+                    _FAULTS.inc()
+                    raise ServeError(
+                        "injected fault: evaluation crashed on this request",
+                        code="SERVE_WORKER_CRASHED",
+                    )
+                cached = self.cache.get(request.cache_key)
+                if cached is not None:
+                    meta = dict(cached.get("meta", {}))
+                    meta["cached"] = True
+                    return {**cached, "meta": meta}
                 result = evaluate(request.soc, request.workload)
-            if self._clock() >= deadline:
-                raise _deadline_error("eval request")
             payload = _eval_payload(result, variant="base")
             self.cache.put(request.cache_key, payload)
             return payload
@@ -314,33 +320,27 @@ class EvaluationService:
     def handle_sweep(self, document) -> dict:
         """Parameter sweep, evaluated inline on the calling thread."""
         _REQUESTS.inc()
-        _REQ_SWEEP.inc()
         with self._admitted():
-            request = parse_sweep_request(
-                document, max_points=self.config.max_sweep_points
-            )
-            deadline = self._request_deadline(request.deadline_s)
-            if self._clock() >= deadline:
-                raise _deadline_error("sweep request")
-
+            request = parse_sweep_request(document)
             engine = self.config.engine
-            if request.param == "f":
-                series = sweep_fraction(
-                    request.soc, request.workload, request.ip_index,
-                    request.values, on_error=request.on_error,
-                    engine=engine,
-                )
-            elif request.param == "intensity":
-                series = sweep_intensity(
-                    request.soc, request.workload, request.ip_index,
-                    request.values, on_error=request.on_error,
-                    engine=engine,
-                )
-            else:
-                series = sweep_memory_bandwidth(
-                    request.soc, request.workload, request.values,
-                    on_error=request.on_error, engine=engine,
-                )
+            with self._budget(request.deadline_s, "sweep request"):
+                if request.param == "f":
+                    series = sweep_fraction(
+                        request.soc, request.workload, request.ip_index,
+                        request.values, on_error=request.on_error,
+                        engine=engine,
+                    )
+                elif request.param == "intensity":
+                    series = sweep_intensity(
+                        request.soc, request.workload, request.ip_index,
+                        request.values, on_error=request.on_error,
+                        engine=engine,
+                    )
+                else:
+                    series = sweep_memory_bandwidth(
+                        request.soc, request.workload, request.values,
+                        on_error=request.on_error, engine=engine,
+                    )
             return {
                 "kind": "sweep",
                 "parameter": series.parameter,
@@ -375,7 +375,6 @@ class EvaluationService:
     def handle_variants(self, document=None) -> dict:
         """Variant catalog (no body) or one variant evaluation."""
         _REQUESTS.inc()
-        _REQ_VARIANTS.inc()
         if document is None:
             from ..core.variants import VARIANT_CHOICES
 
@@ -387,10 +386,10 @@ class EvaluationService:
             }
         with self._admitted():
             request = parse_variants_request(document)
-            deadline = self._request_deadline(request.deadline_s)
-            if self._clock() >= deadline:
-                raise _deadline_error("variants request")
-            with _crash_boundary(f"variant {request.variant!r}"):
+            with self._budget(
+                request.deadline_s, "variants request",
+                crashed_on=f"variant {request.variant!r}",
+            ):
                 variant = variant_from_config(
                     request.variant, request.soc, request.config
                 )
@@ -420,15 +419,6 @@ class EvaluationService:
                 "faults_injected": _FAULTS.value,
             },
         }
-
-    def load_stats(self) -> dict:
-        """Instantaneous load: the in-flight request count.
-
-        The ``/metrics`` handler snapshots it into the
-        ``serve.inflight`` gauge at scrape time.
-        """
-        with self._cv:
-            return {"inflight": self._inflight}
 
     def ready(self) -> tuple:
         """``(is_ready, document)`` for ``/readyz``.

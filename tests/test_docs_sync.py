@@ -321,7 +321,7 @@ def test_monitoring_doc_names_every_telemetry_plane_surface():
         "ALERTS.jsonl",
         "BENCH_HISTORY.jsonl",
         "serve.loadgen.p99",
-        "slo_p99_s",
+        "default_objectives",
     )
     missing = [name for name in anchors if name not in text]
     assert not missing, (

@@ -28,7 +28,6 @@ from repro.ert import (
     variant_prediction_table,
 )
 from repro.units import format_ops
-from repro.sim import simulated_snapdragon_835
 
 
 class TestFigure7CPU:

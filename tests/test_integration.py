@@ -6,7 +6,6 @@ library would run, spanning at least three subpackages.
 
 from __future__ import annotations
 
-import math
 import xml.dom.minidom
 
 import pytest
@@ -154,7 +153,6 @@ class TestUsecasePortfolio:
     """Down-select SoCs for the Table I camera portfolio."""
 
     def test_rank_presets_for_camera_portfolio(self, generic_spec):
-        from repro.soc import snapdragon_821, snapdragon_835
         from repro.usecases import USECASES
 
         # Build requirements on the generic SoC's IP set; candidates

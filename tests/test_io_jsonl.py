@@ -18,8 +18,6 @@ and never invents or loses a record other than the torn last one.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.market import (
-    IP_COUNT_BY_GENERATION,
     SOC_INTRODUCTIONS_BY_YEAR,
     generate_market_dataset,
     ip_count_by_generation,

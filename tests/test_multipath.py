@@ -8,6 +8,7 @@ from repro.core import (
     FIGURE_6B,
     InterconnectVariant,
     MultipathVariant,
+    SoCSpec,
     Workload,
     evaluate,
     evaluate_variant,
@@ -113,6 +114,44 @@ class TestLoadBalancing:
                 soc, workload, InterconnectVariant(single)
             ).attainable
             assert best >= fixed * (1 - 1e-9)
+
+
+class TestSplitMemo:
+    def test_memoized_splits_cannot_outlive_their_bandwidths(self):
+        """The split memo keys on traffic ratios only, so the buses and
+        routes it was solved for cannot change under it: a wider bus
+        is a new ``Bus`` in a new interconnect, solved afresh."""
+        soc = SoCSpec.two_ip(40e9, 10e9, acceleration=5,
+                             cpu_bandwidth=6e9, acc_bandwidth=15e9)
+        workload = Workload.two_ip(f=0.75, i0=0.5, i1=0.1)
+        routes = (((0,), (1,)),) * 2
+        buses = (Bus("fabric0", 2e9), Bus("fabric1", 2e9))
+        multi = MultiPathInterconnect(buses, routes)
+        narrow = evaluate_variant(soc, workload, MultipathVariant(multi))
+        assert narrow.bottleneck == "fabric0"
+        assert narrow.attainable == pytest.approx(5.0e8)
+        with pytest.raises(AttributeError):
+            buses[1].bandwidth = 20e9
+        with pytest.raises(AttributeError):
+            multi.buses = (buses[0], Bus("fabric1", 20e9))
+        with pytest.raises(AttributeError):
+            multi.routes = (((0,),),) * 2
+        assert evaluate_variant(
+            soc, workload, MultipathVariant(multi)
+        ).attainable == narrow.attainable
+        wide = MultiPathInterconnect(
+            (Bus("fabric0", 2e9), Bus("fabric1", 20e9)), routes
+        )
+        relieved = evaluate_variant(soc, workload, MultipathVariant(wide))
+        assert relieved.bottleneck == "memory"
+        assert relieved.attainable == pytest.approx(1.25e9)
+
+    def test_bus_validates_and_keeps_its_repr(self):
+        assert repr(Bus("noc", 20)) == "Bus('noc', bandwidth=20.0)"
+        with pytest.raises(SpecError):
+            Bus("", 1e9)
+        with pytest.raises(SpecError):
+            Bus("noc", 0.0)
 
 
 class TestValidation:

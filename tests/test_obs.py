@@ -292,12 +292,21 @@ class TestExport:
                     "duration_s", "status", "attributes"} <= set(event)
 
     def test_malformed_trace_file_raises_with_location(self, tmp_path):
+        good = ('{"name": "ok", "span_id": 1, "parent_id": null,'
+                ' "thread": "t", "start_s": 0, "end_s": 1}\n')
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"name": "ok", "span_id": 1, "parent_id": null,'
-                        ' "thread": "t", "start_s": 0, "end_s": 1}\n'
-                        "not json\n")
+        path.write_text(good + "not json\n" + good)
         with pytest.raises(ObservabilityError, match="bad.jsonl:2"):
             obs.read_trace_jsonl(path)
+
+    def test_torn_final_line_is_dropped(self, tmp_path):
+        """A writer killed mid-append tears only the last line: the
+        trace reader drops it, as the shard reader does."""
+        spans = self._collect_spans()
+        path = tmp_path / "trace.jsonl"
+        obs.write_trace_jsonl(path, spans)
+        path.write_bytes(path.read_bytes()[:-40])
+        assert obs.read_trace_jsonl(path) == spans[:-1]
 
     def test_summarize_groups_by_path(self):
         spans = self._collect_spans()

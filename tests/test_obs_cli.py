@@ -86,7 +86,11 @@ class TestTraceSummarize:
         from repro.errors import ObservabilityError
 
         path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n")
+        # Corruption before the last line: a bad *final* line is a torn
+        # tail, which the reader drops.
+        path.write_text('not json\n{"name": "ok", "span_id": 1, '
+                        '"parent_id": null, "thread": "t", "start_s": 0, '
+                        '"end_s": 1}\n')
         # The CLI exits with the failing class's status (see
         # repro.errors.exit_code_for), not a blanket 2.
         assert main(

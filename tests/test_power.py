@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.core import FIGURE_6D, SoCSpec, Workload, evaluate
+from repro.core import FIGURE_6D, Workload, evaluate
 from repro.errors import EvaluationError, SpecError, WorkloadError
 from repro.power import (
     EnergyModel,

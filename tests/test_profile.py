@@ -264,7 +264,7 @@ class TestProfileCli:
         assert main(["profile", "--", "sweep", "--figure", "6b",
                      "--steps", "99"]) == 0
         out = capsys.readouterr().out
-        line = next(l for l in out.splitlines() if "coverage" in l)
+        line = next(row for row in out.splitlines() if "coverage" in row)
         coverage = float(line.rsplit("(", 1)[1].split("%")[0])
         assert coverage >= 95.0
 

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from repro.core import FIGURE_6A, FIGURE_6D, Workload, evaluate
+from repro.core import FIGURE_6A, FIGURE_6D, Workload
 from repro.errors import SpecError
 from repro.explore import (
     TechnologyTrend,

@@ -52,10 +52,10 @@ from repro.serve import (
     parse_sweep_request,
     parse_variants_request,
     run_load,
-    slo_records,
 )
 from repro.serve import service as service_module
 from repro.serve.loadgen import record_slo
+from repro.serve.protocol import MAX_SWEEP_POINTS
 from repro.units import GIGA
 
 SCENARIO = FIGURE_6_SEQUENCE[1]
@@ -172,9 +172,9 @@ class TestProtocol:
 
     def test_sweep_too_many_points_is_413(self):
         document = eval_document(param="f", ip_index=0,
-                                 values=[0.1] * 50)
+                                 values=[0.1] * (MAX_SWEEP_POINTS + 1))
         with pytest.raises(ServeError) as excinfo:
-            parse_sweep_request(document, max_points=10)
+            parse_sweep_request(document)
         assert excinfo.value.code == "SERVE_PAYLOAD_TOO_LARGE"
 
     def test_sweep_requires_known_param(self):
@@ -483,6 +483,70 @@ class TestServiceSweep:
         assert payload["attainables"] == list(sweep_fraction(
             SCENARIO.soc(), SCENARIO.workload(), 1, [0.25, 0.5]
         ).attainables())
+
+
+class TestLateResults:
+    """Every endpoint evaluates inside one budget step: a result that
+    comes back after its deadline is a 504, counted once and never
+    cached, and a failure outside the model's catalog is a crash."""
+
+    #: Handler and request fields per endpoint; the sweep and variant
+    #: requests evaluate through ``sweep_fraction`` and
+    #: ``evaluate_variant``.
+    ENDPOINTS = {
+        "eval": ("handle_eval", {}),
+        "sweep": ("handle_sweep",
+                  {"param": "f", "ip_index": 1, "values": [0.25, 0.5]}),
+        "variants": ("handle_variants", {"variant": "base"}),
+    }
+
+    @pytest.fixture()
+    def slow(self, monkeypatch):
+        """A service on a fake clock whose evaluations take 11 s, past
+        the 10 s default budget."""
+        now = [0.0]
+        instance = EvaluationService(ServiceConfig(), clock=lambda: now[0])
+
+        def slowed(function):
+            def call(*args, **kwargs):
+                now[0] += 11.0
+                return function(*args, **kwargs)
+            return call
+
+        for name in ("evaluate", "sweep_fraction", "evaluate_variant"):
+            monkeypatch.setattr(
+                service_module, name, slowed(getattr(service_module, name))
+            )
+        yield instance
+        instance.drain(timeout_s=2.0)
+
+    @pytest.mark.parametrize("endpoint", sorted(ENDPOINTS))
+    def test_late_result_is_504(self, slow, endpoint):
+        handler, fields = self.ENDPOINTS[endpoint]
+        before = slow.health()["metrics"]["deadline_exceeded"]
+        with pytest.raises(ServeError) as excinfo:
+            getattr(slow, handler)(eval_document(**fields))
+        assert excinfo.value.code == "SERVE_DEADLINE_EXCEEDED"
+        assert slow.health()["metrics"]["deadline_exceeded"] == before + 1
+
+    def test_late_eval_result_is_not_cached(self, slow):
+        with pytest.raises(ServeError):
+            slow.handle_eval(eval_document())
+        payload = slow.handle_eval(eval_document(deadline_s=60.0))
+        assert payload["meta"]["cached"] is False
+        assert payload["result"] == offline_result()
+
+    def test_sweep_crash_is_isolated(self, service, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("sweep driver fell over")
+
+        monkeypatch.setattr(service_module, "sweep_fraction", crash)
+        with pytest.raises(ServeError) as excinfo:
+            service.handle_sweep(
+                eval_document(**self.ENDPOINTS["sweep"][1])
+            )
+        assert excinfo.value.code == "SERVE_WORKER_CRASHED"
+        assert "sweep driver fell over" in str(excinfo.value)
 
 
 class TestOverloadAndWatchdog:

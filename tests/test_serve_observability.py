@@ -128,7 +128,8 @@ class TestSloEndpoint:
         assert report["breached"] is False
         threshold = [o for o in report["objectives"]
                      if o["name"] == "latency_p99"][0]["threshold_s"]
-        assert threshold == ServiceConfig().slo_p99_s
+        assert threshold == [o.threshold_s for o in obs.default_objectives()
+                             if o.name == "latency_p99"][0]
 
 
 class TestTracePropagation:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SpecError
 from repro.sim import ComputeEngine, KernelSpec, MemoryHierarchy, MemoryLevel
-from repro.units import GIGA, KIB, MIB
+from repro.units import GIGA, MIB
 
 
 @pytest.fixture()

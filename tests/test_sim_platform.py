@@ -3,8 +3,6 @@ thermal behaviour (paper Section IV methodology)."""
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.errors import SpecError
@@ -241,7 +239,6 @@ class TestThermal:
     def test_controlled_mode_is_deterministic(self):
         p1 = simulated_snapdragon_835()
         p2 = simulated_snapdragon_835()
-        kernel = KernelSpec(elements=BIG).with_intensity(1024)
         for _ in range(3):
             r1 = p1.run_kernel("GPU",
                                KernelSpec(elements=BIG,

@@ -11,7 +11,6 @@ from repro.soc import (
     IPInstance,
     SoCDescription,
     catalog,
-    generic_soc,
     is_programmable,
     kind_info,
     snapdragon_821,

@@ -7,7 +7,7 @@ import xml.dom.minidom
 
 import pytest
 
-from repro.core import FIGURE_6A, FIGURE_6D, SoCSpec, Workload, evaluate
+from repro.core import FIGURE_6A, FIGURE_6D, Workload, evaluate
 from repro.errors import ReproError, SpecError, WorkloadError
 from repro.explore import GridCell, analytic_mixing_grid, sweep_grid
 from repro.market import (

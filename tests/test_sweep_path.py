@@ -38,7 +38,7 @@ from repro.explore import (
     sweep_ip_bandwidth,
     sweep_memory_bandwidth,
 )
-from repro.explore.sweep import _finite_positive, _positive, _unit_interval
+from repro.explore.sweep import _finite_positive, _in_unit_range, _positive
 from repro.obs.metrics import counter
 
 NAN, INF = math.nan, math.inf
@@ -244,7 +244,7 @@ def test_raise_reports_the_first_rejected_value(driver):
 
 #: driver -> (its predicate, the scalar constructor it stands for)
 PREDICATES = {
-    "f": (_unit_interval, lambda v: WORKLOAD.with_fraction_at(1, v)),
+    "f": (_in_unit_range, lambda v: WORKLOAD.with_fraction_at(1, v)),
     "I": (
         _positive,
         lambda v: replace(WORKLOAD, intensities=(6.0, v, 10.0)),

@@ -218,7 +218,7 @@ class TestSummarizeWrapping:
         assert main(["trace", "summarize", str(path),
                      "--width", "72"]) == 0
         out = capsys.readouterr().out
-        table_lines = [l for l in out.splitlines() if l.startswith("|")]
+        table_lines = [row for row in out.splitlines() if row.startswith("|")]
         assert all(len(line) <= 72 for line in table_lines)
         # The deepest span name is intact somewhere in the span column.
         flat = "".join(
@@ -233,6 +233,6 @@ class TestSummarizeWrapping:
         assert main(["trace", "summarize", str(path),
                      "--width", "4000"]) == 0
         out = capsys.readouterr().out
-        table_lines = [l for l in out.splitlines() if l.startswith("|")]
+        table_lines = [row for row in out.splitlines() if row.startswith("|")]
         # Wide enough: one row per summary, nothing wrapped.
         assert len(table_lines) == 2 + 12

@@ -48,7 +48,7 @@ from repro.core.extensions import (
     Phase,
     PhasedUsecase,
 )
-from repro.core.extensions.coordination import COORDINATION
+from repro.core.extensions import COORDINATION
 from repro.core.extensions.interconnect import bus_times
 from repro.core.extensions.multipath import optimal_route_split
 from repro.core.extensions.serialized import serialized_ip_times
